@@ -322,21 +322,21 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
     sim = cfg.simulate
     mode = sim.mode
 
+    selected = [(str(sel), _resolve_selection(ranking, sel)) for sel in sim.selections]
+    trial_sets = montecarlo.run_trial_sets(
+        [(cands[idx], idx) for _, idx in selected], g, env, kin, rates, noise,
+        cfg.seed, sim.runs,
+        mode=mode,
+        cross_track_sigma=sim.cross_track_sigma_m,
+        cross_track_tau=sim.cross_track_tau_s,
+        speed_sigma=sim.speed_sigma_mps,
+        dropout=sim.dropout if mode == "noisy" else 0.0,
+        outlier_prob=sim.outlier_prob,
+        outlier_scale=sim.outlier_scale,
+        pec_norm=cfg.plan.pec_norm,
+    )
     agg_rows = []
-    for sel in sim.selections:
-        idx = _resolve_selection(ranking, sel)
-        label = str(sel)
-        records = montecarlo.run_trials(
-            cands[idx], idx, g, env, kin, rates, noise, cfg.seed, sim.runs,
-            mode=mode,
-            cross_track_sigma=sim.cross_track_sigma_m,
-            cross_track_tau=sim.cross_track_tau_s,
-            speed_sigma=sim.speed_sigma_mps,
-            dropout=sim.dropout if mode == "noisy" else 0.0,
-            outlier_prob=sim.outlier_prob,
-            outlier_scale=sim.outlier_scale,
-            pec_norm=cfg.plan.pec_norm,
-        )
+    for (label, idx), records in zip(selected, trial_sets):
         for i, rec in enumerate(records):
             res = rec.result
             truth_pos = rec.truth.pos[1:]

@@ -26,9 +26,29 @@ CONDITION_LIMIT = 1e12
 MIN_TILT_COS = 0.01
 MIN_RANGE = 0.1
 MIN_SIN_ELEVATION = 0.05
+# sym3_minmax: how close to a double eigenvalue the closed form gives way to
+# deflation, and the relative anisotropy below which it is exact enough
+_PAIR_TOL = 1e-5
 
 _I6 = np.eye(6)
-_SPAN_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def sight_geometry(r) -> tuple[np.ndarray, np.ndarray]:
+    """Range from the anchor at the origin and sine of the elevation angle,
+    for positions r of shape (..., 3)."""
+    r = np.asarray(r, dtype=float)
+    d = np.sqrt((r * r).sum(axis=-1))
+    return d, -r[..., 2] / np.where(d > 0.0, d, 1.0)
+
+
+def range_ok(d):
+    """Range guard of the UWB and camera models."""
+    return d > MIN_RANGE
+
+
+def elevation_ok(sin_alpha):
+    """Horizon guard of the camera model."""
+    return np.abs(sin_alpha) > MIN_SIN_ELEVATION
 
 
 @dataclass
@@ -38,14 +58,6 @@ class BeliefState:
     x: np.ndarray
     P: np.ndarray
     t: float = 0.0
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[:3]
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[3:]
 
 
 @dataclass
@@ -113,16 +125,40 @@ def predict(b: BeliefState, cfg: NoiseConfig) -> BeliefState:
     return BeliefState(x=x, P=P, t=b.t + cfg.ts)
 
 
-def _span_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step indices 1..n and their summed-square coefficients, cached."""
-    cached = _SPAN_CACHE.get(n)
-    if cached is None:
-        ks = np.arange(1, n + 1, dtype=float)
-        s2 = (ks - 1.0) * ks * (2.0 * ks - 1.0) / 6.0
-        cached = (ks, s2)
-        if len(_SPAN_CACHE) < 4096:
-            _SPAN_CACHE[n] = cached
-    return cached
+def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Transition A_n = phi^n and accumulated noise Q_n of n prediction steps.
+
+    n steps map P to A_n P A_n' + Q_n. Closed form, valid because phi is
+    block-unipotent and Q is diagonal.
+    """
+    tau = cfg.ts
+    qv = cfg.q_diag[:3]
+    A = np.eye(6)
+    A[3:, :3] = n * tau * np.eye(3)
+    Q = np.zeros((6, 6))
+    Q[:3, :3] = np.diag(n * qv)
+    Q[:3, 3:] = Q[3:, :3] = np.diag(tau * (n * (n - 1) / 2.0) * qv)
+    s2 = (n - 1.0) * n * (2.0 * n - 1.0) / 6.0
+    Q[3:, 3:] = np.diag(n * cfg.q_diag[3:] + tau * tau * s2 * qv)
+    return A, Q
+
+
+def position_blocks(P: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
+    """Position covariance block k prediction steps after covariance P.
+
+    P has shape (..., 6, 6) and k broadcasts against its leading axes; the
+    result has shape (..., 3, 3). k == 0 returns the position block of P.
+    """
+    tau = cfg.ts
+    kt = (np.asarray(k, dtype=float) * tau)[..., None, None]
+    blocks = (P[..., 3:, 3:] + kt * (P[..., :3, 3:] + P[..., 3:, :3])
+              + kt * kt * P[..., :3, :3])
+    ks = kt[..., 0, 0] / tau
+    s2 = (ks - 1.0) * ks * (2.0 * ks - 1.0) / 6.0
+    idx = np.arange(3)
+    blocks[..., idx, idx] += (ks[..., None] * cfg.q_diag[3:]
+                              + (tau * tau * s2)[..., None] * cfg.q_diag[:3])
+    return blocks
 
 
 def predict_span(
@@ -131,60 +167,71 @@ def predict_span(
     """n prediction steps in closed form, plus the position covariance block
     after each intermediate step (shape (n, 3, 3)).
 
-    Valid because the transition is block-unipotent and Q is diagonal; agrees
-    with n sequential predict() calls to rounding error.
+    Agrees with n sequential predict() calls to rounding error.
     """
-    if n == 0:
-        return BeliefState(x=b.x.copy(), P=b.P.copy(), t=b.t), np.zeros((0, 3, 3))
-    tau = cfg.ts
-    qv = cfg.q_diag[:3]
-    qr = cfg.q_diag[3:]
-    Pvv = b.P[:3, :3]
-    Pvr = b.P[:3, 3:]
-    Prr = b.P[3:, 3:]
-    sym = Pvr + Pvr.T
-
-    ks, s2 = _span_arrays(n)
-    pos = (
-        Prr[None, :, :]
-        + (ks * tau)[:, None, None] * sym[None, :, :]
-        + ((ks * tau) ** 2)[:, None, None] * Pvv[None, :, :]
-    )
-    idx = np.arange(3)
-    pos[:, idx, idx] += ks[:, None] * qr[None, :] + (tau**2 * s2)[:, None] * qv[None, :]
-
-    P = np.empty((6, 6))
-    P[:3, :3] = Pvv + np.diag(n * qv)
-    P[:3, 3:] = Pvr + n * tau * Pvv + np.diag(tau * (n * (n - 1) / 2.0) * qv)
-    P[3:, :3] = P[:3, 3:].T
-    P[3:, 3:] = pos[-1]
-    x = b.x.copy()
-    x[3:] += n * tau * x[:3]
-    return BeliefState(x=x, P=P, t=b.t + n * tau), pos
+    A, Q = span_transition(cfg, n)
+    x = A @ b.x
+    P = A @ b.P @ A.T + Q
+    blocks = position_blocks(b.P, np.arange(1, n + 1), cfg)
+    return BeliefState(x=x, P=P, t=b.t + n * cfg.ts), blocks
 
 
 # ---------------------------------------------------------------------------
 # gain and covariance update
 
 
-def _sym3_eig_bounds(S: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric 3x3, closed form."""
-    a, b, c = S[0, 0], S[1, 1], S[2, 2]
-    d, e, f = S[0, 1], S[0, 2], S[1, 2]
+def sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of symmetric 3x3 blocks, closed form.
+
+    blocks has shape (n, 3, 3). Uses the trigonometric solution of the
+    characteristic cubic, vectorized over the batch.
+    """
+    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
+    d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
     q = (a + b + c) / 3.0
     aa, bb, cc = a - q, b - q, c - q
     p2 = aa * aa + bb * bb + cc * cc + 2.0 * (d * d + e * e + f * f)
-    if p2 <= 0.0:
-        return q, q
-    p = math.sqrt(p2 / 6.0)
-    A, B, C = aa / p, bb / p, cc / p
-    D, E, F = d / p, e / p, f / p
-    det = A * (B * C - F * F) - D * (D * C - F * E) + E * (D * F - B * E)
-    r = min(1.0, max(-1.0, det / 2.0))
-    phi = math.acos(r) / 3.0
-    lmax = q + 2.0 * p * math.cos(phi)
-    lmin = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    return float(lmin), float(lmax)
+    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
+    # p == 0 means the block is q * I; guard the division
+    safe = np.where(p > 0.0, p, 1.0)
+    A, B, C, D, E, F = (v / safe for v in (aa, bb, cc, d, e, f))
+    r = np.clip((A * (B * C - F * F) - D * (D * C - F * E) + E * (D * F - B * E)) / 2.0,
+                -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    lmax = np.where(p > 0.0, q + 2.0 * p * np.cos(phi), q)
+    lmin = np.where(p > 0.0, q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q)
+    # Near r = -1 (+1) the two largest (smallest) eigenvalues almost coincide
+    # and the cubic fixes them only to about sqrt(machine epsilon); the third
+    # stays exact, so deflate its eigenvector and solve the remaining 2x2.
+    aniso = p > _PAIR_TOL * np.abs(q)
+    top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
+    if len(top):
+        lmax[top] = _deflated_extreme(blocks[top], lmin[top], 1.0)
+    bottom = np.flatnonzero((r > 1.0 - _PAIR_TOL) & aniso)
+    if len(bottom):
+        lmin[bottom] = _deflated_extreme(blocks[bottom], lmax[bottom], -1.0)
+    return lmin, lmax
+
+
+def _deflated_extreme(blocks: np.ndarray, lam: np.ndarray, sign: float) -> np.ndarray:
+    """Largest (sign 1) or smallest (sign -1) eigenvalue of symmetric 3x3
+    blocks, given their well-separated opposite extreme eigenvalue lam."""
+    C = blocks - lam[:, None, None] * np.eye(3)
+    # lam's eigenvector spans the null space of C: take the longest cross
+    # product of two of its rows
+    cr = np.stack([np.cross(C[:, 0], C[:, 1]), np.cross(C[:, 0], C[:, 2]),
+                   np.cross(C[:, 1], C[:, 2])], axis=1)
+    v = cr[np.arange(len(C)), (cr * cr).sum(axis=2).argmax(axis=1)]
+    v /= np.sqrt((v * v).sum(axis=1))[:, None]
+    u1 = np.cross(v, np.eye(3)[np.abs(v).argmin(axis=1)])
+    u1 /= np.sqrt((u1 * u1).sum(axis=1))[:, None]
+    u2 = np.cross(v, u1)
+    Au1 = (blocks @ u1[:, :, None])[:, :, 0]
+    Au2 = (blocks @ u2[:, :, None])[:, :, 0]
+    a = (u1 * Au1).sum(axis=1)
+    c = (u2 * Au2).sum(axis=1)
+    b = (u1 * Au2).sum(axis=1)
+    return 0.5 * (a + c) + sign * np.hypot(0.5 * (a - c), b)
 
 
 def kalman_gain(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -196,7 +243,7 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
             raise SingularInnovationError(f"innovation variance {s} not positive")
         return (P @ H.T) / s
     if S.shape == (3, 3):
-        lmin, lmax = _sym3_eig_bounds(S)
+        lmin, lmax = (float(v[0]) for v in sym3_minmax(S[None]))
     else:
         eigs = np.linalg.eigvalsh(S)
         lmin, lmax = float(eigs[0]), float(eigs[-1])
@@ -237,9 +284,10 @@ def altimeter_model(x: np.ndarray, att: Attitude) -> tuple[float, np.ndarray]:
 def uwb_model(x: np.ndarray) -> tuple[float, np.ndarray]:
     """Range from the UGV anchor at the origin to the estimated position."""
     r = x[3:]
-    d = float(np.linalg.norm(r))
-    if d <= MIN_RANGE:
+    d, _ = sight_geometry(r)
+    if not range_ok(d):
         raise NearOriginSingularityError(f"estimated range {d:.3f} m too small")
+    d = float(d)
     H = np.zeros(6)
     H[3:] = r / d
     return d, H
@@ -252,16 +300,16 @@ def camera_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     too close to the horizon are refused outright.
     """
     r = x[3:]
-    d = float(np.linalg.norm(r))
-    if d <= MIN_RANGE:
+    d, sin_alpha = sight_geometry(r)
+    if not range_ok(d):
         raise NearOriginSingularityError(f"estimated range {d:.3f} m too small")
-    sin_alpha = -r[2] / d
-    if abs(sin_alpha) <= MIN_SIN_ELEVATION:
+    if not elevation_ok(sin_alpha):
         raise HorizonSingularityError(f"sight line elevation sin {sin_alpha:.3f} too low")
+    d = float(d)
     zhat = r / d
     H = np.zeros((3, 6))
     H[:, 3:] = (np.eye(3) - np.outer(zhat, zhat)) / d
-    return zhat, H, 1.0 / abs(sin_alpha)
+    return zhat, H, float(1.0 / abs(sin_alpha))
 
 
 def lidar_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,30 +27,11 @@ def default_map_path() -> Path:
 
 
 def as_point(p) -> np.ndarray:
-    """Coerce a point-like (Vec3, sequence, array) to a float array of shape (3,)."""
-    if isinstance(p, Vec3):
-        return p.as_array()
+    """Coerce a point-like (sequence, array) to a float array of shape (3,)."""
     a = np.asarray(p, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
     return a
-
-
-@dataclass(frozen=True)
-class Vec3:
-    """Point or vector in the NED navigation frame."""
-
-    n: float
-    e: float
-    d: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n, self.e, self.d], dtype=float)
-
-    @staticmethod
-    def of(p) -> "Vec3":
-        a = np.asarray(p, dtype=float).reshape(3)
-        return Vec3(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass
@@ -237,15 +218,36 @@ def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarr
     return t0 <= t1
 
 
+_MAP_KEYS = {"bounds_min", "bounds_max", "collision_margin_m", "obstacles", "ugv"}
+_OBSTACLE_KEYS = {"min", "max"}
+_UGV_KEYS = {"position", "lidar_pitch_deg", "lidar_halfangle_deg", "lidar_max_range_m",
+             "camera_mount_height_m", "camera_max_range_m"}
+
+
+def _check_keys(block, known: set, where: str, path: Path) -> None:
+    """Reject a block that is not a mapping or has keys the loader ignores."""
+    if not isinstance(block, dict):
+        raise MapFormatError(f"{where} in {path} is not a mapping")
+    unknown = sorted(str(k) for k in block if k not in known)
+    if unknown:
+        raise MapFormatError(
+            f"unknown key(s) {', '.join(unknown)} in {where} of {path}; "
+            f"expected {', '.join(sorted(known))}"
+        )
+
+
 def load_map(path) -> EnvironmentMap:
-    """Parse a YAML map file and validate it into an EnvironmentMap."""
+    """Parse a YAML map file and validate it into an EnvironmentMap.
+
+    Unknown keys are rejected rather than ignored, so a misspelt block
+    cannot silently fall back to defaults.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
     except (OSError, yaml.YAMLError) as exc:
         raise MapFormatError(f"cannot read map file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MapFormatError(f"map file {path} is not a mapping")
+    _check_keys(raw, _MAP_KEYS, "the top level", path)
 
     try:
         bounds_min = raw["bounds_min"]
@@ -255,12 +257,14 @@ def load_map(path) -> EnvironmentMap:
 
     obstacles = []
     for i, entry in enumerate(raw.get("obstacles") or []):
+        _check_keys(entry, _OBSTACLE_KEYS, f"obstacle {i}", path)
         try:
             obstacles.append(BoxObstacle(entry["min"], entry["max"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MapFormatError(f"obstacle {i} in {path} is malformed: {exc}") from exc
 
     rig_raw = raw.get("ugv") or {}
+    _check_keys(rig_raw, _UGV_KEYS, "the ugv block", path)
     try:
         rig = UgvRig(
             position=rig_raw.get("position", [0.0, 0.0, 0.0]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import ekf, planner
+from . import config, ekf, planner
 from .errors import FilterSingularityError
 
 DOWN = np.array([0.0, 0.0, 1.0])
@@ -52,10 +52,6 @@ class TruthTrajectory:
     commanded: planner.NominalTrajectory
     circuit_index: int = 0
     run_index: int = 0
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.commanded.times
 
 
 def simulate_truth(nominal: planner.NominalTrajectory, rng,
@@ -164,10 +160,13 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
                                        dropped=dropped, outlier=outlier))
         return outlier
 
-    steps = np.flatnonzero(table["alt"] | table["uwb"] | table["cam"] | table["lidar"])
-    for k in steps.tolist():
+    dist, sin_elev = ekf.sight_geometry(truth.pos)
+    in_range = ekf.range_ok(dist)
+    above_horizon = ekf.elevation_ok(sin_elev)
+
+    for k in planner.sensor_ticks(table).tolist():
         r = truth.pos[k]
-        d = float(np.linalg.norm(r))
+        d = float(dist[k])
         if table["alt"][k] and alt_ok:
             z = -r[2] / cos_tilt
             if noisy:
@@ -177,7 +176,7 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
                     events[-1].value += (outlier_scale - 1.0) * w
             else:
                 finalize(k, "alt", z)
-        if table["uwb"][k] and d >= ekf.MIN_RANGE:
+        if table["uwb"][k] and in_range[k]:
             z = d
             if noisy:
                 w = sd_uwb * rng.standard_normal()
@@ -186,18 +185,17 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
                     events[-1].value += (outlier_scale - 1.0) * w
             else:
                 finalize(k, "uwb", z)
-        if table["cam"][k] and cam_gate.get(k, False) and d >= ekf.MIN_RANGE:
-            sin_a = -r[2] / d
-            if abs(sin_a) > ekf.MIN_SIN_ELEVATION:
-                z = r / d
-                if noisy:
-                    w = math.sqrt(1.0 / abs(sin_a)) * (chol_cam @ rng.standard_normal(3))
-                    z = z + w
-                    if finalize(k, "cam", z / np.linalg.norm(z)):
-                        z = z + (outlier_scale - 1.0) * w
-                        events[-1].value = z / np.linalg.norm(z)
-                else:
-                    finalize(k, "cam", z)
+        if (table["cam"][k] and cam_gate.get(k, False) and in_range[k]
+                and above_horizon[k]):
+            z = r / d
+            if noisy:
+                w = math.sqrt(1.0 / abs(sin_elev[k])) * (chol_cam @ rng.standard_normal(3))
+                z = z + w
+                if finalize(k, "cam", z / np.linalg.norm(z)):
+                    z = z + (outlier_scale - 1.0) * w
+                    events[-1].value = z / np.linalg.norm(z)
+            else:
+                finalize(k, "cam", z)
         if table["lidar"][k] and lidar_gate.get(k, False):
             gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(r - rig_pos)))
             z = r
@@ -215,20 +213,57 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
 # replay
 
 
+def _readings(events_list, n: int, rates) -> planner.Readings:
+    """Undropped events of each run laid out on the schedule's tick axis."""
+    ticks = planner.sensor_ticks(rates.fire_table(n))
+    tick_of = np.full(n + 1, -1)
+    tick_of[ticks] = np.arange(len(ticks))
+    shape = (len(events_list), len(ticks))
+    offered = {s: np.zeros(shape, dtype=bool) for s in ("alt", "uwb", "cam", "lidar")}
+    value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
+             "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
+    gamma = np.ones(shape)
+    for b, events in enumerate(events_list):
+        for ev in events:
+            ti = tick_of[ev.step] if 1 <= ev.step <= n else -1
+            if ti < 0:
+                raise ValueError(f"measurement event at step {ev.step} is not a "
+                                 f"sensor tick of steps 1..{n}")
+            if ev.dropped:
+                continue
+            if offered[ev.sensor][b, ti]:
+                raise ValueError(f"two {ev.sensor} events at step {ev.step}")
+            offered[ev.sensor][b, ti] = True
+            value[ev.sensor][b, ti] = ev.value
+            if ev.sensor == "lidar":
+                gamma[b, ti] = ev.gamma
+    return planner.Readings(offered=offered, value=value, gamma=gamma)
+
+
+def replay_runs(truths, events_list, rates, noise, attitude, P0=None,
+                pec_norm: str = "spectral") -> list:
+    """Replay each run's measurements through the filter along its circuit.
+
+    Runs with equal step counts are filtered together in one batched sweep.
+    The commanded velocity is the control input: it is pinned at each of a
+    run's boundaries while the position estimate integrates it and absorbs
+    the measurement corrections. Dropped events are skipped.
+    """
+    noms = [truth.commanded for truth in truths]
+    results: list = [None] * len(noms)
+    for idxs in planner.step_groups(noms):
+        readings = _readings([events_list[i] for i in idxs], noms[idxs[0]].steps, rates)
+        batch = planner.run_batch([noms[i] for i in idxs], rates, noise, attitude,
+                                  readings=readings, P0=P0, pec_norm=pec_norm)
+        for i, res in zip(idxs, batch):
+            results[i] = res
+    return results
+
+
 def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude,
                    P0=None, pec_norm: str = "spectral"):
-    """Replay synthesized measurements through the filter along the circuit.
-
-    The commanded velocity is the control input: it is pinned at each
-    stretch start while the position estimate integrates it and absorbs the
-    measurement corrections. Dropped events are skipped.
-    """
-    by_step: dict[int, list[MeasurementEvent]] = {}
-    for ev in events:
-        by_step.setdefault(ev.step, []).append(ev)
-    return planner.run_belief_engine(truth.commanded, None, rates, noise, attitude,
-                                     events_by_step=by_step, P0=P0,
-                                     pec_norm=pec_norm)
+    """Replay one run's synthesized measurements; see replay_runs."""
+    return replay_runs([truth], [events], rates, noise, attitude, P0, pec_norm)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +372,51 @@ class TrialRecord:
 
 def run_seed_rngs(master_seed: int, circuit_index: int, run_index: int):
     """Independent truth and measurement generators for one run."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=(2, circuit_index, run_index))
+    ss = np.random.SeedSequence(
+        master_seed, spawn_key=(config.STREAM_MONTECARLO, circuit_index, run_index)
+    )
     truth_ss, meas_ss = ss.spawn(2)
     return np.random.default_rng(truth_ss), np.random.default_rng(meas_ss)
 
 
+def run_trial_sets(selected, graph, env, kin, rates, noise,
+                   master_seed: int, runs: int, mode: str = "noisy",
+                   cross_track_sigma: float = 0.3, cross_track_tau: float = 2.0,
+                   speed_sigma: float = 0.05, dropout: float = 0.0,
+                   outlier_prob: float = 0.0, outlier_scale: float = 10.0,
+                   pec_norm: str = "spectral") -> list[list[TrialRecord]]:
+    """Monte Carlo replay of several circuits: simulate, measure, filter, score.
+
+    selected lists (circuit, circuit_index) pairs; the result holds one list
+    of runs per pair. Every run of every circuit is filtered in one sweep.
+    """
+    truths, events_list = [], []
+    for circuit, circuit_index in selected:
+        nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
+        for run_index in range(runs):
+            truth_rng, meas_rng = run_seed_rngs(master_seed, circuit_index, run_index)
+            truth = simulate_truth(nominal, truth_rng,
+                                   cross_track_sigma=cross_track_sigma,
+                                   cross_track_tau=cross_track_tau,
+                                   speed_sigma=speed_sigma,
+                                   circuit_index=circuit_index, run_index=run_index)
+            truths.append(truth)
+            events_list.append(synthesize_measurements(
+                truth, env, rates, noise, kin.attitude, meas_rng, mode=mode,
+                dropout=dropout, outlier_prob=outlier_prob,
+                outlier_scale=outlier_scale))
+    results = replay_runs(truths, events_list, rates, noise, kin.attitude,
+                          pec_norm=pec_norm)
+    records = [
+        TrialRecord(truth=truth, events=events, result=result,
+                    stats=compute_stats(truth, result, events=events, mode=mode))
+        for truth, events, result in zip(truths, events_list, results)
+    ]
+    return [records[i * runs:(i + 1) * runs] for i in range(len(selected))]
+
+
 def run_trials(circuit, circuit_index, graph, env, kin, rates, noise,
-               master_seed: int, runs: int, mode: str = "noisy",
-               cross_track_sigma: float = 0.3, cross_track_tau: float = 2.0,
-               speed_sigma: float = 0.05, dropout: float = 0.0,
-               outlier_prob: float = 0.0, outlier_scale: float = 10.0,
-               pec_norm: str = "spectral") -> list[TrialRecord]:
-    """Monte Carlo replay of one circuit: simulate, measure, filter, score."""
-    nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
-    records = []
-    for run_index in range(runs):
-        truth_rng, meas_rng = run_seed_rngs(master_seed, circuit_index, run_index)
-        truth = simulate_truth(nominal, truth_rng,
-                               cross_track_sigma=cross_track_sigma,
-                               cross_track_tau=cross_track_tau,
-                               speed_sigma=speed_sigma,
-                               circuit_index=circuit_index, run_index=run_index)
-        events = synthesize_measurements(truth, env, rates, noise, kin.attitude,
-                                         meas_rng, mode=mode, dropout=dropout,
-                                         outlier_prob=outlier_prob,
-                                         outlier_scale=outlier_scale)
-        result = run_online_ekf(truth, events, rates, noise, kin.attitude,
-                                pec_norm=pec_norm)
-        stats = compute_stats(truth, result, events=events, mode=mode)
-        records.append(TrialRecord(truth=truth, events=events, result=result,
-                                   stats=stats))
-    return records
+               master_seed: int, runs: int, **options) -> list[TrialRecord]:
+    """Monte Carlo replay of one circuit; options as in run_trial_sets."""
+    return run_trial_sets([(circuit, circuit_index)], graph, env, kin, rates,
+                          noise, master_seed, runs, **options)[0]

@@ -5,10 +5,11 @@ pushes the navigation covariance along it with rate-scheduled, field-of-view
 gated sensor updates, and summarizes the accumulated position-error
 covariance (pec) so candidate circuits can be ranked.
 
-The same stepping engine drives both planning (covariance-only, mean pinned
-to the nominal trajectory) and measurement replay (mean free, commanded
-velocity treated as a control input), so planned and replayed covariance
-series agree step for step.
+One batched engine drives both planning (covariance-only, mean pinned to
+the nominal trajectory, batched over candidates) and measurement replay
+(mean free, commanded velocity treated as a control input, batched over
+Monte Carlo runs), so planned and replayed covariance series agree step for
+step.
 """
 
 from __future__ import annotations
@@ -22,51 +23,12 @@ from . import ekf
 from .errors import FilterSingularityError, InvalidCircuitError
 
 SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
-
-_I6_ROW = np.eye(6)
+_I3 = np.eye(3)
+_I6 = np.eye(6)
 
 
 # ---------------------------------------------------------------------------
 # position-error covariance norms
-
-
-def _sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of symmetric 3x3 blocks, closed form.
-
-    blocks has shape (n, 3, 3). Uses the trigonometric solution of the
-    characteristic cubic, vectorized over the batch.
-    """
-    a = blocks[:, 0, 0]
-    b = blocks[:, 1, 1]
-    c = blocks[:, 2, 2]
-    d = blocks[:, 0, 1]
-    e = blocks[:, 0, 2]
-    f = blocks[:, 1, 2]
-    p1 = d * d + e * e + f * f
-    q = (a + b + c) / 3.0
-    aa = a - q
-    bb = b - q
-    cc = c - q
-    p2 = aa * aa + bb * bb + cc * cc + 2.0 * p1
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-    # p == 0 means the block is q * I; guard the division
-    safe = np.where(p > 0.0, p, 1.0)
-    A = aa / safe
-    B = bb / safe
-    C = cc / safe
-    D = d / safe
-    E = e / safe
-    F = f / safe
-    det = A * (B * C - F * F) - D * (D * C - F * E) + E * (D * F - B * E)
-    r = np.clip(det / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lmax = q + 2.0 * p * np.cos(phi)
-    lmin = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.where(p > 0.0, lmin, q), np.where(p > 0.0, lmax, q)
-
-
-def _max_eig_sym3(blocks: np.ndarray) -> np.ndarray:
-    return _sym3_minmax(blocks)[1]
 
 
 def pec_series(blocks: np.ndarray, norm: str = "spectral") -> np.ndarray:
@@ -75,7 +37,7 @@ def pec_series(blocks: np.ndarray, norm: str = "spectral") -> np.ndarray:
     if blocks.ndim != 3 or blocks.shape[1:] != (3, 3):
         raise ValueError("expected an (n, 3, 3) batch of position blocks")
     if norm == "spectral":
-        return _max_eig_sym3(blocks)
+        return ekf.sym3_minmax(blocks)[1]
     if norm == "fro":
         return np.sqrt((blocks * blocks).sum(axis=(1, 2)))
     raise ValueError(f"unknown pec norm {norm!r}; expected 'spectral' or 'fro'")
@@ -149,6 +111,11 @@ class RateSchedule:
         }
 
 
+def sensor_ticks(table: dict) -> np.ndarray:
+    """Steps of a fire table at which any sensor fires."""
+    return np.flatnonzero(table["alt"] | table["uwb"] | table["cam"] | table["lidar"])
+
+
 # ---------------------------------------------------------------------------
 # nominal trajectory
 
@@ -173,10 +140,6 @@ class NominalTrajectory:
     @property
     def flight_time(self) -> float:
         return self.steps * self.ts
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.ts
 
 
 def build_nominal_trajectory(circuit, graph, cruise: float, ts: float) -> NominalTrajectory:
@@ -234,7 +197,15 @@ def _validate_circuit(circuit, graph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# stepping engine
+# batched belief engine
+#
+# Members of one batch share the step count, hence one fire schedule; only
+# their trajectories and readings differ. Planning batches the candidate
+# circuits over one Eulerized graph and replay batches Monte Carlo runs, so
+# each step is a handful of array operations over the member axis.
+
+# recorded covariances turned into per-step pec at a time, in bytes
+_FLUSH_BYTES = 2 << 20
 
 
 @dataclass
@@ -253,151 +224,271 @@ class EngineResult:
     skipped: list
 
 
-def _apply_update(belief, sensor, attitude, noise, gamma, innovation_target):
-    """One gated measurement update; returns (belief, applied_flag).
+@dataclass
+class Readings:
+    """Replay measurements of a batch on the schedule's tick axis.
 
-    innovation_target is None for covariance-only planning (zero innovation)
-    or the measured value during replay.
+    The ticks are the steps where any sensor fires. offered[sensor] (B, T)
+    marks an undropped reading at each tick and value[sensor] holds it,
+    shaped (B, T) for alt and uwb and (B, T, 3) for cam and lidar; gamma
+    (B, T) is the lidar noise scale.
     """
-    if sensor == "alt":
-        zp, H = ekf.altimeter_model(belief.x, attitude)
-        R = np.array([[noise.r_alt]])
-    elif sensor == "uwb":
-        zp, H = ekf.uwb_model(belief.x)
-        R = np.array([[noise.r_uwb]])
-    elif sensor == "cam":
-        zp, H, scale = ekf.camera_model(belief.x)
-        R = scale * noise.r_cam
-    else:
-        zp, H = ekf.lidar_model(belief.x)
-        R = gamma * noise.r_lidar
-    if np.isscalar(zp) or np.ndim(zp) == 0:
-        H = H[None, :]
-        innov = np.array([0.0 if innovation_target is None else innovation_target - zp])
-    else:
-        innov = np.zeros(3) if innovation_target is None else np.asarray(innovation_target, dtype=float) - zp
-    return ekf.joseph_update(belief, H, R, innov)
+
+    offered: dict
+    value: dict
+    gamma: np.ndarray
 
 
-def run_belief_engine(nominal, env, rates, noise, attitude,
-                      events_by_step=None, P0=None, pec_norm="spectral"):
-    """Propagate the covariance along the nominal trajectory.
+def _log_skips(skipped, members, step, sensor, reason) -> None:
+    for b in members.tolist():
+        skipped[b].append((step, sensor, reason))
 
-    Planning mode (events_by_step is None) pins the mean to the nominal
-    trajectory, gates the camera and lidar on the field-of-view evaluated at
-    nominal positions, and applies zero-innovation updates. Replay mode pins
-    the velocity to the commanded value each stretch (control input), leaves
-    the position estimate free, and applies the supplied measurement events.
+
+def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
+    """Joseph-form update of members idx by scalar readings.
+
+    innov is None in planning (zero innovation, mean untouched). Members
+    whose innovation variance is not positive are logged and left as they
+    are; returns the members updated.
+    """
+    Psub = P[idx]
+    w = (Psub @ H[:, :, None])[:, :, 0]
+    s = (w * H).sum(axis=1) + r
+    ok = (s > 0.0) & np.isfinite(s)
+    if not ok.all():
+        _log_skips(skipped, idx[~ok], step, sensor, "innovation variance not positive")
+        idx, Psub, w, s, H = idx[ok], Psub[ok], w[ok], s[ok], H[ok]
+        innov = None if innov is None else innov[ok]
+    K = w / s[:, None]
+    IKH = _I6 - K[:, :, None] * H[:, None, :]
+    out = IKH @ Psub @ IKH.transpose(0, 2, 1) + r * (K[:, :, None] * K[:, None, :])
+    P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
+    if innov is not None:
+        x[idx] += K * innov[:, None]
+    return idx
+
+
+def _vector_update(P, x, idx, H, Reff, rmin, innov, skipped, step, sensor) -> np.ndarray:
+    """Joseph-form update of members idx by 3-vector readings.
+
+    rmin bounds the smallest eigenvalue of each Reff from below. Members
+    whose innovation covariance is singular or worse conditioned than
+    ekf.CONDITION_LIMIT are logged and left as they are; returns the
+    members updated.
+    """
+    Psub = P[idx]
+    HP = H @ Psub
+    S = HP @ H.transpose(0, 2, 1) + Reff
+    # for PSD P, lmin(S) >= lmin(Reff) and lmax(S) <= trace(S), so this
+    # certifies the condition test; only the other members need eigenvalues
+    ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
+    if not ok.all():
+        check = np.flatnonzero(~ok)
+        lmin, lmax = ekf.sym3_minmax(S[check])
+        ok[check] = (lmin > 0.0) & (
+            lmax / np.where(lmin > 0.0, lmin, 1.0) <= ekf.CONDITION_LIMIT
+        )
+    if not ok.all():
+        _log_skips(skipped, idx[~ok], step, sensor, "innovation covariance singular")
+        idx, Psub, HP, S, H, Reff = idx[ok], Psub[ok], HP[ok], S[ok], H[ok], Reff[ok]
+        innov = None if innov is None else innov[ok]
+    K = np.linalg.solve(S, HP).transpose(0, 2, 1)
+    IKH = _I6 - K @ H
+    out = IKH @ Psub @ IKH.transpose(0, 2, 1) + K @ Reff @ K.transpose(0, 2, 1)
+    P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
+    if innov is not None:
+        x[idx] += (K @ innov[:, :, None])[:, :, 0]
+    return idx
+
+
+def run_batch(noms, rates, noise, attitude, env=None, readings=None,
+              P0=None, pec_norm="spectral") -> list:
+    """Propagate the belief of every member along its trajectory at once.
+
+    Planning (readings is None) pins the mean to each nominal trajectory,
+    gates camera and lidar on env's field of view at the nominal positions
+    and applies zero-innovation updates. Replay leaves the position
+    estimate free, pins the velocity to the commanded value at the member's
+    own boundaries (sensor ticks, its turns and the last step), evaluates
+    Jacobians and guards at the member's estimate and applies its readings.
 
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
-    Singular updates are skipped and logged, never fatal. The pec is recorded
-    after each full step, including that step's updates.
+    Singular updates are skipped and logged per member, never fatal. The
+    pec is recorded after each full step, including that step's updates.
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
-    n = nominal.steps
-    ts = noise.ts
-    replay = events_by_step is not None
-    P = np.eye(6) if P0 is None else np.array(P0, dtype=float)
-    if P.shape != (6, 6):
+    B = len(noms)
+    n = noms[0].steps
+    if any(nm.steps != n for nm in noms):
+        raise ValueError("batch members must share one step count")
+    P0 = np.eye(6) if P0 is None else np.array(P0, dtype=float)
+    if P0.shape != (6, 6):
         raise ValueError("P0 must be 6x6")
-    v0 = nominal.vel[0] if n else np.zeros(3)
-    belief = ekf.BeliefState(x=np.concatenate([v0, nominal.pos[0]]), P=P, t=0.0)
+    ts = noise.ts
+    replay = readings is not None
 
     table = rates.fire_table(n)
-    fire_any = table["alt"] | table["uwb"] | table["cam"] | table["lidar"]
-    boundary = set(np.flatnonzero(fire_any).tolist())
+    ticks = sensor_ticks(table)
+    T = len(ticks)
+    tick_of = np.full(n + 1, -1)
+    tick_of[ticks] = np.arange(T)
+    bounds = [[0, n], ticks]
+    x = value = None
     if replay:
-        for step in events_by_step:
-            if not 1 <= step <= n:
-                raise ValueError(f"measurement event at step {step} outside 1..{n}")
-        boundary.update(events_by_step)
-        if n > 1:
-            turns = np.flatnonzero(np.any(nominal.vel[1:] != nominal.vel[:-1], axis=1)) + 1
-            boundary.update(turns.tolist())
-    if n:
-        boundary.add(n)
-    boundary.discard(0)
+        offered, value, gamma = readings.offered, readings.value, readings.gamma
+        vel = np.stack([nm.vel for nm in noms]).reshape(B, n, 3)
+        turn = np.zeros((B, n + 1), dtype=bool)
+        turn[:, 1:n] = np.any(vel[:, 1:] != vel[:, :-1], axis=2)
+        bounds.append(np.flatnonzero(turn.any(axis=0)))
+        x = np.concatenate([vel[:, 0] if n else np.zeros((B, 3)),
+                            np.stack([nm.pos[0] for nm in noms])], axis=1)
+    else:
+        tick_pos = np.stack([nm.pos[ticks] for nm in noms])
+        flat = tick_pos.reshape(-1, 3)
+        rel = flat - env.rig.position
+        gamma = noise.lidar_gamma.gamma(np.sqrt((rel * rel).sum(axis=1)).reshape(B, T))
+        offered = {
+            "alt": np.broadcast_to(table["alt"][ticks], (B, T)),
+            "uwb": np.broadcast_to(table["uwb"][ticks], (B, T)),
+            "cam": table["cam"][ticks] & env.camera_sees_many(flat).reshape(B, T),
+            "lidar": table["lidar"][ticks] & env.lidar_sees_many(flat).reshape(B, T),
+        }
+    bounds = np.unique(np.concatenate(bounds))
+    # the last bound at or before each step, and the steps predicted past it
+    last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
+    ahead = np.arange(n + 1) - bounds[last]
 
-    blocks = np.empty((n, 3, 3))
-    est = np.empty((n, 6)) if replay else None
-    cam_fired = np.zeros(n + 1, dtype=bool)
-    lidar_fired = np.zeros(n + 1, dtype=bool)
-    counts = {"alt": 0, "uwb": 0, "cam": 0, "lidar": 0}
-    skipped: list = []
-    rig_pos = env.rig.position if env is not None else None
+    try:
+        _, H_alt = ekf.altimeter_model(np.zeros(6), attitude)
+        alt_err = None
+    except FilterSingularityError as exc:
+        H_alt, alt_err = None, str(exc)
+    rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
+            "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
 
-    prev = 0
-    for e in sorted(boundary):
-        span = e - prev
-        if span:
-            x0 = belief.x.copy()
-            belief, span_blocks = ekf.predict_span(belief, noise, span)
-            blocks[prev:e] = span_blocks
+    P = np.repeat(P0[None], B, axis=0)
+    pec = np.empty((B, n))
+    est = np.empty((B, n, 6)) if replay else None
+    fired = {"cam": np.zeros((B, n + 1), dtype=bool),
+             "lidar": np.zeros((B, n + 1), dtype=bool)}
+    counts = np.zeros((B, 4), dtype=int)
+    skipped: list[list] = [[] for _ in range(B)]
+
+    # The covariance (and mean) after each bound goes to a buffer of a few
+    # MB; each flush predicts every step since the previous flush from the
+    # bound before it and reduces the whole chunk to pec in one pass.
+    chunk = max(1, _FLUSH_BYTES // (B * 6 * 6 * 8))
+    rec = np.empty((B, chunk + 1, 6, 6))
+    xrec = np.empty((B, chunk + 1, 6)) if replay else None
+
+    def flush(j0: int, j1: int) -> None:
+        for s0 in range(bounds[j0] + 1, bounds[j1] + 1, chunk):
+            s1 = min(s0 + chunk, bounds[j1] + 1)
+            slot, k = last[s0:s1] - j0, ahead[s0:s1]
+            blocks = ekf.position_blocks(rec[:, slot], k, noise)
+            pec[:, s0 - 1:s1 - 1] = pec_series(blocks.reshape(-1, 3, 3),
+                                               pec_norm).reshape(B, -1)
             if replay:
-                ahead = ts * np.arange(1, span + 1)[:, None]
-                est[prev:e, :3] = x0[:3]
-                est[prev:e, 3:] = x0[3:] + ahead * x0[:3]
-        v_e = nominal.vel[e] if e < n else nominal.vel[-1]
-        belief.x[:3] = v_e
-        if not replay:
-            belief.x[3:] = nominal.pos[e]
+                xs = xrec[:, slot]
+                est[:, s0 - 1:s1 - 1, :3] = xs[..., :3]
+                est[:, s0 - 1:s1 - 1, 3:] = xs[..., 3:] + (k * ts)[None, :, None] * xs[..., :3]
 
-        for sensor in SENSOR_ORDER:
-            if replay:
-                for ev in events_by_step.get(e, ()):
-                    if ev.sensor != sensor or ev.dropped:
-                        continue
-                    try:
-                        belief = _apply_update(belief, sensor, attitude, noise,
-                                               ev.gamma, ev.value)
-                    except FilterSingularityError as err:
-                        skipped.append((e, sensor, str(err)))
-                        continue
-                    counts[sensor] += 1
-                    if sensor == "cam":
-                        cam_fired[e] = True
-                    elif sensor == "lidar":
-                        lidar_fired[e] = True
-            else:
-                if not table[sensor][e]:
-                    continue
-                pos_e = nominal.pos[e]
-                gamma = None
-                if sensor == "cam" and not env.camera_sees(pos_e):
-                    continue
-                if sensor == "lidar":
-                    if not env.lidar_sees(pos_e):
-                        continue
-                    gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(pos_e - rig_pos)))
-                try:
-                    belief = _apply_update(belief, sensor, attitude, noise, gamma, None)
-                except FilterSingularityError as err:
-                    skipped.append((e, sensor, str(err)))
-                    continue
-                counts[sensor] += 1
-                if sensor == "cam":
-                    cam_fired[e] = True
-                elif sensor == "lidar":
-                    lidar_fired[e] = True
-
-        blocks[e - 1] = belief.P[3:, 3:]
+    spans: dict = {}
+    rec[:, 0] = P
+    if replay:
+        xrec[:, 0] = x
+    j0 = 0
+    for j in range(1, len(bounds)):
+        e = int(bounds[j])
+        span = e - int(bounds[j - 1])
+        if span not in spans:
+            A, Q = ekf.span_transition(noise, span)
+            spans[span] = (A, A.T, Q)
+        A, At, Q = spans[span]
+        P = A @ P @ At + Q
+        ti = tick_of[e]
         if replay:
-            est[e - 1] = belief.x
-        prev = e
+            x[:, 3:] += span * ts * x[:, :3]
+            pin = slice(None) if ti >= 0 or e == n else turn[:, e]
+            x[pin, :3] = vel[pin, min(e, n - 1)]
 
-    return EngineResult(
-        t=np.arange(1, n + 1) * ts,
-        pec=pec_series(blocks, pec_norm) if n else np.zeros(0),
-        cam_fired=cam_fired[1:],
-        lidar_fired=lidar_fired[1:],
-        est=est,
-        alt_updates=counts["alt"],
-        uwb_updates=counts["uwb"],
-        cam_updates=counts["cam"],
-        lidar_updates=counts["lidar"],
-        skipped=skipped,
-    )
+        for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
+            idx = np.flatnonzero(offered[sensor][:, ti])
+            if not len(idx):
+                continue
+            if sensor == "alt" and H_alt is None:
+                _log_skips(skipped, idx, e, sensor, alt_err)
+                continue
+            r = x[idx, 3:] if replay else tick_pos[idx, ti]
+            if sensor in ("uwb", "cam"):
+                d, sin_a = ekf.sight_geometry(r)
+                near = ~ekf.range_ok(d)
+                low = ~near & ~ekf.elevation_ok(sin_a) if sensor == "cam" else np.zeros_like(near)
+                if near.any() or low.any():
+                    _log_skips(skipped, idx[near], e, sensor,
+                               "estimate within minimum anchor range")
+                    _log_skips(skipped, idx[low], e, sensor,
+                               "sight line too close to the horizon")
+                    keep = ~(near | low)
+                    idx, r, d, sin_a = idx[keep], r[keep], d[keep], sin_a[keep]
+                    if not len(idx):
+                        continue
+            z = value[sensor][idx, ti] if replay else None
+            if sensor == "alt":
+                innov = None if z is None else z - r[:, 2] * H_alt[5]
+                applied = _scalar_update(P, x, idx, np.broadcast_to(H_alt, (len(idx), 6)),
+                                         noise.r_alt, innov, skipped, e, sensor)
+            elif sensor == "uwb":
+                H = np.zeros((len(idx), 6))
+                H[:, 3:] = r / d[:, None]
+                applied = _scalar_update(P, x, idx, H, noise.r_uwb,
+                                         None if z is None else z - d, skipped, e, sensor)
+            else:
+                H = np.zeros((len(idx), 3, 6))
+                if sensor == "cam":
+                    zp = r / d[:, None]
+                    H[:, :, 3:] = (_I3 - zp[:, :, None] * zp[:, None, :]) / d[:, None, None]
+                    scale, R = 1.0 / np.abs(sin_a), noise.r_cam
+                else:
+                    zp = r
+                    H[:, :, 3:] = _I3
+                    scale, R = gamma[idx, ti], noise.r_lidar
+                applied = _vector_update(P, x, idx, H, scale[:, None, None] * R,
+                                         scale * rmin[sensor],
+                                         None if z is None else z - zp, skipped, e, sensor)
+                fired[sensor][applied, e] = True
+            counts[applied, col] += 1
+
+        rec[:, j - j0] = P
+        if replay:
+            xrec[:, j - j0] = x
+        if e - bounds[j0] >= chunk or j == len(bounds) - 1:
+            flush(j0, j)
+            rec[:, 0] = rec[:, j - j0]
+            if replay:
+                xrec[:, 0] = xrec[:, j - j0]
+            j0 = j
+
+    t_axis = np.arange(1, n + 1) * ts
+    return [
+        EngineResult(t=t_axis, pec=pec[b], cam_fired=fired["cam"][b, 1:],
+                     lidar_fired=fired["lidar"][b, 1:],
+                     est=None if est is None else est[b],
+                     alt_updates=int(counts[b, 0]), uwb_updates=int(counts[b, 1]),
+                     cam_updates=int(counts[b, 2]), lidar_updates=int(counts[b, 3]),
+                     skipped=skipped[b])
+        for b in range(B)
+    ]
+
+
+def step_groups(noms) -> list:
+    """Indices of trajectories grouped by step count, shortest first; each
+    group can share one batch."""
+    groups: dict[int, list[int]] = {}
+    for i, nm in enumerate(noms):
+        groups.setdefault(nm.steps, []).append(i)
+    return [groups[k] for k in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,236 +548,26 @@ def _summarize(circuit, nominal, result) -> PathScore:
     )
 
 
-def propagate_path(circuit, graph, env, kin, rates, noise,
-                   pec_norm="spectral", P0=None) -> PathScore:
-    """Score one circuit by propagating the belief along its trajectory."""
-    _validate_circuit(circuit, graph)
-    nominal = build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
-    result = run_belief_engine(nominal, env, rates, noise, kin.attitude,
-                               events_by_step=None, P0=P0, pec_norm=pec_norm)
-    return _summarize(circuit, nominal, result)
-
-
-# ---------------------------------------------------------------------------
-# batched covariance-only propagation over many candidates
-#
-# All candidates over one Eulerized graph share the edge multiset, hence the
-# same trajectory length, step count, and fire schedule; only waypoint order
-# differs. Propagating their covariances together turns the per-step work
-# into a handful of array operations over the candidate axis.
-
-
-def _predict_span_batch(P: np.ndarray, noise, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form n-step prediction for a (C, 6, 6) covariance stack.
-
-    Returns the final stack and the (C, n, 3, 3) position blocks after each
-    intermediate step; mirrors the single-state closed form.
-    """
-    tau = noise.ts
-    qv = noise.q_diag[:3]
-    qr = noise.q_diag[3:]
-    Pvv = P[:, :3, :3]
-    Pvr = P[:, :3, 3:]
-    Prr = P[:, 3:, 3:]
-    sym = Pvr + Pvr.transpose(0, 2, 1)
-    ks, s2 = ekf._span_arrays(n)
-    kt = (ks * tau)[None, :, None, None]
-    blocks = Prr[:, None] + kt * sym[:, None] + kt * kt * Pvv[:, None]
-    idx = np.arange(3)
-    blocks[:, :, idx, idx] += (ks[:, None] * qr[None, :] + (tau * tau * s2)[:, None] * qv[None, :])[None]
-    out = np.empty_like(P)
-    out[:, :3, :3] = Pvv + np.diag(n * qv)
-    out[:, :3, 3:] = Pvr + n * tau * Pvv + np.diag(tau * (n * (n - 1) / 2.0) * qv)
-    out[:, 3:, :3] = out[:, :3, 3:].transpose(0, 2, 1)
-    out[:, 3:, 3:] = blocks[:, -1]
-    return out, blocks
-
-
-def _joseph_rank1_batch(P: np.ndarray, K: np.ndarray, H: np.ndarray, r: float) -> np.ndarray:
-    """Joseph-form update for scalar measurements over a covariance stack."""
-    IKH = _I6_ROW - K[:, :, None] * H[:, None, :]
-    out = IKH @ P @ IKH.transpose(0, 2, 1) + r * (K[:, :, None] * K[:, None, :])
-    return 0.5 * (out + out.transpose(0, 2, 1))
-
-
-def _joseph_rank3_batch(P: np.ndarray, K: np.ndarray, H: np.ndarray, Reff: np.ndarray) -> np.ndarray:
-    """Joseph-form update for 3-vector measurements over a covariance stack."""
-    IKH = _I6_ROW - K @ H
-    out = IKH @ P @ IKH.transpose(0, 2, 1) + K @ Reff @ K.transpose(0, 2, 1)
-    return 0.5 * (out + out.transpose(0, 2, 1))
-
-
-def _scalar_update_subset(P, idx, H, r, skipped, step, name) -> np.ndarray:
-    """Apply a scalar-measurement update to the selected candidates.
-
-    Returns the global indices actually updated; candidates whose innovation
-    variance fails the positivity check are logged and left untouched.
-    """
-    Psub = P[idx]
-    w = (Psub @ H[:, :, None])[:, :, 0]
-    s = (w * H).sum(axis=1) + r
-    good = (s > 0.0) & np.isfinite(s)
-    for c in np.flatnonzero(~good):
-        skipped[idx[c]].append((step, name, "innovation variance not positive"))
-    gi = np.flatnonzero(good)
-    if not len(gi):
-        return idx[:0]
-    sel = idx[gi]
-    P[sel] = _joseph_rank1_batch(Psub[gi], w[gi] / s[gi, None], H[gi], r)
-    return sel
-
-
-def _vector_update_subset(P, idx, H, Reff, skipped, step, name) -> np.ndarray:
-    """Apply a 3-vector update to the selected candidates; returns applied."""
-    Psub = P[idx]
-    S = H @ Psub @ H.transpose(0, 2, 1) + Reff
-    lmin, lmax = _sym3_minmax(S)
-    good = (lmin > 0.0) & (lmax / np.where(lmin > 0.0, lmin, 1.0) <= ekf.CONDITION_LIMIT)
-    for c in np.flatnonzero(~good):
-        skipped[idx[c]].append((step, name, "innovation covariance singular"))
-    gi = np.flatnonzero(good)
-    if not len(gi):
-        return idx[:0]
-    K = np.linalg.solve(S[gi], H[gi] @ Psub[gi]).transpose(0, 2, 1)
-    sel = idx[gi]
-    P[sel] = _joseph_rank3_batch(Psub[gi], K, H[gi], Reff[gi])
-    return sel
-
-
-def _run_plan_batch(noms, env, rates, noise, attitude, pec_norm) -> list:
-    """Covariance-only propagation of many same-length candidates at once.
-
-    Follows the scalar engine exactly: same fire schedule, same update order,
-    same gates and guards, evaluated at each candidate's nominal positions.
-    """
-    C = len(noms)
-    n = noms[0].steps
-    ts = noise.ts
-    t_axis = np.arange(1, n + 1) * ts
-    if n == 0:
-        return [
-            EngineResult(t=t_axis, pec=np.zeros(0), cam_fired=np.zeros(0, bool),
-                         lidar_fired=np.zeros(0, bool), est=None, alt_updates=0,
-                         uwb_updates=0, cam_updates=0, lidar_updates=0, skipped=[])
-            for _ in range(C)
-        ]
-    table = rates.fire_table(n)
-    ticks = np.flatnonzero(table["alt"] | table["uwb"] | table["cam"] | table["lidar"])
-    pos = np.stack([nm.pos for nm in noms])
-    tick_pos = pos[:, ticks, :]
-    flat = tick_pos.reshape(-1, 3)
-    cam_gate = env.camera_sees_many(flat).reshape(C, -1)
-    lidar_gate = env.lidar_sees_many(flat).reshape(C, -1)
-    rel = flat - env.rig.position
-    gammas = noise.lidar_gamma.gamma(np.sqrt((rel * rel).sum(axis=1)).reshape(C, -1))
-
-    try:
-        _, H_alt = ekf.altimeter_model(np.zeros(6), attitude)
-        alt_err = None
-    except FilterSingularityError as exc:
-        H_alt = None
-        alt_err = str(exc)
-
-    P = np.repeat(np.eye(6)[None, :, :], C, axis=0)
-    pec_rows = np.empty((C, n))
-    cam_fired = np.zeros((C, n + 1), dtype=bool)
-    lidar_fired = np.zeros((C, n + 1), dtype=bool)
-    counts = np.zeros((C, 4), dtype=int)
-    skipped: list[list] = [[] for _ in range(C)]
-    everyone = np.arange(C)
-    I3 = np.eye(3)
-
-    bounds = ticks.tolist()
-    if not bounds or bounds[-1] != n:
-        bounds.append(n)
-    prev = 0
-    for ti, e in enumerate(bounds):
-        span = e - prev
-        if span:
-            P, span_blocks = _predict_span_batch(P, noise, span)
-            pec_rows[:, prev:e] = pec_series(
-                span_blocks.reshape(-1, 3, 3), pec_norm
-            ).reshape(C, span)
-        if ti < len(ticks):
-            p_e = tick_pos[:, ti, :]
-            if table["alt"][e]:
-                if H_alt is not None:
-                    applied = _scalar_update_subset(P, everyone, np.broadcast_to(H_alt, (C, 6)),
-                                                    noise.r_alt, skipped, e, "alt")
-                    counts[applied, 0] += 1
-                else:
-                    for c in range(C):
-                        skipped[c].append((e, "alt", alt_err))
-            if table["uwb"][e]:
-                d = np.sqrt((p_e * p_e).sum(axis=1))
-                near = d < ekf.MIN_RANGE
-                for c in np.flatnonzero(near):
-                    skipped[c].append((e, "uwb", "estimate within minimum anchor range"))
-                sub = np.flatnonzero(~near)
-                if len(sub):
-                    Hu = np.zeros((len(sub), 6))
-                    Hu[:, 3:] = p_e[sub] / d[sub, None]
-                    applied = _scalar_update_subset(P, sub, Hu, noise.r_uwb,
-                                                    skipped, e, "uwb")
-                    counts[applied, 1] += 1
-            if table["cam"][e]:
-                gate = cam_gate[:, ti]
-                d = np.sqrt((p_e * p_e).sum(axis=1))
-                dsafe = np.where(d > 0.0, d, 1.0)
-                sin_a = -p_e[:, 2] / dsafe
-                guarded = (d >= ekf.MIN_RANGE) & (np.abs(sin_a) > ekf.MIN_SIN_ELEVATION)
-                for c in np.flatnonzero(gate & ~guarded):
-                    skipped[c].append((e, "cam", "bearing geometry singular"))
-                sub = np.flatnonzero(gate & guarded)
-                if len(sub):
-                    zhat = p_e[sub] / d[sub, None]
-                    Hc = np.zeros((len(sub), 3, 6))
-                    Hc[:, :, 3:] = (I3 - zhat[:, :, None] * zhat[:, None, :]) / d[sub, None, None]
-                    Reff = (1.0 / np.abs(sin_a[sub]))[:, None, None] * noise.r_cam
-                    applied = _vector_update_subset(P, sub, Hc, Reff, skipped, e, "cam")
-                    cam_fired[applied, e] = True
-                    counts[applied, 2] += 1
-            if table["lidar"][e]:
-                sub = np.flatnonzero(lidar_gate[:, ti])
-                if len(sub):
-                    Hl = np.zeros((len(sub), 3, 6))
-                    Hl[:, :, 3:] = I3
-                    Reff = gammas[sub, ti][:, None, None] * noise.r_lidar
-                    applied = _vector_update_subset(P, sub, Hl, Reff, skipped, e, "lidar")
-                    lidar_fired[applied, e] = True
-                    counts[applied, 3] += 1
-            pec_rows[:, e - 1] = pec_series(P[:, 3:, 3:], pec_norm)
-        prev = e
-
-    return [
-        EngineResult(t=t_axis, pec=pec_rows[c], cam_fired=cam_fired[c, 1:],
-                     lidar_fired=lidar_fired[c, 1:], est=None,
-                     alt_updates=int(counts[c, 0]), uwb_updates=int(counts[c, 1]),
-                     cam_updates=int(counts[c, 2]), lidar_updates=int(counts[c, 3]),
-                     skipped=skipped[c])
-        for c in range(C)
-    ]
-
-
 def propagate_paths(circuit_list, graph, env, kin, rates, noise,
                     pec_norm="spectral") -> list:
     """Score every candidate circuit, batching those with equal step counts."""
-    if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
-        raise ValueError("noise.ts and rates.predict_hz disagree")
     noms = []
     for circuit in circuit_list:
         _validate_circuit(circuit, graph)
         noms.append(build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts))
-    groups: dict[int, list[int]] = {}
-    for i, nm in enumerate(noms):
-        groups.setdefault(nm.steps, []).append(i)
     scores: list = [None] * len(noms)
-    for _, idxs in sorted(groups.items()):
-        results = _run_plan_batch([noms[i] for i in idxs], env, rates, noise,
-                                  kin.attitude, pec_norm)
+    for idxs in step_groups(noms):
+        results = run_batch([noms[i] for i in idxs], rates, noise, kin.attitude,
+                            env=env, pec_norm=pec_norm)
         for i, res in zip(idxs, results):
             scores[i] = _summarize(circuit_list[i], noms[i], res)
     return scores
+
+
+def propagate_path(circuit, graph, env, kin, rates, noise,
+                   pec_norm="spectral") -> PathScore:
+    """Score one circuit by propagating the belief along its trajectory."""
+    return propagate_paths([circuit], graph, env, kin, rates, noise, pec_norm)[0]
 
 
 def check_uncertainty_threshold(score: PathScore, limit: float) -> bool:

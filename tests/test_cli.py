@@ -257,6 +257,21 @@ class TestExitCodes:
         assert rc == 3
         assert "nope.yaml" in capsys.readouterr().err
 
+    def test_map_with_unknown_block_exits_3(self, tmp_path, capsys):
+        mapf = tmp_path / "m.yaml"
+        mapf.write_text(
+            "bounds_min: [-20, -5, -8]\nbounds_max: [20, 5, 0]\n"
+            "rig:\n  camera_max_range_m: 9.0\n"
+        )
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(REDUCED + "\n")
+        rc = cli.main(
+            ["plan", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+             "--set", f"map={mapf}"]
+        )
+        assert rc == 3
+        assert "rig" in capsys.readouterr().err
+
     def test_unbridgeable_roadmap_exits_4(self, tmp_path, capsys):
         # this seed places nodes whose components cannot be joined without
         # cutting through an obstacle

@@ -1,0 +1,176 @@
+"""The batched belief engine against the scalar filter, and the sensor guards
+at their exact boundaries."""
+
+import math
+
+import numpy as np
+import pytest
+
+from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
+from tunnelplan.errors import (
+    FilterSingularityError,
+    HorizonSingularityError,
+    NearOriginSingularityError,
+)
+
+# a camera on the ground with a long reach sees down to the horizon, so the
+# elevation guard, not the field of view, decides near-horizon updates
+LOW_CAMERA = mapenv.UgvRig(camera_mount_height=0.0, camera_max_range=30.0)
+# positions exactly on the guard boundaries
+AT_MIN_RANGE = np.array([ekf.MIN_RANGE, 0.0, 0.0])
+AT_MIN_ELEVATION = 0.25 * np.array([math.sqrt(399.0), 0.0, -1.0])
+
+
+def open_env(rig=LOW_CAMERA):
+    return mapenv.EnvironmentMap(bounds_min=[-30.0, -10.0, -8.0],
+                                 bounds_max=[30.0, 10.0, 0.0], rig=rig)
+
+
+def hover(point, steps=20, ts=0.02):
+    """A nominal trajectory that holds one position."""
+    return planner.NominalTrajectory(pos=np.repeat(point[None], steps + 1, axis=0),
+                                     vel=np.zeros((steps, 3)), ts=ts, length=0.0)
+
+
+# ---------------------------------------------------------------------------
+# guards
+
+
+def test_boundary_points_are_exact():
+    d, _ = ekf.sight_geometry(AT_MIN_RANGE)
+    assert d == ekf.MIN_RANGE
+    d, sin_a = ekf.sight_geometry(AT_MIN_ELEVATION)
+    assert abs(sin_a) == ekf.MIN_SIN_ELEVATION
+    assert d > ekf.MIN_RANGE
+
+
+def test_scalar_models_reject_the_boundary():
+    with pytest.raises(NearOriginSingularityError):
+        ekf.uwb_model(np.concatenate([np.zeros(3), AT_MIN_RANGE]))
+    with pytest.raises(HorizonSingularityError):
+        ekf.camera_model(np.concatenate([np.zeros(3), AT_MIN_ELEVATION]))
+
+
+@pytest.mark.parametrize("point, sensor", [(AT_MIN_RANGE, "uwb"),
+                                           (AT_MIN_ELEVATION, "cam")])
+def test_planning_rejects_the_boundary(point, sensor):
+    env, rates = open_env(), planner.RateSchedule()
+    nom = hover(point)
+    assert sensor != "cam" or env.camera_sees(point)
+    res = planner.run_batch([nom], rates, ekf.NoiseConfig(), ekf.Attitude(), env=env)[0]
+    fires = np.flatnonzero(rates.fire_table(nom.steps)[sensor]).tolist()
+    assert getattr(res, f"{sensor}_updates") == 0
+    assert [s[:2] for s in res.skipped] == [(k, sensor) for k in fires]
+
+
+@pytest.mark.parametrize("point, sensor", [(AT_MIN_RANGE, "uwb"),
+                                           (AT_MIN_ELEVATION, "cam")])
+def test_synthesis_and_replay_reject_the_boundary(point, sensor):
+    env, rates, noise, att = open_env(), planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude()
+    nom = hover(point)
+    truth = montecarlo.TruthTrajectory(pos=nom.pos.copy(), commanded=nom)
+    events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                np.random.default_rng(0), mode="perfect")
+    assert not [ev for ev in events if ev.sensor == sensor]
+    # a reading offered anyway is refused at the estimate, which stays put
+    d = float(np.linalg.norm(point))
+    events.append(montecarlo.MeasurementEvent(step=5, t=0.1, sensor=sensor,
+                                              value=d if sensor == "uwb" else point / d))
+    res = montecarlo.run_online_ekf(truth, events, rates, noise, att)
+    assert getattr(res, f"{sensor}_updates") == 0
+    assert (5, sensor) in [s[:2] for s in res.skipped]
+
+
+def test_singular_vector_update_is_skipped():
+    # no process noise, no prior uncertainty and an exact lidar: S == 0
+    noise = ekf.NoiseConfig(q_diag=np.zeros(6), r_lidar=np.zeros((3, 3)))
+    point = np.array([10.0, 0.0, -2.0])
+    env = open_env()
+    assert env.lidar_sees(point)
+    res = planner.run_batch([hover(point)], planner.RateSchedule(), noise, ekf.Attitude(),
+                            env=env, P0=np.zeros((6, 6)))[0]
+    assert res.lidar_updates == 0
+    assert [s[1:] for s in res.skipped] == [("lidar", "innovation covariance singular")] * 4
+
+
+# ---------------------------------------------------------------------------
+# replay of several runs in one batch against the scalar filter
+
+
+def scalar_replay(truth, events, rates, noise, att):
+    """Per-step ekf.predict and ekf.*_update, pinning the commanded velocity
+    at sensor ticks, this run's own turns and the last step."""
+    nom = truth.commanded
+    n = nom.steps
+    table = rates.fire_table(n)
+    bounds = set(np.flatnonzero(table["alt"] | table["uwb"] | table["cam"] | table["lidar"]).tolist())
+    bounds |= set((np.flatnonzero(np.any(nom.vel[1:] != nom.vel[:-1], axis=1)) + 1).tolist())
+    bounds.add(n)
+    by_step = {}
+    for ev in events:
+        if not ev.dropped:
+            by_step.setdefault(ev.step, []).append(ev)
+    update = {
+        "alt": lambda b, ev: ekf.altimeter_update(b, ev.value, att, noise),
+        "uwb": lambda b, ev: ekf.uwb_update(b, ev.value, noise),
+        "cam": lambda b, ev: ekf.camera_update(b, ev.value, noise),
+        "lidar": lambda b, ev: ekf.lidar_update(b, ev.value, noise, ev.gamma),
+    }
+    b = ekf.BeliefState(x=np.concatenate([nom.vel[0], nom.pos[0]]), P=np.eye(6))
+    est, pec = np.empty((n, 6)), np.empty(n)
+    counts = dict.fromkeys(update, 0)
+    skipped = []
+    for k in range(1, n + 1):
+        b = ekf.predict(b, noise)
+        if k in bounds:
+            b.x[:3] = nom.vel[min(k, n - 1)]
+        for sensor in ("alt", "uwb", "cam", "lidar"):
+            for ev in by_step.get(k, ()):
+                if ev.sensor != sensor:
+                    continue
+                try:
+                    b = update[sensor](b, ev)
+                    counts[sensor] += 1
+                except FilterSingularityError:
+                    skipped.append((k, sensor))
+        est[k - 1] = b.x
+        pec[k - 1] = np.linalg.eigvalsh(b.P[3:, 3:])[-1]
+    return est, pec, counts, skipped
+
+
+def test_batched_replay_matches_scalar_filter():
+    env = open_env()
+    # a leg close to the camera's horizon: truth and estimate fall on
+    # different sides of the elevation guard now and then
+    nodes = np.array([[1.5, 0.0, -1.5], [6.0, 2.5, -0.35], [9.0, -2.0, -0.5]])
+    lengths = [float(np.linalg.norm(nodes[i] - nodes[j])) for i, j in ((0, 1), (1, 2), (2, 0))]
+    g = roadmap.RoadmapGraph(nodes=nodes, source=0, edges=[
+        roadmap.Edge(0, 1, lengths[0]), roadmap.Edge(1, 2, lengths[1]),
+        roadmap.Edge(2, 0, lengths[2])])
+    total = sum(lengths)
+    forward = circuits.Circuit(nodes=[0, 1, 2, 0], edge_refs=[(0, 0), (1, 0), (2, 0)],
+                               length=total, flight_time=total / 0.5)
+    backward = circuits.Circuit(nodes=[0, 2, 1, 0], edge_refs=[(2, 0), (1, 0), (0, 0)],
+                                length=total, flight_time=total / 0.5)
+    kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
+    records = montecarlo.run_trial_sets(
+        [(forward, 0), (backward, 1)], g, env, kin, rates, noise, master_seed=3,
+        runs=2, dropout=0.2, outlier_prob=0.05)
+    runs = [rec for recs in records for rec in recs]
+    turns = [tuple(np.flatnonzero(np.any(np.diff(r.truth.commanded.vel, axis=0), axis=1)))
+             for r in runs]
+    assert turns[0] != turns[2]
+
+    horizon_skips = 0
+    for rec in runs:
+        est, pec, counts, skipped = scalar_replay(rec.truth, rec.events, rates, noise,
+                                                  kin.attitude)
+        res = rec.result
+        assert np.abs(res.est - est).max() < 1e-8
+        assert np.abs(res.pec / pec - 1.0).max() < 1e-9
+        assert (res.alt_updates, res.uwb_updates, res.cam_updates, res.lidar_updates) == (
+            counts["alt"], counts["uwb"], counts["cam"], counts["lidar"])
+        assert [s[:2] for s in res.skipped] == skipped
+        horizon_skips += sum(1 for _, sensor, why in res.skipped
+                             if sensor == "cam" and "horizon" in why)
+    assert horizon_skips >= 1

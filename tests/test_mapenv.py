@@ -1,6 +1,7 @@
 """Tests for the tunnel map, collision queries, and sensor visibility."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,28 @@ class TestLoading:
         assert env.obstacles == []
         assert env.rig.camera_max_range == pytest.approx(6.0)
         assert env.collision_margin == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("text, where", [
+        ("rig:\n  position: [0, 0, 0]\n", "top level"),
+        ("obstacles:\n  - {lo: [1, 1, -1], hi: [2, 2, 0]}\n", "obstacle 0"),
+        ("ugv:\n  lidar_pitch: 30.0\n", "ugv block"),
+        ("ugv: [0, 0, 0]\n", "ugv block"),
+    ])
+    def test_unknown_or_malformed_block_rejected(self, tmp_path, text, where):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\n" + text)
+        with pytest.raises(MapFormatError, match=where):
+            mapenv.load_map(bad)
+
+    def test_readme_map_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Map format", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        f = tmp_path / "readme.yaml"
+        f.write_text(example)
+        env = mapenv.load_map(f)
+        assert len(env.obstacles) >= 1
+        assert env.rig.lidar_max_range == pytest.approx(50.0)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ class TestPropagatePath:
 
 
 # ---------------------------------------------------------------------------
-# batched propagation must reproduce the one-at-a-time engine
+# a batch of candidates must reproduce each candidate propagated alone
 
 
 class TestBatchedPropagation:
