@@ -119,11 +119,6 @@ def generate_candidates(
     return out
 
 
-def filter_by_flight_time(cands: list[Circuit], max_flight_time: float) -> list[Circuit]:
-    """Keep circuits strictly below the flight-time cap."""
-    return [c for c in cands if c.flight_time < max_flight_time]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -11,6 +11,7 @@ Artifact layout (all inside --out):
             estimate_<sel>_<mode>.svg
   report    report.json, report.txt
 
+plan deletes the simulate and report artifacts of an earlier plan in --out.
 Every artifact is byte-deterministic for a fixed config and seed.
 """
 
@@ -50,6 +51,11 @@ SELECTION_COLORS = {
     "second_best": svgplot.SECOND_BEST_COLOR,
     "second_worst": svgplot.SECOND_WORST_COLOR,
 }
+
+# simulate and report artifacts of an earlier plan; plan deletes them so that
+# they are never read beside a new plan
+_STALE_AFTER_PLAN = ("run_*_*.csv", "summary_*.csv", "aggregate_*.csv", "truths_*.svg",
+                     "estimate_*.svg", "report.json", "report.txt")
 
 # RunStats fields that identify a run rather than measure it
 _ID_FIELDS = {"circuit_index", "run_index", "mode"}
@@ -199,6 +205,9 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         planner.check_uncertainty_threshold(s, cfg.plan.pec_threshold_m2)
     report = planner.score_and_select(scores)
 
+    for pattern in _STALE_AFTER_PLAN:
+        for path in out.glob(pattern):
+            path.unlink()
     roadmap.save_graph(g, out / "graph.json")
     circuits.save_circuits(cands, out / "circuits.json")
 

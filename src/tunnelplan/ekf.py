@@ -31,6 +31,11 @@ MIN_SIN_ELEVATION = 0.05
 _PAIR_TOL = 1e-5
 
 _I6 = np.eye(6)
+# upper triangle of a symmetric 3x3 block, row by row, where its diagonal
+# sits in that packing, and the packed index of every entry of the block
+_UPPER = np.triu_indices(3)
+_UPPER_DIAG = np.array([0, 3, 5])
+_MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def sight_geometry(r) -> tuple[np.ndarray, np.ndarray]:
@@ -148,17 +153,17 @@ def position_blocks(P: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndarra
 
     P has shape (..., 6, 6) and k broadcasts against its leading axes; the
     result has shape (..., 3, 3). k == 0 returns the position block of P.
+    Only the upper triangle is computed; the lower one mirrors it.
     """
     tau = cfg.ts
-    kt = (np.asarray(k, dtype=float) * tau)[..., None, None]
-    blocks = (P[..., 3:, 3:] + kt * (P[..., :3, 3:] + P[..., 3:, :3])
-              + kt * kt * P[..., :3, :3])
-    ks = kt[..., 0, 0] / tau
+    ks = np.asarray(k, dtype=float)[..., None]
+    kt = ks * tau
+    i, j = _UPPER
+    up = (P[..., 3 + i, 3 + j] + kt * (P[..., i, 3 + j] + P[..., 3 + i, j])
+          + kt * kt * P[..., i, j])
     s2 = (ks - 1.0) * ks * (2.0 * ks - 1.0) / 6.0
-    idx = np.arange(3)
-    blocks[..., idx, idx] += (ks[..., None] * cfg.q_diag[3:]
-                              + (tau * tau * s2)[..., None] * cfg.q_diag[:3])
-    return blocks
+    up[..., _UPPER_DIAG] += ks * cfg.q_diag[3:] + (tau * tau) * s2 * cfg.q_diag[:3]
+    return up[..., _MIRROR].reshape(up.shape[:-1] + (3, 3))
 
 
 def predict_span(
@@ -180,30 +185,52 @@ def predict_span(
 # gain and covariance update
 
 
-def sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of symmetric 3x3 blocks, closed form.
-
-    blocks has shape (n, 3, 3). Uses the trigonometric solution of the
-    characteristic cubic, vectorized over the batch.
-    """
+def _sym3_cubic(blocks: np.ndarray):
+    """Trigonometric solution of the characteristic cubic of symmetric 3x3
+    blocks (n, 3, 3): the largest (k = 0) and smallest (k = 1) eigenvalue are
+    q + 2 p cos(phi + 2 pi k / 3). Also returns r = cos(3 phi) and the mask
+    of blocks anisotropic enough for deflation to matter."""
     a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
     d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
     q = (a + b + c) / 3.0
-    aa, bb, cc = a - q, b - q, c - q
-    p2 = aa * aa + bb * bb + cc * cc + 2.0 * (d * d + e * e + f * f)
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
+    a, b, c = a - q, b - q, c - q
+    ff = f * f
+    p = np.sqrt(np.maximum(a * a + b * b + c * c + 2.0 * (d * d + e * e + ff), 0.0) / 6.0)
+    det = a * (b * c - ff) - d * (d * c - f * e) + e * (d * f - b * e)
     # p == 0 means the block is q * I; guard the division
-    safe = np.where(p > 0.0, p, 1.0)
-    A, B, C, D, E, F = (v / safe for v in (aa, bb, cc, d, e, f))
-    r = np.clip((A * (B * C - F * F) - D * (D * C - F * E) + E * (D * F - B * E)) / 2.0,
-                -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lmax = np.where(p > 0.0, q + 2.0 * p * np.cos(phi), q)
-    lmin = np.where(p > 0.0, q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0), q)
+    r = det / (2.0 * np.where(p > 0.0, p, 1.0) ** 3)
+    np.clip(r, -1.0, 1.0, out=r)
+    return q, p, np.arccos(r) / 3.0, r, p > _PAIR_TOL * np.abs(q)
+
+
+def _sym3_root(q, p, phi, k: int) -> np.ndarray:
+    return q + 2.0 * p * np.cos(phi + (2.0 * np.pi / 3.0) * k)
+
+
+def sym3_max(blocks: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 blocks (n, 3, 3), closed form.
+
+    The pec route: near a double smallest eigenvalue the cubic blurs only
+    the smallest, so only a near-double largest pair is deflated.
+    """
+    q, p, phi, r, aniso = _sym3_cubic(blocks)
+    lmax = _sym3_root(q, p, phi, 0)
+    top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
+    if len(top):
+        lmin = _sym3_root(q[top], p[top], phi[top], 1)
+        lmax[top] = _deflated_extreme(blocks[top], lmin, 1.0)
+    return lmax
+
+
+def sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of symmetric 3x3 blocks (n, 3, 3),
+    closed form, for condition tests; sym3_max alone is cheaper."""
+    q, p, phi, r, aniso = _sym3_cubic(blocks)
+    lmax = _sym3_root(q, p, phi, 0)
+    lmin = _sym3_root(q, p, phi, 1)
     # Near r = -1 (+1) the two largest (smallest) eigenvalues almost coincide
     # and the cubic fixes them only to about sqrt(machine epsilon); the third
     # stays exact, so deflate its eigenvector and solve the remaining 2x2.
-    aniso = p > _PAIR_TOL * np.abs(q)
     top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
     if len(top):
         lmax[top] = _deflated_extreme(blocks[top], lmin[top], 1.0)
@@ -216,22 +243,44 @@ def sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _deflated_extreme(blocks: np.ndarray, lam: np.ndarray, sign: float) -> np.ndarray:
     """Largest (sign 1) or smallest (sign -1) eigenvalue of symmetric 3x3
     blocks, given their well-separated opposite extreme eigenvalue lam."""
-    C = blocks - lam[:, None, None] * np.eye(3)
-    # lam's eigenvector spans the null space of C: take the longest cross
-    # product of two of its rows
-    cr = np.stack([np.cross(C[:, 0], C[:, 1]), np.cross(C[:, 0], C[:, 2]),
-                   np.cross(C[:, 1], C[:, 2])], axis=1)
-    v = cr[np.arange(len(C)), (cr * cr).sum(axis=2).argmax(axis=1)]
-    v /= np.sqrt((v * v).sum(axis=1))[:, None]
-    u1 = np.cross(v, np.eye(3)[np.abs(v).argmin(axis=1)])
-    u1 /= np.sqrt((u1 * u1).sum(axis=1))[:, None]
-    u2 = np.cross(v, u1)
-    Au1 = (blocks @ u1[:, :, None])[:, :, 0]
-    Au2 = (blocks @ u2[:, :, None])[:, :, 0]
-    a = (u1 * Au1).sum(axis=1)
-    c = (u2 * Au2).sum(axis=1)
-    b = (u1 * Au2).sum(axis=1)
-    return 0.5 * (a + c) + sign * np.hypot(0.5 * (a - c), b)
+    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
+    d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
+    (x1, y1, z1), (x2, y2, z2) = _normal_plane(*_null_vector(a - lam, b - lam, c - lam, d, e, f))
+    # the block restricted to that plane: [[s11, s12], [s12, s22]]
+    bx, by, bz = a * x2 + d * y2 + e * z2, d * x2 + b * y2 + f * z2, e * x2 + f * y2 + c * z2
+    s22 = x2 * bx + y2 * by + z2 * bz
+    s12 = x1 * bx + y1 * by + z1 * bz
+    s11 = (x1 * (a * x1 + d * y1 + e * z1) + y1 * (d * x1 + b * y1 + f * z1)
+           + z1 * (e * x1 + f * y1 + c * z1))
+    return 0.5 * (s11 + s22) + sign * np.hypot(0.5 * (s11 - s22), s12)
+
+
+def _null_vector(a, b, c, d, e, f):
+    """Unit vector spanning the null space of rank-2 symmetric 3x3 blocks
+    [[a, d, e], [d, b, f], [e, f, c]]: the longest cross product of two of
+    their rows."""
+    rows = ((d * f - e * b, e * d - a * f, a * b - d * d),
+            (d * c - e * f, e * e - a * c, a * f - d * e),
+            (b * c - f * f, f * e - d * c, d * f - b * e))
+    n0, n1, n2 = (x * x + y * y + z * z for x, y, z in rows)
+    pick0 = (n0 >= n1) & (n0 >= n2)
+    pick1 = ~pick0 & (n1 >= n2)
+    norm = np.sqrt(np.where(pick0, n0, np.where(pick1, n1, n2)))
+    return [np.where(pick0, r0, np.where(pick1, r1, r2)) / norm for r0, r1, r2 in zip(*rows)]
+
+
+def _normal_plane(v0, v1, v2):
+    """Orthonormal u1, u2 normal to unit vectors v: u1 = v x (the axis v is
+    least aligned with), u2 = v x u1."""
+    w0, w1, w2 = np.abs(v0), np.abs(v1), np.abs(v2)
+    ax0 = (w0 <= w1) & (w0 <= w2)
+    ax1 = ~ax0 & (w1 <= w2)
+    x1 = np.where(ax0, 0.0, np.where(ax1, -v2, v1))
+    y1 = np.where(ax0, v2, np.where(ax1, 0.0, -v0))
+    z1 = np.where(ax0, -v1, np.where(ax1, v0, 0.0))
+    norm = np.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+    x1, y1, z1 = x1 / norm, y1 / norm, z1 / norm
+    return (x1, y1, z1), (v1 * z1 - v2 * y1, v2 * x1 - v0 * z1, v0 * y1 - v1 * x1)
 
 
 def kalman_gain(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from .errors import FilterSingularityError, InvalidCircuitError
 
 SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
 _I3 = np.eye(3)
-_I6 = np.eye(6)
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +31,16 @@ _I6 = np.eye(6)
 
 
 def pec_series(blocks: np.ndarray, norm: str = "spectral") -> np.ndarray:
-    """Scalar position-error covariance for a batch of 3x3 position blocks."""
+    """Scalar position-error covariance for a batch of 3x3 position blocks.
+
+    The spectral norm is each block's largest eigenvalue (ekf.sym3_max); the
+    smallest is never computed.
+    """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3 or blocks.shape[1:] != (3, 3):
         raise ValueError("expected an (n, 3, 3) batch of position blocks")
     if norm == "spectral":
-        return ekf.sym3_minmax(blocks)[1]
+        return ekf.sym3_max(blocks)
     if norm == "fro":
         return np.sqrt((blocks * blocks).sum(axis=(1, 2)))
     raise ValueError(f"unknown pec norm {norm!r}; expected 'spectral' or 'fro'")
@@ -247,9 +250,10 @@ def _log_skips(skipped, members, step, sensor, reason) -> None:
 def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
     """Joseph-form update of members idx by scalar readings.
 
-    innov is None in planning (zero innovation, mean untouched). Members
-    whose innovation variance is not positive are logged and left as they
-    are; returns the members updated.
+    With w = P h and K = w / s, (I - K h')P = P - K w', so the Joseph form
+    is M - (M h - r K) K' with M = P - K w'. innov is None in planning (zero
+    innovation, mean untouched). Members whose innovation variance is not
+    positive are logged and left as they are; returns the members updated.
     """
     Psub = P[idx]
     w = (Psub @ H[:, :, None])[:, :, 0]
@@ -260,25 +264,28 @@ def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
         idx, Psub, w, s, H = idx[ok], Psub[ok], w[ok], s[ok], H[ok]
         innov = None if innov is None else innov[ok]
     K = w / s[:, None]
-    IKH = _I6 - K[:, :, None] * H[:, None, :]
-    out = IKH @ Psub @ IKH.transpose(0, 2, 1) + r * (K[:, :, None] * K[:, None, :])
+    M = Psub - K[:, :, None] * w[:, None, :]
+    out = M - ((M @ H[:, :, None])[:, :, 0] - r * K)[:, :, None] * K[:, None, :]
     P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
     if innov is not None:
         x[idx] += K * innov[:, None]
     return idx
 
 
-def _vector_update(P, x, idx, H, Reff, rmin, innov, skipped, step, sensor) -> np.ndarray:
+def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor) -> np.ndarray:
     """Joseph-form update of members idx by 3-vector readings.
 
-    rmin bounds the smallest eigenvalue of each Reff from below. Members
-    whose innovation covariance is singular or worse conditioned than
-    ekf.CONDITION_LIMIT are logged and left as they are; returns the
-    members updated.
+    The Jacobians are zero in the velocity columns and Hr (n, 3, 3), their
+    position block, is symmetric, so with HP = H P, G = inv(S) HP and K = G'
+    the Joseph form is M - (M H' - K Reff) G with M = P - K HP, and no
+    product needs a transposed operand. rmin bounds the smallest eigenvalue
+    of each Reff from below. Members whose innovation covariance is singular
+    or worse conditioned than ekf.CONDITION_LIMIT are logged and left as
+    they are; returns the members updated.
     """
     Psub = P[idx]
-    HP = H @ Psub
-    S = HP @ H.transpose(0, 2, 1) + Reff
+    HP = Hr @ Psub[:, 3:, :]
+    S = HP[:, :, 3:] @ Hr + Reff
     # for PSD P, lmin(S) >= lmin(Reff) and lmax(S) <= trace(S), so this
     # certifies the condition test; only the other members need eigenvalues
     ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
@@ -290,11 +297,12 @@ def _vector_update(P, x, idx, H, Reff, rmin, innov, skipped, step, sensor) -> np
         )
     if not ok.all():
         _log_skips(skipped, idx[~ok], step, sensor, "innovation covariance singular")
-        idx, Psub, HP, S, H, Reff = idx[ok], Psub[ok], HP[ok], S[ok], H[ok], Reff[ok]
+        idx, Psub, HP, S, Hr, Reff = idx[ok], Psub[ok], HP[ok], S[ok], Hr[ok], Reff[ok]
         innov = None if innov is None else innov[ok]
-    K = np.linalg.solve(S, HP).transpose(0, 2, 1)
-    IKH = _I6 - K @ H
-    out = IKH @ Psub @ IKH.transpose(0, 2, 1) + K @ Reff @ K.transpose(0, 2, 1)
+    G = np.linalg.solve(S, HP)
+    K = G.transpose(0, 2, 1).copy()
+    M = Psub - K @ HP
+    out = M - (M[:, :, 3:] @ Hr - K @ Reff) @ G
     P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
     if innov is not None:
         x[idx] += (K @ innov[:, :, None])[:, :, 0]
@@ -404,7 +412,8 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
         span = e - int(bounds[j - 1])
         if span not in spans:
             A, Q = ekf.span_transition(noise, span)
-            spans[span] = (A, A.T, Q)
+            # a contiguous transpose multiplies faster than the view A.T
+            spans[span] = (A, A.T.copy(), Q)
         A, At, Q = spans[span]
         P = A @ P @ At + Q
         ti = tick_of[e]
@@ -437,7 +446,7 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
             z = value[sensor][idx, ti] if replay else None
             if sensor == "alt":
                 innov = None if z is None else z - r[:, 2] * H_alt[5]
-                applied = _scalar_update(P, x, idx, np.broadcast_to(H_alt, (len(idx), 6)),
+                applied = _scalar_update(P, x, idx, H_alt[None].repeat(len(idx), axis=0),
                                          noise.r_alt, innov, skipped, e, sensor)
             elif sensor == "uwb":
                 H = np.zeros((len(idx), 6))
@@ -445,16 +454,15 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
                 applied = _scalar_update(P, x, idx, H, noise.r_uwb,
                                          None if z is None else z - d, skipped, e, sensor)
             else:
-                H = np.zeros((len(idx), 3, 6))
                 if sensor == "cam":
                     zp = r / d[:, None]
-                    H[:, :, 3:] = (_I3 - zp[:, :, None] * zp[:, None, :]) / d[:, None, None]
+                    Hr = (_I3 - zp[:, :, None] * zp[:, None, :]) / d[:, None, None]
                     scale, R = 1.0 / np.abs(sin_a), noise.r_cam
                 else:
                     zp = r
-                    H[:, :, 3:] = _I3
+                    Hr = _I3[None].repeat(len(idx), axis=0)
                     scale, R = gamma[idx, ti], noise.r_lidar
-                applied = _vector_update(P, x, idx, H, scale[:, None, None] * R,
+                applied = _vector_update(P, x, idx, Hr, scale[:, None, None] * R,
                                          scale * rmin[sensor],
                                          None if z is None else z - zp, skipped, e, sensor)
                 fired[sensor][applied, e] = True

@@ -163,7 +163,7 @@ class TestCandidates:
         assert circuits.generate_candidates(g, 0, np.random.default_rng(16)) == []
 
 
-class TestFlightTimeFilter:
+class TestFlightTime:
     def test_out_and_back_flight_time(self):
         nodes = np.zeros((2, 3))
         nodes[1, 0] = 39.675
@@ -173,13 +173,6 @@ class TestFlightTimeFilter:
         c = circuits.random_euler_circuit(g, np.random.default_rng(17))
         assert c.length == pytest.approx(79.35)
         assert c.flight_time == pytest.approx(158.7)
-        assert circuits.filter_by_flight_time([c], 159.0) == [c]
-        assert circuits.filter_by_flight_time([c], 158.0) == []
-
-    def test_unlimited_keeps_all(self):
-        g = triangle_graph()
-        cands = circuits.generate_candidates(g, 5, np.random.default_rng(18))
-        assert circuits.filter_by_flight_time(cands, float("inf")) == cands
 
     def test_custom_cruise_speed(self):
         g = triangle_graph()

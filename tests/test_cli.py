@@ -170,6 +170,22 @@ class TestStageChaining:
         assert rep["simulation"]["available"] is False
         assert "no simulation artifacts" in (work / "report.txt").read_text()
 
+    def test_replan_removes_stale_simulation_artifacts(
+        self, reduced_cfg, pipeline_out, tmp_path
+    ):
+        work = copy_plan(pipeline_out, tmp_path)
+        rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(work),
+                       "--seed", "5"])
+        assert rc == 0
+        for name in SIM_FILES + REPORT_FILES:
+            assert not (work / name).exists(), name
+        rc = cli.main(["report", "--config", str(reduced_cfg), "--out", str(work),
+                       "--seed", "5"])
+        assert rc == 0
+        rep = json.loads((work / "report.json").read_text())
+        assert rep["seed"] == 5
+        assert rep["simulation"]["available"] is False
+
     def test_select_flag_limits_outputs(self, reduced_cfg, plan_out, tmp_path):
         work = copy_plan(plan_out, tmp_path)
         rc = cli.main(

@@ -102,6 +102,55 @@ class TestPredict:
 
 
 # ---------------------------------------------------------------------------
+# closed-form 3x3 eigenvalues
+
+
+def blocks_with_eigenvalues(lams, rng):
+    """Symmetric 3x3 blocks Q diag(lams) Q' with random rotations Q."""
+    Q, _ = np.linalg.qr(rng.normal(size=(len(lams), 3, 3)))
+    B = Q @ (lams[:, :, None] * Q.transpose(0, 2, 1))
+    return 0.5 * (B + B.transpose(0, 2, 1))
+
+
+class TestSym3Eigenvalues:
+    """Near a double eigenvalue the cubic blurs the pair to about
+    sqrt(machine epsilon), so these blocks take the deflation branches."""
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("pair", ["top", "bottom", "rank_deficient"])
+    def test_near_double_pairs_match_eigvalsh(self, pair, gap):
+        rng = np.random.default_rng(int(-math.log10(gap)))
+        n = 200
+        s = 10.0 ** rng.uniform(-3.0, 4.0, n)
+        lams = {
+            "top": [s * rng.uniform(0.01, 0.5, n), s, s * (1.0 + gap)],
+            "bottom": [s, s * (1.0 + gap), s * rng.uniform(2.0, 100.0, n)],
+            # a zero eigenvalue next to a gap times the norm
+            "rank_deficient": [0.0 * s, s * gap, s],
+        }[pair]
+        B = blocks_with_eigenvalues(np.stack(lams, axis=1), rng)
+        want = np.linalg.eigvalsh(B)
+        lmin, lmax = ekf.sym3_minmax(B)
+        assert np.abs(lmax / want[:, -1] - 1.0).max() < 1e-12
+        # a zero eigenvalue is known to eigvalsh only to eps times the norm
+        scale = want[:, -1] if pair == "rank_deficient" else np.abs(want[:, 0])
+        assert (np.abs(lmin - want[:, 0]) / scale).max() < 1e-12
+        assert np.array_equal(ekf.sym3_max(B), lmax)
+
+    def test_rank_one_and_multiples_of_identity(self):
+        rng = np.random.default_rng(4)
+        s = 10.0 ** rng.uniform(-3.0, 4.0, 50)
+        B = blocks_with_eigenvalues(np.stack([0 * s, 0 * s, s], axis=1), rng)
+        lmin, lmax = ekf.sym3_minmax(B)
+        assert np.abs(lmax / s - 1.0).max() < 1e-12
+        assert np.abs(lmin / s).max() < 1e-12
+        # p == 0 in the cubic: no division by zero, both extremes are s
+        qI = s[:, None, None] * np.eye(3)
+        for got in (*ekf.sym3_minmax(qI), ekf.sym3_max(qI)):
+            assert np.abs(got / s - 1.0).max() < 1e-15
+
+
+# ---------------------------------------------------------------------------
 # gain and covariance update
 
 

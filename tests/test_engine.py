@@ -94,6 +94,100 @@ def test_singular_vector_update_is_skipped():
 
 
 # ---------------------------------------------------------------------------
+# structured Joseph kernels against the dense Joseph form
+
+
+def dense_joseph(P, H, R):
+    """(I - K H) P (I - K H)' + K R K' with K = P H' inv(H P H' + R)."""
+    K = P @ H.T @ np.linalg.inv(H @ P @ H.T + R)
+    IKH = np.eye(6) - K @ H
+    return IKH @ P @ IKH.T + K @ R @ K.T, K
+
+
+def random_members(rng, n):
+    """PSD covariances, the first with a zero position block, and means."""
+    A = rng.normal(size=(n, 6, 6))
+    P = A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(6)
+    P[0, 3:, :] = P[0, :, 3:] = 0.0
+    return P, rng.normal(size=(n, 6))
+
+
+def check_update(ref, P, x, P0, x0, idx, innov, applied, skipped, want_skips):
+    """Skipped members are untouched, the others match ref(member, row)."""
+    assert applied.tolist() == [b for b in idx.tolist() if b not in want_skips]
+    assert [b for b in range(len(P)) if skipped[b]] == want_skips
+    for i, b in enumerate(idx.tolist()):
+        if b in want_skips:
+            assert np.array_equal(P[b], P0[b]) and np.array_equal(x[b], x0[b])
+            continue
+        want, K = ref(b, i)
+        assert np.abs(P[b] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(P[b], P[b].T)
+        dx = np.zeros(6) if innov is None else K @ np.atleast_1d(innov[i])
+        assert np.abs(x[b] - (x0[b] + dx)).max() <= 1e-12 * (1.0 + np.abs(dx).max())
+
+
+@pytest.mark.parametrize("with_innov", [False, True])
+@pytest.mark.parametrize("r", [0.01, 0.0])
+def test_scalar_kernel_matches_dense_joseph(with_innov, r):
+    rng = np.random.default_rng(21)
+    P, x = random_members(rng, 8)
+    P0, x0 = P.copy(), x.copy()
+    idx = np.array([0, 2, 3, 5, 6, 7])
+    H = np.zeros((len(idx), 6))
+    H[:, 3:] = rng.normal(size=(len(idx), 3))
+    # member 0 has no position variance and member 5 a zero row: with r == 0
+    # their innovation variance is zero and both are skipped
+    H[3] = 0.0
+    innov = rng.normal(size=len(idx)) if with_innov else None
+    skipped = [[] for _ in range(8)]
+    applied = planner._scalar_update(P, x, idx, H, r, innov, skipped, 7, "uwb")
+    want_skips = [0, 5] if r == 0.0 else []
+    assert all(s == [(7, "uwb", "innovation variance not positive")]
+               for s in skipped if s)
+    check_update(lambda b, i: dense_joseph(P0[b], H[i][None], np.array([[r]])),
+                 P, x, P0, x0, idx, innov, applied, skipped, want_skips)
+
+
+@pytest.mark.parametrize("with_innov", [False, True])
+def test_vector_kernel_matches_dense_joseph(with_innov):
+    rng = np.random.default_rng(22)
+    P, x = random_members(rng, 8)
+    P0, x0 = P.copy(), x.copy()
+    idx = np.array([0, 1, 3, 4, 6, 7])
+    # camera-like (I - z z') / d and lidar-like I position blocks
+    z = rng.normal(size=(len(idx), 3))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    Hr = (np.eye(3) - z[:, :, None] * z[:, None, :]) / rng.uniform(1.0, 10.0, len(idx))[:, None, None]
+    Hr[::2] = np.eye(3)
+    scale = rng.uniform(1.0, 5.0, len(idx))
+    R = 1e-2 * np.eye(3)
+    Reff = scale[:, None, None] * R
+    rmin = scale * 1e-2
+    # member 0 with no position variance and no noise has S == 0; member 4
+    # gets noise so anisotropic that S is worse conditioned than the limit
+    Reff[0] = 0.0
+    rmin[0] = 0.0
+    Hr[3] = 0.0
+    Reff[3] = np.diag([1.0, 1.0, 1e-13])
+    rmin[3] = 1e-13
+    innov = rng.normal(size=(len(idx), 3)) if with_innov else None
+    skipped = [[] for _ in range(8)]
+    applied = planner._vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, 9, "cam")
+    H = np.zeros((len(idx), 3, 6))
+    H[:, :, 3:] = Hr
+    want_skips = []
+    for i, b in enumerate(idx.tolist()):
+        eig = np.linalg.eigvalsh(H[i] @ P0[b] @ H[i].T + Reff[i])
+        if not (eig[0] > 0.0 and eig[-1] / eig[0] <= ekf.CONDITION_LIMIT):
+            want_skips.append(b)
+    assert want_skips == [0, 4]
+    assert all(s == [(9, "cam", "innovation covariance singular")] for s in skipped if s)
+    check_update(lambda b, i: dense_joseph(P0[b], H[i], Reff[i]),
+                 P, x, P0, x0, idx, innov, applied, skipped, want_skips)
+
+
+# ---------------------------------------------------------------------------
 # replay of several runs in one batch against the scalar filter
 
 
