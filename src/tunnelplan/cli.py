@@ -135,7 +135,10 @@ def _ranking_dict(report: planner.RankingReport, cfg, g, base_edge_count) -> dic
         "second_best": report.second_best,
         "second_worst": report.second_worst,
         "order": list(report.order),
-        "totals": [float(t) for t in report.totals],
+        # at the precision of path_scores.csv, so that arithmetic reordered in
+        # the last bits leaves the artifact as it is; the order above comes
+        # from the full-precision totals
+        "totals": [float(_f(t)) for t in report.totals],
         "degenerate": report.degenerate,
         "graph": {
             "nodes": len(g.nodes),

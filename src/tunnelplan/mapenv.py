@@ -19,6 +19,9 @@ from .errors import MapFormatError
 
 DEFAULT_COLLISION_MARGIN = 0.3
 SEGMENT_SAMPLE_STEP = 0.1
+# points a visibility gate evaluates at once; each (N, 3) temporary of a
+# block is 768 kB however many points one call gates
+_GATE_BLOCK = 32768
 
 
 def default_map_path() -> Path:
@@ -167,7 +170,9 @@ class EnvironmentMap:
 
     def camera_sees_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized camera_sees over an (N, 3) array of UAV positions."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+        return _in_blocks(self._camera_block, pts)
+
+    def _camera_block(self, pts: np.ndarray) -> np.ndarray:
         rig = self.rig
         ok = (rig.position[2] - pts[:, 2]) > rig.camera_mount_height
         cam = rig.camera_position
@@ -184,7 +189,9 @@ class EnvironmentMap:
 
     def lidar_sees_many(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized lidar_sees over an (N, 3) array of UAV positions."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+        return _in_blocks(self._lidar_block, pts)
+
+    def _lidar_block(self, pts: np.ndarray) -> np.ndarray:
         rig = self.rig
         rel = pts - rig.position
         rng = np.sqrt((rel * rel).sum(axis=1))
@@ -195,6 +202,15 @@ class EnvironmentMap:
         if len(idx):
             ok[idx] = self.sight_clear_many(rig.position, pts[idx])
         return ok
+
+
+def _in_blocks(gate, pts) -> np.ndarray:
+    """A per-point gate over the rows of pts, _GATE_BLOCK rows at a time."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    out = np.empty(len(pts), dtype=bool)
+    for s in range(0, len(pts), _GATE_BLOCK):
+        out[s:s + _GATE_BLOCK] = gate(pts[s:s + _GATE_BLOCK])
+    return out
 
 
 def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

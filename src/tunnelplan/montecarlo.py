@@ -31,13 +31,14 @@ def _gauss_markov(n: int, ts: float, tau: float, sigma: float, rng) -> np.ndarra
         return draws
     phi = math.exp(-ts / tau)
     drive = sigma * math.sqrt(1.0 - phi * phi)
-    out = np.empty(n)
-    out[0] = sigma * draws[0]
-    acc = out[0]
-    for k in range(1, n):
-        acc = phi * acc + drive * draws[k]
-        out[k] = acc
-    return out
+    # the recurrence runs on Python floats, which round exactly as float64
+    # scalars do at a fraction of their cost per operation
+    acc = sigma * float(draws[0])
+    out = [acc]
+    for w in (drive * draws[1:]).tolist():
+        acc = phi * acc + w
+        out.append(acc)
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +117,11 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
     """Sensor readings a real flight along the truth path would deliver.
 
     Field-of-view gating and the lidar noise scale come from the truth
-    positions. In perfect mode values equal the measurement models exactly;
-    noisy mode adds draws matching each sensor's configured covariance.
-    Dropout marks events as lost without removing them, so replay can skip
-    them while statistics still count them.
+    positions. In perfect mode values equal the measurement models exactly
+    and no event is an outlier; noisy mode adds draws matching each
+    sensor's configured covariance, and an outlier scales its draw by
+    outlier_scale. Dropout marks events as lost without removing them, so
+    replay can skip them while statistics still count them.
     """
     if mode not in ("noisy", "perfect"):
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
@@ -153,7 +155,7 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
     events: list[MeasurementEvent] = []
 
     def finalize(step, sensor, value, gamma=None):
-        outlier = bool(outlier_prob > 0.0 and rng.random() < outlier_prob)
+        outlier = bool(noisy and outlier_prob > 0.0 and rng.random() < outlier_prob)
         dropped = bool(dropout > 0.0 and rng.random() < dropout)
         events.append(MeasurementEvent(step=step, t=step * ts, sensor=sensor,
                                        value=value, gamma=gamma,
@@ -252,8 +254,9 @@ def replay_runs(truths, events_list, rates, noise, attitude, P0=None,
     noms = [truth.commanded for truth in truths]
     results: list = [None] * len(noms)
     for idxs in planner.step_groups(noms):
-        readings = _readings([events_list[i] for i in idxs], noms[idxs[0]].steps, rates)
-        batch = planner.run_batch([noms[i] for i in idxs], rates, noise, attitude,
+        n = noms[idxs[0]].steps
+        readings = _readings([events_list[i] for i in idxs], n, rates)
+        batch = planner.run_batch(n, rates, noise, attitude, noms=[noms[i] for i in idxs],
                                   readings=readings, P0=P0, pec_norm=pec_norm)
         for i, res in zip(idxs, batch):
             results[i] = res

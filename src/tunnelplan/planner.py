@@ -145,39 +145,75 @@ class NominalTrajectory:
         return self.steps * self.ts
 
 
-def build_nominal_trajectory(circuit, graph, cruise: float, ts: float) -> NominalTrajectory:
-    """Sample the circuit polyline at constant arc-length increments.
+@dataclass
+class Polyline:
+    """A circuit's waypoints flown at constant speed, cruise * ts per step.
 
-    The spacing is cruise * ts; the final step is shortened so the last
-    sample lands exactly on the closing waypoint. Commanded velocities are
-    exact segment directions except where a step crosses a corner or covers
-    the shortened tail, where the finite difference of positions is used.
+    Step k lies at arc length min(k * ds, length), so the last step is
+    shortened to land exactly on the closing waypoint. Samplers of any set
+    of steps share at(), so a step's position is the same bits whichever
+    other steps are sampled with it.
     """
-    if not cruise > 0.0 or not ts > 0.0:
-        raise ValueError("cruise and ts must be positive")
-    wp = graph.nodes[np.asarray(circuit.nodes, dtype=int)]
-    if len(wp) < 2:
-        return NominalTrajectory(pos=wp.reshape(-1, 3).copy(),
-                                 vel=np.zeros((0, 3)), ts=ts, length=0.0)
-    seg = np.diff(wp, axis=0)
-    seglen = np.linalg.norm(seg, axis=1)
-    if np.any(seglen <= 0.0):
-        raise InvalidCircuitError("circuit repeats a waypoint consecutively")
-    cum = np.concatenate(([0.0], np.cumsum(seglen)))
-    length = float(cum[-1])
-    ds = cruise * ts
-    n = int(math.ceil(length / ds - 1e-9))
-    s = np.minimum(np.arange(n + 1) * ds, length)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seglen) - 1)
-    frac = (s - cum[idx]) / seglen[idx]
-    pos = wp[idx] + frac[:, None] * seg[idx]
-    dirs = seg / seglen[:, None]
+
+    wp: np.ndarray
+    seg: np.ndarray
+    seglen: np.ndarray
+    cum: np.ndarray
+    ds: float
+    ts: float
+
+    @classmethod
+    def of(cls, circuit, graph, cruise: float, ts: float) -> "Polyline":
+        """The polyline through a circuit's nodes in graph, flown at cruise."""
+        if not cruise > 0.0 or not ts > 0.0:
+            raise ValueError("cruise and ts must be positive")
+        wp = graph.nodes[np.asarray(circuit.nodes, dtype=int)].reshape(-1, 3)
+        seg = np.diff(wp, axis=0)
+        seglen = np.linalg.norm(seg, axis=1)
+        if np.any(seglen <= 0.0):
+            raise InvalidCircuitError("circuit repeats a waypoint consecutively")
+        cum = np.concatenate(([0.0], np.cumsum(seglen)))
+        return cls(wp=wp, seg=seg, seglen=seglen, cum=cum, ds=cruise * ts, ts=ts)
+
+    @property
+    def length(self) -> float:
+        return float(self.cum[-1])
+
+    @property
+    def steps(self) -> int:
+        return int(math.ceil(self.length / self.ds - 1e-9))
+
+    @property
+    def flight_time(self) -> float:
+        return self.steps * self.ts
+
+    def at(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions at integer steps k and the segment each lies on."""
+        s = np.minimum(k * self.ds, self.length)
+        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.seglen) - 1)
+        frac = (s - self.cum[idx]) / self.seglen[idx]
+        return self.wp[idx] + frac[:, None] * self.seg[idx], idx
+
+
+def build_nominal_trajectory(circuit, graph, cruise: float, ts: float) -> NominalTrajectory:
+    """Sample the circuit polyline at every step (see Polyline).
+
+    Commanded velocities are exact segment directions except where a step
+    crosses a corner or covers the shortened tail, where the finite
+    difference of positions is used.
+    """
+    line = Polyline.of(circuit, graph, cruise, ts)
+    if len(line.wp) < 2:
+        return NominalTrajectory(pos=line.wp.copy(), vel=np.zeros((0, 3)), ts=ts, length=0.0)
+    n = line.steps
+    pos, idx = line.at(np.arange(n + 1))
+    dirs = line.seg / line.seglen[:, None]
     vel = cruise * dirs[idx[:-1]]
     k1 = np.arange(1, n + 1)
-    irregular = (idx[1:] != idx[:-1]) | (k1 * ds > length)
+    irregular = (idx[1:] != idx[:-1]) | (k1 * line.ds > line.length)
     if irregular.any():
         vel[irregular] = (pos[1:][irregular] - pos[:-1][irregular]) / ts
-    return NominalTrajectory(pos=pos, vel=vel, ts=ts, length=length)
+    return NominalTrajectory(pos=pos, vel=vel, ts=ts, length=line.length)
 
 
 def _validate_circuit(circuit, graph) -> None:
@@ -309,16 +345,20 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor) -> n
     return idx
 
 
-def run_batch(noms, rates, noise, attitude, env=None, readings=None,
-              P0=None, pec_norm="spectral") -> list:
+def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
+              readings=None, P0=None, pec_norm="spectral") -> list:
     """Propagate the belief of every member along its trajectory at once.
 
     Planning (readings is None) pins the mean to each nominal trajectory,
-    gates camera and lidar on env's field of view at the nominal positions
-    and applies zero-innovation updates. Replay leaves the position
-    estimate free, pins the velocity to the commanded value at the member's
-    own boundaries (sensor ticks, its turns and the last step), evaluates
-    Jacobians and guards at the member's estimate and applies its readings.
+    given only where the engine reads it: tick_pos (B, T, 3) holds each
+    member's nominal positions at the T steps of
+    sensor_ticks(rates.fire_table(steps)). It gates camera and lidar on
+    env's field of view there and applies zero-innovation updates. Replay
+    follows the commanded trajectories noms, each of the given steps: it
+    leaves the position estimate free, pins the velocity to the commanded
+    value at the member's own boundaries (sensor ticks, its turns and the
+    last step), evaluates Jacobians and guards at the member's estimate and
+    applies its readings.
 
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
@@ -326,15 +366,15 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
-    B = len(noms)
-    n = noms[0].steps
-    if any(nm.steps != n for nm in noms):
+    n = steps
+    replay = readings is not None
+    B = len(noms) if replay else len(tick_pos)
+    if replay and any(nm.steps != n for nm in noms):
         raise ValueError("batch members must share one step count")
     P0 = np.eye(6) if P0 is None else np.array(P0, dtype=float)
     if P0.shape != (6, 6):
         raise ValueError("P0 must be 6x6")
     ts = noise.ts
-    replay = readings is not None
 
     table = rates.fire_table(n)
     ticks = sensor_ticks(table)
@@ -352,10 +392,10 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
         x = np.concatenate([vel[:, 0] if n else np.zeros((B, 3)),
                             np.stack([nm.pos[0] for nm in noms])], axis=1)
     else:
-        tick_pos = np.stack([nm.pos[ticks] for nm in noms])
+        if tick_pos.shape != (B, T, 3):
+            raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
         flat = tick_pos.reshape(-1, 3)
-        rel = flat - env.rig.position
-        gamma = noise.lidar_gamma.gamma(np.sqrt((rel * rel).sum(axis=1)).reshape(B, T))
+        gamma = noise.lidar_gamma.gamma(np.linalg.norm(tick_pos - env.rig.position, axis=2))
         offered = {
             "alt": np.broadcast_to(table["alt"][ticks], (B, T)),
             "uwb": np.broadcast_to(table["uwb"][ticks], (B, T)),
@@ -490,12 +530,12 @@ def run_batch(noms, rates, noise, attitude, env=None, readings=None,
     ]
 
 
-def step_groups(noms) -> list:
-    """Indices of trajectories grouped by step count, shortest first; each
-    group can share one batch."""
+def step_groups(paths) -> list:
+    """Indices of trajectories or polylines grouped by step count, shortest
+    first; each group can share one batch."""
     groups: dict[int, list[int]] = {}
-    for i, nm in enumerate(noms):
-        groups.setdefault(nm.steps, []).append(i)
+    for i, path in enumerate(paths):
+        groups.setdefault(path.steps, []).append(i)
     return [groups[k] for k in sorted(groups)]
 
 
@@ -527,7 +567,7 @@ class PathScore:
     skipped: list = field(default_factory=list)
 
 
-def _summarize(circuit, nominal, result) -> PathScore:
+def _summarize(circuit, line, result) -> PathScore:
     series = result.pec
     if len(series):
         stats = (float(series.sum()), float(series.max()), float(series.mean()),
@@ -549,8 +589,8 @@ def _summarize(circuit, nominal, result) -> PathScore:
         rms=stats[5],
         cam_updates=result.cam_updates,
         lidar_updates=result.lidar_updates,
-        flight_time=nominal.flight_time,
-        length=nominal.length,
+        flight_time=line.flight_time,
+        length=line.length,
         duplicate=circuit.duplicate,
         skipped=result.skipped,
     )
@@ -558,17 +598,26 @@ def _summarize(circuit, nominal, result) -> PathScore:
 
 def propagate_paths(circuit_list, graph, env, kin, rates, noise,
                     pec_norm="spectral") -> list:
-    """Score every candidate circuit, batching those with equal step counts."""
-    noms = []
+    """Score every candidate circuit, batching those with equal step counts.
+
+    Planning reads the nominal trajectory only at sensor ticks, so only
+    those steps are sampled: memory grows with the ticks, not the steps.
+    """
+    lines = []
     for circuit in circuit_list:
         _validate_circuit(circuit, graph)
-        noms.append(build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts))
-    scores: list = [None] * len(noms)
-    for idxs in step_groups(noms):
-        results = run_batch([noms[i] for i in idxs], rates, noise, kin.attitude,
-                            env=env, pec_norm=pec_norm)
+        lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
+    scores: list = [None] * len(lines)
+    for idxs in step_groups(lines):
+        n = lines[idxs[0]].steps
+        ticks = sensor_ticks(rates.fire_table(n))
+        tick_pos = np.empty((len(idxs), len(ticks), 3))
+        for b, i in enumerate(idxs):
+            tick_pos[b] = lines[i].at(ticks)[0]
+        results = run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=env,
+                            pec_norm=pec_norm)
         for i, res in zip(idxs, results):
-            scores[i] = _summarize(circuit_list[i], noms[i], res)
+            scores[i] = _summarize(circuit_list[i], lines[i], res)
     return scores
 
 

@@ -107,6 +107,17 @@ class TestPipelineArtifacts:
         lengths = [float(r["length_m"]) for r in rows]
         assert max(lengths) - min(lengths) < 1e-6
 
+    def test_totals_match_path_scores(self, pipeline_out):
+        r = json.loads((pipeline_out / "ranking.json").read_text())
+        rep = json.loads((pipeline_out / "report.json").read_text())
+        lines = (pipeline_out / "path_scores.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        csv_totals = [float(dict(zip(header, ln.split(",")))["pec_total_m2"])
+                      for ln in lines[1:]]
+        assert r["totals"] == csv_totals
+        assert rep["ranking"]["pec_total_best_m2"] == csv_totals[r["best"]]
+        assert rep["ranking"]["pec_total_worst_m2"] == csv_totals[r["worst"]]
+
     def test_pec_series_shape(self, pipeline_out):
         arr = np.loadtxt(
             pipeline_out / "pec_series_best.csv", delimiter=",", skiprows=1

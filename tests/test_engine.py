@@ -32,6 +32,13 @@ def hover(point, steps=20, ts=0.02):
                                      vel=np.zeros((steps, 3)), ts=ts, length=0.0)
 
 
+def plan_one(nom, rates, noise, env, **options):
+    """Planning pass of a batch of one along nom, given at its sensor ticks."""
+    ticks = planner.sensor_ticks(rates.fire_table(nom.steps))
+    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(),
+                             tick_pos=nom.pos[ticks][None], env=env, **options)[0]
+
+
 # ---------------------------------------------------------------------------
 # guards
 
@@ -57,7 +64,7 @@ def test_planning_rejects_the_boundary(point, sensor):
     env, rates = open_env(), planner.RateSchedule()
     nom = hover(point)
     assert sensor != "cam" or env.camera_sees(point)
-    res = planner.run_batch([nom], rates, ekf.NoiseConfig(), ekf.Attitude(), env=env)[0]
+    res = plan_one(nom, rates, ekf.NoiseConfig(), env)
     fires = np.flatnonzero(rates.fire_table(nom.steps)[sensor]).tolist()
     assert getattr(res, f"{sensor}_updates") == 0
     assert [s[:2] for s in res.skipped] == [(k, sensor) for k in fires]
@@ -87,8 +94,7 @@ def test_singular_vector_update_is_skipped():
     point = np.array([10.0, 0.0, -2.0])
     env = open_env()
     assert env.lidar_sees(point)
-    res = planner.run_batch([hover(point)], planner.RateSchedule(), noise, ekf.Attitude(),
-                            env=env, P0=np.zeros((6, 6)))[0]
+    res = plan_one(hover(point), planner.RateSchedule(), noise, env, P0=np.zeros((6, 6)))
     assert res.lidar_updates == 0
     assert [s[1:] for s in res.skipped] == [("lidar", "innovation covariance singular")] * 4
 

@@ -382,3 +382,28 @@ class TestLidarVisibility:
         first = (tunnel.lidar_sees(p), tunnel.camera_sees(p), tunnel.is_free(p))
         for _ in range(3):
             assert (tunnel.lidar_sees(p), tunnel.camera_sees(p), tunnel.is_free(p)) == first
+
+
+# ---------------------------------------------------------------------------
+# gates over many points
+
+
+def test_blocked_gates_match_per_point_gates(monkeypatch):
+    # a bar above the rig occludes the camera from x = 7.3 m on and the
+    # lidar from x = 5 m to 8.75 m along the sweep; the first block boundary
+    # falls at x = 8 m, where both are occluded
+    block = 64
+    monkeypatch.setattr(mapenv, "_GATE_BLOCK", block)
+    env = make_env(obstacles=[([3.0, -0.5, -1.5], [3.5, 0.5, -1.0])],
+                   rig=mapenv.UgvRig(camera_max_range=30.0))
+    x = np.linspace(1.0, 19.0, 166)
+    pts = np.column_stack([x, np.zeros_like(x), np.full_like(x, -2.5)])
+    assert len(pts) > 2 * block
+    for many, one in ((env.camera_sees_many, env.camera_sees),
+                      (env.lidar_sees_many, env.lidar_sees)):
+        got = many(pts)
+        want = np.array([one(p) for p in pts])
+        assert np.array_equal(got, want)
+        assert got.any()
+        assert not got[block - 2:block + 2].any()
+    assert not make_env().lidar_sees_many(np.zeros((0, 3))).size

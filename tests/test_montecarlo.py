@@ -58,6 +58,18 @@ class TestGaussMarkov:
         series = montecarlo._gauss_markov(1000, 0.02, 2.0, 0.0, rng)
         assert np.all(series == 0.0)
 
+    def test_matches_float64_recurrence_bitwise(self):
+        ts, tau, sigma = 0.02, 2.0, 0.3
+        draws = np.random.default_rng(4).standard_normal(5000)
+        phi = math.exp(-ts / tau)
+        drive = sigma * math.sqrt(1.0 - phi * phi)
+        want = np.empty(len(draws))
+        want[0] = sigma * draws[0]
+        for k in range(1, len(draws)):
+            want[k] = phi * want[k - 1] + drive * draws[k]
+        got = montecarlo._gauss_markov(len(draws), ts, tau, sigma, np.random.default_rng(4))
+        assert np.array_equal(got, want)
+
 
 # ---------------------------------------------------------------------------
 # truth trajectories
@@ -112,7 +124,7 @@ class TestSimulateTruth:
 
 
 def straight_run_events(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
-                        sigma=0.0, rates=None):
+                        sigma=0.0, rates=None, outlier_prob=0.0):
     env = empty_env(bounds_max=(300.0, 5.0, 0.0))
     g, c = out_and_back([3.0, 1.0, -2.0], [n_len, 1.0, -2.0])
     nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
@@ -121,7 +133,8 @@ def straight_run_events(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
     rates = rates or planner.RateSchedule()
     events = montecarlo.synthesize_measurements(
         truth, env, rates, ekf.NoiseConfig(), ekf.Attitude(),
-        np.random.default_rng(seed + 1), mode=mode, dropout=dropout)
+        np.random.default_rng(seed + 1), mode=mode, dropout=dropout,
+        outlier_prob=outlier_prob)
     return env, truth, events
 
 
@@ -151,6 +164,18 @@ class TestSynthesis:
                 assert np.allclose(ev.value, r / d, atol=1e-12)
             elif ev.sensor == "lidar":
                 assert np.allclose(ev.value, r, atol=1e-12)
+
+    def test_perfect_mode_ignores_outlier_probability(self):
+        # no outlier is drawn, so the events and their dropout draws are
+        # those of a run without outliers
+        _, _, clean = straight_run_events(mode="perfect", dropout=0.3)
+        _, _, events = straight_run_events(mode="perfect", dropout=0.3, outlier_prob=0.2)
+        assert not any(ev.outlier for ev in events)
+        assert any(ev.dropped for ev in events)
+        assert len(events) == len(clean)
+        for ev, want in zip(events, clean):
+            assert (ev.step, ev.sensor, ev.dropped) == (want.step, want.sensor, want.dropped)
+            assert np.array_equal(ev.value, want.value)
 
     def test_lidar_gating_matches_environment(self, tunnel):
         g, c = tunnel_fixture(tunnel)

@@ -1,6 +1,7 @@
 """Tests for nominal trajectories, belief propagation along circuits, and ranking."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ class TestNominalTrajectory:
         assert nom.steps == 0
         assert nom.flight_time == 0.0
 
+    def test_tick_samples_equal_full_rate_bitwise(self, tunnel):
+        nodes = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(5))
+        g = roadmap.eulerize(roadmap.connect_knn(nodes, 4, tunnel), tunnel)
+        c = circuits.random_euler_circuit(g, np.random.default_rng(6))
+        nom = planner.build_nominal_trajectory(c, g, cruise=0.5, ts=0.02)
+        line = planner.Polyline.of(c, g, 0.5, 0.02)
+        assert (line.steps, line.length, line.flight_time) == (
+            nom.steps, nom.length, nom.flight_time)
+        # the first step past the first corner, and the last step, which is
+        # shortened to land on the closing waypoint
+        corner = int(math.ceil(line.cum[1] / line.ds))
+        assert corner * line.ds > line.cum[1]
+        assert line.steps * line.ds > line.length
+        ticks = planner.sensor_ticks(planner.RateSchedule().fire_table(nom.steps))
+        for steps in (ticks, np.array([corner, line.steps]), np.arange(nom.steps + 1)):
+            assert np.array_equal(line.at(steps)[0], nom.pos[steps])
+
 
 # ---------------------------------------------------------------------------
 # belief propagation along a path
@@ -291,6 +309,29 @@ class TestBatchedPropagation:
         assert len(got.skipped) == len(want.skipped)
         assert got.skipped[0][1] == "alt"
         assert np.allclose(got.pec, want.pec, rtol=1e-9)
+
+
+class TestPlanningMemory:
+    def test_peak_below_full_rate_trajectories(self):
+        # 32 candidates over a 120 m out-and-back flight: 12,000 steps, and
+        # sensors at 1 Hz keep the traced tick loop short
+        env = empty_env()
+        g, c = out_and_back_graph([3.0, 1.0, -2.0], [63.0, 1.0, -2.0])
+        kin, noise = planner.KinematicProfile(), ekf.NoiseConfig()
+        rates = planner.RateSchedule(alt_hz=1.0, uwb_hz=1.0, cam_hz=1.0, lidar_hz=1.0)
+        cands = [c] * 32
+        steps = planner.Polyline.of(c, g, kin.cruise, noise.ts).steps
+        # nominal pos (steps + 1, 3) and vel (steps, 3) of every candidate
+        full_rate_bytes = len(cands) * (2 * steps + 1) * 3 * 8
+        tracemalloc.start()
+        try:
+            scores = planner.propagate_paths(cands, g, env, kin, rates, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(scores[0].pec) == steps
+        assert scores[0].lidar_updates > 0
+        assert peak < full_rate_bytes
 
 
 # ---------------------------------------------------------------------------
