@@ -45,6 +45,18 @@ EXIT_PLANNER = 4
 EXIT_SIMULATION = 5
 EXIT_ARTIFACT = 6
 
+# exit code of each error class and its subclasses; any other TunnelPlanError
+# exits with EXIT_SIMULATION
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    MapFormatError: EXIT_MAP,
+    SamplingExhaustedError: EXIT_PLANNER,
+    DisconnectedGraphError: EXIT_PLANNER,
+    NotEulerianError: EXIT_PLANNER,
+    InvalidCircuitError: EXIT_PLANNER,
+    MissingArtifactError: EXIT_ARTIFACT,
+}
+
 SELECTION_COLORS = {
     "best": svgplot.BEST_COLOR,
     "worst": svgplot.WORST_COLOR,
@@ -56,9 +68,6 @@ SELECTION_COLORS = {
 # they are never read beside a new plan
 _STALE_AFTER_PLAN = ("run_*_*.csv", "summary_*.csv", "aggregate_*.csv", "truths_*.svg",
                      "estimate_*.svg", "report.json", "report.txt")
-
-# RunStats fields that identify a run rather than measure it
-_ID_FIELDS = {"circuit_index", "run_index", "mode"}
 
 
 def _f(v) -> str:
@@ -81,25 +90,22 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-def _read_json_artifact(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise MissingArtifactError(
-            f"missing artifact {path.name}: run the plan stage first"
-        ) from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
-
-
-def _load_artifact(loader, path: Path):
+def _load_artifact(path: Path, loader=None):
+    """An earlier stage's artifact, read by loader or else, by its suffix, as
+    JSON or as CSV rows; a missing or unreadable file raises
+    MissingArtifactError naming it."""
     if not path.exists():
         raise MissingArtifactError(
             f"missing artifact {path.name}: run the plan stage first"
         )
     try:
-        return loader(path)
-    except (TunnelPlanError, OSError, ValueError, KeyError, TypeError) as exc:
+        if loader is not None:
+            return loader(path)
+        if path.suffix == ".json":
+            return json.loads(path.read_text())
+        with path.open(newline="") as fh:
+            return list(csv.DictReader(fh))
+    except (TunnelPlanError, OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
 
 
@@ -286,7 +292,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
 
 _STAT_FIELDS = [
     f.name for f in dataclasses.fields(montecarlo.RunStats)
-    if f.name not in _ID_FIELDS
+    if f.name not in montecarlo.ID_FIELDS
 ]
 
 
@@ -318,14 +324,14 @@ def _estimate_svg(env, rec, label: str, mode: str) -> str:
 
 
 def cmd_simulate(cfg: config.RunConfig, out: Path):
-    ranking = _read_json_artifact(out / "ranking.json")
+    ranking = _load_artifact(out / "ranking.json")
     if ranking.get("seed") != cfg.seed:
         raise MissingArtifactError(
             f"ranking.json was produced with seed {ranking.get('seed')}, current "
             f"run uses seed {cfg.seed}; regenerate the plan or pass that seed"
         )
-    g = _load_artifact(roadmap.load_graph, out / "graph.json")
-    cands = _load_artifact(circuits.load_circuits, out / "circuits.json")
+    g = _load_artifact(out / "graph.json", roadmap.load_graph)
+    cands = _load_artifact(out / "circuits.json", circuits.load_circuits)
 
     env = mapenv.load_map(cfg.resolve_map_path())
     kin = cfg.kinematic_profile()
@@ -406,18 +412,6 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
 # report stage
 
 
-def _read_csv_artifact(path: Path) -> list[dict]:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"missing artifact {path.name}: run the earlier stages first"
-        )
-    try:
-        with path.open(newline="") as fh:
-            return list(csv.DictReader(fh))
-    except (OSError, csv.Error) as exc:
-        raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
-
-
 def _named_selections(ranking: dict) -> list[tuple[str, int]]:
     out = []
     for name in ("best", "second_best", "second_worst", "worst"):
@@ -429,9 +423,9 @@ def _named_selections(ranking: dict) -> list[tuple[str, int]]:
 
 
 def cmd_report(cfg: config.RunConfig, out: Path):
-    ranking = _read_json_artifact(out / "ranking.json")
+    ranking = _load_artifact(out / "ranking.json")
     score_rows = {
-        int(r["circuit"]): r for r in _read_csv_artifact(out / "path_scores.csv")
+        int(r["circuit"]): r for r in _load_artifact(out / "path_scores.csv")
     }
     totals = ranking["totals"]
     best, worst = ranking["best"], ranking["worst"]
@@ -459,7 +453,7 @@ def cmd_report(cfg: config.RunConfig, out: Path):
     simulation: dict = {"available": agg_path.exists(), "mode": mode}
     direction_ok = None
     if simulation["available"]:
-        rows = _read_csv_artifact(agg_path)
+        rows = _load_artifact(agg_path)
         sels = {}
         for r in rows:
             sels[r["selection"]] = {
@@ -614,24 +608,8 @@ def main(argv=None) -> int:
             cmd_simulate(cfg, out)
         if args.command in ("report", "all"):
             cmd_report(cfg, out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MissingArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARTIFACT
-    except MapFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MAP
-    except (
-        SamplingExhaustedError,
-        DisconnectedGraphError,
-        NotEulerianError,
-        InvalidCircuitError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLANNER
     except TunnelPlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        return next((_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES),
+                    EXIT_SIMULATION)
     return EXIT_OK

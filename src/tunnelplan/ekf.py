@@ -26,7 +26,7 @@ CONDITION_LIMIT = 1e12
 MIN_TILT_COS = 0.01
 MIN_RANGE = 0.1
 MIN_SIN_ELEVATION = 0.05
-# sym3_minmax: how close to a double eigenvalue the closed form gives way to
+# sym3_max: how close to a double eigenvalue the closed form gives way to
 # deflation, and the relative anisotropy below which it is exact enough
 _PAIR_TOL = 1e-5
 
@@ -210,49 +210,33 @@ def _sym3_root(q, p, phi, k: int) -> np.ndarray:
 def sym3_max(blocks: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of symmetric 3x3 blocks (n, 3, 3), closed form.
 
-    The pec route: near a double smallest eigenvalue the cubic blurs only
-    the smallest, so only a near-double largest pair is deflated.
+    The pec route. Near r = -1 the two largest eigenvalues almost coincide
+    and the cubic fixes them only to about sqrt(machine epsilon); the
+    smallest stays exact, so its eigenvector is deflated and the remaining
+    2x2 solved. A near-double smallest pair blurs only the smallest.
     """
     q, p, phi, r, aniso = _sym3_cubic(blocks)
     lmax = _sym3_root(q, p, phi, 0)
     top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
     if len(top):
         lmin = _sym3_root(q[top], p[top], phi[top], 1)
-        lmax[top] = _deflated_extreme(blocks[top], lmin, 1.0)
+        lmax[top] = _deflated_max(blocks[top], lmin)
     return lmax
 
 
-def sym3_minmax(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of symmetric 3x3 blocks (n, 3, 3),
-    closed form, for condition tests; sym3_max alone is cheaper."""
-    q, p, phi, r, aniso = _sym3_cubic(blocks)
-    lmax = _sym3_root(q, p, phi, 0)
-    lmin = _sym3_root(q, p, phi, 1)
-    # Near r = -1 (+1) the two largest (smallest) eigenvalues almost coincide
-    # and the cubic fixes them only to about sqrt(machine epsilon); the third
-    # stays exact, so deflate its eigenvector and solve the remaining 2x2.
-    top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
-    if len(top):
-        lmax[top] = _deflated_extreme(blocks[top], lmin[top], 1.0)
-    bottom = np.flatnonzero((r > 1.0 - _PAIR_TOL) & aniso)
-    if len(bottom):
-        lmin[bottom] = _deflated_extreme(blocks[bottom], lmax[bottom], -1.0)
-    return lmin, lmax
-
-
-def _deflated_extreme(blocks: np.ndarray, lam: np.ndarray, sign: float) -> np.ndarray:
-    """Largest (sign 1) or smallest (sign -1) eigenvalue of symmetric 3x3
-    blocks, given their well-separated opposite extreme eigenvalue lam."""
+def _deflated_max(blocks: np.ndarray, lmin: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 blocks, given their
+    well-separated smallest eigenvalue lmin."""
     a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
     d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
-    (x1, y1, z1), (x2, y2, z2) = _normal_plane(*_null_vector(a - lam, b - lam, c - lam, d, e, f))
+    (x1, y1, z1), (x2, y2, z2) = _normal_plane(*_null_vector(a - lmin, b - lmin, c - lmin, d, e, f))
     # the block restricted to that plane: [[s11, s12], [s12, s22]]
     bx, by, bz = a * x2 + d * y2 + e * z2, d * x2 + b * y2 + f * z2, e * x2 + f * y2 + c * z2
     s22 = x2 * bx + y2 * by + z2 * bz
     s12 = x1 * bx + y1 * by + z1 * bz
     s11 = (x1 * (a * x1 + d * y1 + e * z1) + y1 * (d * x1 + b * y1 + f * z1)
            + z1 * (e * x1 + f * y1 + c * z1))
-    return 0.5 * (s11 + s22) + sign * np.hypot(0.5 * (s11 - s22), s12)
+    return 0.5 * (s11 + s22) + np.hypot(0.5 * (s11 - s22), s12)
 
 
 def _null_vector(a, b, c, d, e, f):
@@ -291,11 +275,8 @@ def kalman_gain(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
         if not (s > 0.0) or not math.isfinite(s):
             raise SingularInnovationError(f"innovation variance {s} not positive")
         return (P @ H.T) / s
-    if S.shape == (3, 3):
-        lmin, lmax = (float(v[0]) for v in sym3_minmax(S[None]))
-    else:
-        eigs = np.linalg.eigvalsh(S)
-        lmin, lmax = float(eigs[0]), float(eigs[-1])
+    eigs = np.linalg.eigvalsh(S)
+    lmin, lmax = float(eigs[0]), float(eigs[-1])
     if lmin <= 0.0 or lmax / lmin > CONDITION_LIMIT:
         raise SingularInnovationError(
             f"innovation covariance condition {lmax:.3g}/{lmin:.3g} too high"

@@ -48,10 +48,6 @@ class HorizonSingularityError(FilterSingularityError):
     """Camera elevation angle too close to the horizon for noise scaling."""
 
 
-class EmptyTrackError(TunnelPlanError):
-    """Statistics were requested for an empty estimate track."""
-
-
 class ConfigError(TunnelPlanError):
     """Run configuration is missing, malformed, or inconsistent."""
 

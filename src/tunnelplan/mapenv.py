@@ -50,10 +50,6 @@ class BoxObstacle:
         if not np.all(self.lo <= self.hi):
             raise MapFormatError(f"obstacle has min > max: {self.lo} vs {self.hi}")
 
-    def contains(self, p, margin: float = 0.0) -> bool:
-        q = as_point(p)
-        return bool(np.all(q >= self.lo - margin) and np.all(q <= self.hi + margin))
-
 
 @dataclass
 class UgvRig:
@@ -256,7 +252,8 @@ def load_map(path) -> EnvironmentMap:
     """Parse a YAML map file and validate it into an EnvironmentMap.
 
     Unknown keys are rejected rather than ignored, so a misspelt block
-    cannot silently fall back to defaults.
+    cannot silently fall back to defaults. The rig must sit at the origin,
+    where the UWB and camera models (ekf.sight_geometry) put their anchor.
     """
     path = Path(path)
     try:
@@ -292,6 +289,11 @@ def load_map(path) -> EnvironmentMap:
         )
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"ugv block in {path} is malformed: {exc}") from exc
+    if np.any(rig.position != 0.0):
+        raise MapFormatError(
+            f"ugv position in {path} is {rig.position.tolist()}; the rig must sit "
+            "at the frame origin [0, 0, 0]"
+        )
 
     try:
         margin = float(raw.get("collision_margin_m", DEFAULT_COLLISION_MARGIN))

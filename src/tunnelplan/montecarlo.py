@@ -138,76 +138,55 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
     except FilterSingularityError:
         alt_ok = False
 
-    cam_steps = np.flatnonzero(table["cam"])
-    lidar_steps = np.flatnonzero(table["lidar"])
-    cam_gate = dict(zip(cam_steps.tolist(),
-                        env.camera_sees_many(truth.pos[cam_steps]).tolist()))
-    lidar_gate = dict(zip(lidar_steps.tolist(),
-                          env.lidar_sees_many(truth.pos[lidar_steps]).tolist()))
-    rig_pos = env.rig.position
+    # where each sensor delivers a reading, in the fire table's sensor order:
+    # its schedule, its field-of-view gate and its guards
+    fires = {sensor: steps.copy() for sensor, steps in table.items()}
+    for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):
+        steps = np.flatnonzero(table[sensor])
+        fires[sensor][steps] = gate(truth.pos[steps])
+    dist, sin_elev = ekf.sight_geometry(truth.pos)
+    in_range = ekf.range_ok(dist)
+    fires["alt"] &= alt_ok
+    fires["uwb"] &= in_range
+    fires["cam"] &= in_range & ekf.elevation_ok(sin_elev)
 
     sd_alt = math.sqrt(noise.r_alt)
     sd_uwb = math.sqrt(noise.r_uwb)
-    chol_cam = np.linalg.cholesky(noise.r_cam)
-    chol_lidar = np.linalg.cholesky(noise.r_lidar)
+    chol = {"cam": np.linalg.cholesky(noise.r_cam), "lidar": np.linalg.cholesky(noise.r_lidar)}
     cos_tilt = math.cos(attitude.roll) * math.cos(attitude.pitch)
 
     events: list[MeasurementEvent] = []
-
-    def finalize(step, sensor, value, gamma=None):
-        outlier = bool(noisy and outlier_prob > 0.0 and rng.random() < outlier_prob)
-        dropped = bool(dropout > 0.0 and rng.random() < dropout)
-        events.append(MeasurementEvent(step=step, t=step * ts, sensor=sensor,
-                                       value=value, gamma=gamma,
-                                       dropped=dropped, outlier=outlier))
-        return outlier
-
-    dist, sin_elev = ekf.sight_geometry(truth.pos)
-    in_range = ekf.range_ok(dist)
-    above_horizon = ekf.elevation_ok(sin_elev)
-
     for k in planner.sensor_ticks(table).tolist():
         r = truth.pos[k]
         d = float(dist[k])
-        if table["alt"][k] and alt_ok:
-            z = -r[2] / cos_tilt
-            if noisy:
-                w = sd_alt * rng.standard_normal()
-                z += w
-                if finalize(k, "alt", z):
-                    events[-1].value += (outlier_scale - 1.0) * w
+        for sensor, fire in fires.items():
+            if not fire[k]:
+                continue
+            # the exact value and the noise scale: the standard deviation of
+            # a scalar reading, a factor on the Cholesky factor of a vector one
+            gamma = None
+            if sensor == "alt":
+                z, sd = -r[2] / cos_tilt, sd_alt
+            elif sensor == "uwb":
+                z, sd = d, sd_uwb
+            elif sensor == "cam":
+                z, sd = r / d, math.sqrt(1.0 / abs(sin_elev[k]))
             else:
-                finalize(k, "alt", z)
-        if table["uwb"][k] and in_range[k]:
-            z = d
+                gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(r - env.rig.position)))
+                z, sd = r, math.sqrt(gamma)
+            outlier = False
             if noisy:
-                w = sd_uwb * rng.standard_normal()
-                z += w
-                if finalize(k, "uwb", z):
-                    events[-1].value += (outlier_scale - 1.0) * w
-            else:
-                finalize(k, "uwb", z)
-        if (table["cam"][k] and cam_gate.get(k, False) and in_range[k]
-                and above_horizon[k]):
-            z = r / d
-            if noisy:
-                w = math.sqrt(1.0 / abs(sin_elev[k])) * (chol_cam @ rng.standard_normal(3))
+                L = chol.get(sensor)
+                w = sd * (rng.standard_normal() if L is None else L @ rng.standard_normal(3))
                 z = z + w
-                if finalize(k, "cam", z / np.linalg.norm(z)):
+                outlier = bool(outlier_prob > 0.0 and rng.random() < outlier_prob)
+                if outlier:
                     z = z + (outlier_scale - 1.0) * w
-                    events[-1].value = z / np.linalg.norm(z)
-            else:
-                finalize(k, "cam", z)
-        if table["lidar"][k] and lidar_gate.get(k, False):
-            gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(r - rig_pos)))
-            z = r
-            if noisy:
-                w = math.sqrt(gamma) * (chol_lidar @ rng.standard_normal(3))
-                z = z + w
-                if finalize(k, "lidar", z, gamma):
-                    events[-1].value = events[-1].value + (outlier_scale - 1.0) * w
-            else:
-                finalize(k, "lidar", z, gamma)
+                if sensor == "cam":
+                    z = z / np.linalg.norm(z)
+            dropped = bool(dropout > 0.0 and rng.random() < dropout)
+            events.append(MeasurementEvent(step=k, t=k * ts, sensor=sensor, value=z,
+                                           gamma=gamma, dropped=dropped, outlier=outlier))
     return events
 
 
@@ -341,7 +320,8 @@ def compute_stats(truth: TruthTrajectory, result, events=None,
     )
 
 
-_AGGREGATE_SKIP = {"circuit_index", "run_index", "mode"}
+# RunStats fields that identify a run rather than measure it
+ID_FIELDS = {"circuit_index", "run_index", "mode"}
 
 
 def aggregate_trials(stats_list) -> dict:
@@ -351,7 +331,7 @@ def aggregate_trials(stats_list) -> dict:
         raise ValueError("no runs to aggregate")
     out: dict = {"runs": len(stats_list)}
     for f in fields(RunStats):
-        if f.name in _AGGREGATE_SKIP:
+        if f.name in ID_FIELDS:
             continue
         values = np.array([getattr(s, f.name) for s in stats_list], dtype=float)
         out[f"{f.name}_mean"] = float(values.mean())

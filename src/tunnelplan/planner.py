@@ -327,7 +327,8 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor) -> n
     ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
     if not ok.all():
         check = np.flatnonzero(~ok)
-        lmin, lmax = ekf.sym3_minmax(S[check])
+        eigs = np.linalg.eigvalsh(S[check])
+        lmin, lmax = eigs[:, 0], eigs[:, -1]
         ok[check] = (lmin > 0.0) & (
             lmax / np.where(lmin > 0.0, lmin, 1.0) <= ekf.CONDITION_LIMIT
         )
@@ -649,26 +650,6 @@ class RankingReport:
     order: list
     totals: list
     degenerate: bool
-
-    def selection(self, name: str) -> int:
-        named = {
-            "best": self.best,
-            "worst": self.worst,
-            "second_best": self.second_best,
-            "second_worst": self.second_worst,
-        }
-        if name in named:
-            value = named[name]
-            if value is None:
-                raise ValueError(f"selection {name!r} not available with {len(self.totals)} candidates")
-            return value
-        try:
-            idx = int(name)
-        except ValueError:
-            raise ValueError(f"unknown selection {name!r}") from None
-        if not 0 <= idx < len(self.totals):
-            raise ValueError(f"candidate index {idx} out of range")
-        return idx
 
 
 def score_and_select(scores) -> RankingReport:

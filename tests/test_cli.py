@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunnelplan import cli
+from tunnelplan import cli, errors
 
 # small-but-real configuration so full pipeline runs stay fast; seed 3 is
 # known to give a connected roadmap at these sizes
@@ -327,6 +327,41 @@ class TestExitCodes:
         rc = cli.main(["simulate", "--config", str(reduced_cfg), "--out", str(work)])
         assert rc == 6
         assert "ranking.json" in capsys.readouterr().err
+
+    def test_corrupt_csv_artifact_exits_6_naming_file(
+        self, reduced_cfg, plan_out, tmp_path, capsys
+    ):
+        work = copy_plan(plan_out, tmp_path)
+        # a field over the csv module's size limit raises csv.Error
+        (work / "path_scores.csv").write_text('circuit\n"' + "9" * 200_000 + '"\n')
+        rc = cli.main(["report", "--config", str(reduced_cfg), "--out", str(work)])
+        assert rc == 6
+        assert "corrupt artifact path_scores.csv" in capsys.readouterr().err
+
+    class PlannerDetail(errors.InvalidCircuitError):
+        pass
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.ConfigError, 2),
+        (errors.MapFormatError, 3),
+        (errors.SamplingExhaustedError, 4),
+        (errors.DisconnectedGraphError, 4),
+        (errors.NotEulerianError, 4),
+        (errors.InvalidCircuitError, 4),
+        (PlannerDetail, 4),
+        (errors.FilterSingularityError, 5),
+        (errors.SingularInnovationError, 5),
+        (errors.TunnelPlanError, 5),
+        (errors.MissingArtifactError, 6),
+    ])
+    def test_exit_code_of_each_error_class(self, monkeypatch, tmp_path, capsys,
+                                           error, code):
+        def fail(cfg, out):
+            raise error("stage failed")
+
+        monkeypatch.setattr(cli, "cmd_plan", fail)
+        assert cli.main(["plan", "--out", str(tmp_path / "o")]) == code
+        assert "error: stage failed" in capsys.readouterr().err
 
     def test_seed_mismatch_with_artifacts_exits_6(
         self, reduced_cfg, plan_out, tmp_path, capsys

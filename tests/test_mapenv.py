@@ -148,6 +148,10 @@ class TestLoading:
         ("obstacles:\n  - {lo: [1, 1, -1], hi: [2, 2, 0]}\n", "obstacle 0"),
         ("ugv:\n  lidar_pitch: 30.0\n", "ugv block"),
         ("ugv: [0, 0, 0]\n", "ugv block"),
+        # the UWB and camera models range from the origin, the gates from the
+        # rig, so a moved rig would give the two inconsistent geometry
+        ("ugv:\n  position: [1.0, 0.0, 0.0]\n", "frame origin"),
+        ("ugv:\n  position: [0, 0, -0.5]\n", "frame origin"),
     ])
     def test_unknown_or_malformed_block_rejected(self, tmp_path, text, where):
         bad = tmp_path / "bad.yaml"

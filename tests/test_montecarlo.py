@@ -124,7 +124,7 @@ class TestSimulateTruth:
 
 
 def straight_run_events(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
-                        sigma=0.0, rates=None, outlier_prob=0.0):
+                        sigma=0.0, rates=None, outlier_prob=0.0, outlier_scale=10.0):
     env = empty_env(bounds_max=(300.0, 5.0, 0.0))
     g, c = out_and_back([3.0, 1.0, -2.0], [n_len, 1.0, -2.0])
     nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
@@ -134,7 +134,7 @@ def straight_run_events(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
     events = montecarlo.synthesize_measurements(
         truth, env, rates, ekf.NoiseConfig(), ekf.Attitude(),
         np.random.default_rng(seed + 1), mode=mode, dropout=dropout,
-        outlier_prob=outlier_prob)
+        outlier_prob=outlier_prob, outlier_scale=outlier_scale)
     return env, truth, events
 
 
@@ -176,6 +176,27 @@ class TestSynthesis:
         for ev, want in zip(events, clean):
             assert (ev.step, ev.sensor, ev.dropped) == (want.step, want.sensor, want.dropped)
             assert np.array_equal(ev.value, want.value)
+
+    @pytest.mark.parametrize("scale", [0.5, 10.0])
+    def test_outlier_scales_the_noise_draw(self, scale):
+        # every reading an outlier and the same draws: the residual against
+        # the exact value grows by outlier_scale, camera values stay unit
+        _, _, exact = straight_run_events(mode="perfect")
+        _, _, unit = straight_run_events(outlier_prob=1.0, outlier_scale=1.0)
+        _, _, scaled = straight_run_events(outlier_prob=1.0, outlier_scale=scale)
+        assert len(exact) == len(unit) == len(scaled)
+        seen = set()
+        for ex, u, s in zip(exact, unit, scaled):
+            assert (ex.step, ex.sensor) == (u.step, u.sensor) == (s.step, s.sensor)
+            assert u.outlier and s.outlier
+            seen.add(s.sensor)
+            if s.sensor == "cam":
+                assert np.linalg.norm(s.value) == pytest.approx(1.0, abs=1e-12)
+                continue
+            residual = np.asarray(s.value) - ex.value
+            assert np.allclose(residual, scale * (np.asarray(u.value) - ex.value),
+                               rtol=1e-9, atol=1e-12)
+        assert seen == {"alt", "uwb", "cam", "lidar"}
 
     def test_lidar_gating_matches_environment(self, tunnel):
         g, c = tunnel_fixture(tunnel)

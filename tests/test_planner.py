@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tunnelplan import circuits, ekf, mapenv, planner, roadmap
-from tunnelplan.errors import InvalidCircuitError
+from tunnelplan import circuits, cli, ekf, mapenv, planner, roadmap
+from tunnelplan.errors import ConfigError, InvalidCircuitError
 
 
 def empty_env(rig=None):
@@ -375,14 +375,19 @@ class TestRanking:
             planner.score_and_select([])
 
     def test_selection_lookup(self):
-        report = planner.score_and_select([make_score(0, 5.0), make_score(1, 2.0), make_score(2, 9.0)])
-        assert report.selection("best") == 1
-        assert report.selection("worst") == 2
-        assert report.selection("second_best") == 0
-        assert report.selection("second_worst") == 0
-        assert report.selection("2") == 2
-        with pytest.raises(ValueError):
-            report.selection("tenth")
+        report = planner.score_and_select(
+            [make_score(0, 5.0), make_score(1, 2.0), make_score(2, 9.0), make_score(3, 7.0)])
+        ranking = {"totals": report.totals, "best": report.best, "worst": report.worst,
+                   "second_best": report.second_best, "second_worst": report.second_worst}
+        assert cli._resolve_selection(ranking, "best") == 1
+        assert cli._resolve_selection(ranking, "worst") == 2
+        assert cli._resolve_selection(ranking, "second_best") == 0
+        assert cli._resolve_selection(ranking, "second_worst") == 3
+        assert cli._resolve_selection(ranking, "2") == 2
+        assert cli._resolve_selection(ranking, 3) == 3
+        for bad in ("tenth", "4", 4):
+            with pytest.raises(ConfigError):
+                cli._resolve_selection(ranking, bad)
 
 
 class TestThreshold:
