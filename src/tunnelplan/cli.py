@@ -90,10 +90,27 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
+# rows formatted per write: formatting a whole per-step series at once holds
+# its text and every value as a Python float, some 14 MB for a 27k-step run
+_TABLE_BLOCK = 2048
+
+
+def _write_table(path: Path, header: str, fmt, arr: np.ndarray):
+    """Write the rows of arr (n, len(fmt)) below a header line, the same
+    bytes as np.savetxt(path, arr, fmt=fmt, delimiter=",", header=header,
+    comments="")."""
+    line = ",".join(fmt) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(arr), _TABLE_BLOCK):
+            block = arr[i:i + _TABLE_BLOCK]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def _load_artifact(path: Path, loader=None):
-    """An earlier stage's artifact, read by loader or else, by its suffix, as
-    JSON or as CSV rows; a missing or unreadable file raises
-    MissingArtifactError naming it."""
+    """An earlier stage's artifact, read by loader or else as CSV rows; a
+    missing, unreadable or malformed file raises MissingArtifactError naming
+    it."""
     if not path.exists():
         raise MissingArtifactError(
             f"missing artifact {path.name}: run the plan stage first"
@@ -101,12 +118,64 @@ def _load_artifact(path: Path, loader=None):
     try:
         if loader is not None:
             return loader(path)
-        if path.suffix == ".json":
-            return json.loads(path.read_text())
         with path.open(newline="") as fh:
             return list(csv.DictReader(fh))
     except (TunnelPlanError, OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
+
+
+# ranking.json keys the simulate and report stages read, and those of its graph
+_RANKING_KEYS = ("seed", "best", "worst", "second_best", "second_worst", "totals",
+                 "degenerate", "graph")
+_GRAPH_KEYS = ("nodes", "distinct_edges", "edge_instances", "total_length_m")
+
+_PATH_SCORE_HEADER = [
+    "circuit", "length_m", "flight_time_s", "pec_total_m2", "pec_max_m2",
+    "pec_mean_m2", "pec_median_m2", "pec_sigma_m2", "pec_rms_m2",
+    "cam_updates", "lidar_updates", "skipped_updates", "duplicate",
+    "threshold_ok", "within_flight_limit",
+]
+# path_scores.csv columns the report stage reads, as numbers or as flags
+_PATH_SCORE_FLOATS = ("length_m", "flight_time_s", "pec_total_m2", "pec_max_m2",
+                      "pec_mean_m2", "pec_median_m2", "pec_sigma_m2", "pec_rms_m2")
+_PATH_SCORE_FLAGS = ("threshold_ok", "within_flight_limit")
+
+
+def _read_ranking(path: Path) -> dict:
+    """ranking.json, checked for every key and index the later stages read."""
+    ranking = json.loads(path.read_text())
+    if not isinstance(ranking, dict) or not isinstance(ranking.get("graph"), dict):
+        raise ValueError("not a ranking object with a graph object")
+    missing = [k for k in _RANKING_KEYS if k not in ranking]
+    missing += [f"graph.{k}" for k in _GRAPH_KEYS if k not in ranking["graph"]]
+    if missing:
+        raise ValueError(f"missing keys {', '.join(missing)}")
+    totals = ranking["totals"]
+    if not isinstance(totals, list) or not all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in totals):
+        raise ValueError("totals is not a list of numbers")
+    for key in ("best", "worst", "second_best", "second_worst"):
+        idx = ranking[key]
+        if idx is None and key.startswith("second_"):
+            continue
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < len(totals):
+            raise ValueError(f"{key} is not a candidate index")
+    return ranking
+
+
+def _read_path_scores(path: Path) -> dict:
+    """path_scores.csv as {circuit: the numbers and flags report reads}."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in _PATH_SCORE_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"missing columns {', '.join(missing)}")
+    return {
+        int(r["circuit"]): {**{c: float(r[c]) for c in _PATH_SCORE_FLOATS},
+                            **{c: r[c] == "true" for c in _PATH_SCORE_FLAGS}}
+        for r in rows
+    }
 
 
 def _resolve_selection(ranking: dict, sel) -> int:
@@ -220,12 +289,6 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
     roadmap.save_graph(g, out / "graph.json")
     circuits.save_circuits(cands, out / "circuits.json")
 
-    header = [
-        "circuit", "length_m", "flight_time_s", "pec_total_m2", "pec_max_m2",
-        "pec_mean_m2", "pec_median_m2", "pec_sigma_m2", "pec_rms_m2",
-        "cam_updates", "lidar_updates", "skipped_updates", "duplicate",
-        "threshold_ok", "within_flight_limit",
-    ]
     rows = [
         [
             s.circuit_index, _f(s.length), _f(s.flight_time), _f(s.total),
@@ -236,7 +299,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         ]
         for s in scores
     ]
-    _write_csv(out / "path_scores.csv", header, rows)
+    _write_csv(out / "path_scores.csv", _PATH_SCORE_HEADER, rows)
 
     ranking = _ranking_dict(report, cfg, g, base_edges)
     _write_json(out / "ranking.json", ranking)
@@ -262,10 +325,9 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
                 s.cam_fired.astype(int), s.lidar_fired.astype(int),
             ]
         )
-        np.savetxt(
-            out / f"pec_series_{label}.csv", arr,
-            fmt=["%d", "%.3f", "%.9g", "%d", "%d"], delimiter=",",
-            header="step,t_s,pec_m2,cam_fired,lidar_fired", comments="",
+        _write_table(
+            out / f"pec_series_{label}.csv", "step,t_s,pec_m2,cam_fired,lidar_fired",
+            ["%d", "%.3f", "%.9g", "%d", "%d"], arr,
         )
         (out / f"route_{label}.svg").write_text(
             _route_svg(env, g, cands[idx], label)
@@ -324,7 +386,7 @@ def _estimate_svg(env, rec, label: str, mode: str) -> str:
 
 
 def cmd_simulate(cfg: config.RunConfig, out: Path):
-    ranking = _load_artifact(out / "ranking.json")
+    ranking = _load_artifact(out / "ranking.json", _read_ranking)
     if ranking.get("seed") != cfg.seed:
         raise MissingArtifactError(
             f"ranking.json was produced with seed {ranking.get('seed')}, current "
@@ -365,12 +427,10 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
                     res.est[:, 3:], err3, res.pec,
                 ]
             )
-            np.savetxt(
-                out / f"run_{label}_{mode}_{i}.csv", arr,
-                fmt=["%d", "%.3f"] + ["%.9g"] * 8, delimiter=",",
-                header="step,t_s,truth_n,truth_e,truth_d,"
-                       "est_n,est_e,est_d,err_3d_m,pec_m2",
-                comments="",
+            _write_table(
+                out / f"run_{label}_{mode}_{i}.csv",
+                "step,t_s,truth_n,truth_e,truth_d,est_n,est_e,est_d,err_3d_m,pec_m2",
+                ["%d", "%.3f"] + ["%.9g"] * 8, arr,
             )
         stats = [rec.stats for rec in records]
         _write_csv(
@@ -423,30 +483,20 @@ def _named_selections(ranking: dict) -> list[tuple[str, int]]:
 
 
 def cmd_report(cfg: config.RunConfig, out: Path):
-    ranking = _load_artifact(out / "ranking.json")
-    score_rows = {
-        int(r["circuit"]): r for r in _load_artifact(out / "path_scores.csv")
-    }
+    ranking = _load_artifact(out / "ranking.json", _read_ranking)
+    score_rows = _load_artifact(out / "path_scores.csv", _read_path_scores)
     totals = ranking["totals"]
     best, worst = ranking["best"], ranking["worst"]
     ratio = totals[worst] / totals[best] if totals[best] > 0 else float("inf")
 
     planning = {}
     for name, idx in _named_selections(ranking):
-        r = score_rows[idx]
-        planning[name] = {
-            "circuit": idx,
-            "length_m": float(r["length_m"]),
-            "flight_time_s": float(r["flight_time_s"]),
-            "pec_total_m2": float(r["pec_total_m2"]),
-            "pec_max_m2": float(r["pec_max_m2"]),
-            "pec_mean_m2": float(r["pec_mean_m2"]),
-            "pec_median_m2": float(r["pec_median_m2"]),
-            "pec_sigma_m2": float(r["pec_sigma_m2"]),
-            "pec_rms_m2": float(r["pec_rms_m2"]),
-            "threshold_ok": r["threshold_ok"] == "true",
-            "within_flight_limit": r["within_flight_limit"] == "true",
-        }
+        if idx not in score_rows:
+            raise MissingArtifactError(
+                f"path_scores.csv has no row for circuit {idx} of ranking.json; "
+                "run the plan stage again"
+            )
+        planning[name] = {"circuit": idx, **score_rows[idx]}
 
     mode = cfg.simulate.mode
     agg_path = out / f"aggregate_{mode}.csv"

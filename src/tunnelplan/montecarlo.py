@@ -110,6 +110,112 @@ class MeasurementEvent:
     outlier: bool = False
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (n, 3), bit for bit as
+    np.linalg.norm of that row alone computes it (a dot product)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _draw_in_order(rng, widths: np.ndarray, uniforms: int):
+    """The draws of readings that take them one after another: widths[i]
+    normals, then the given number of uniforms, for each reading i.
+
+    Returns all normals in order and a (readings, uniforms) array. This is
+    the one walk over single readings: a bulk draw would order the stream
+    differently.
+    """
+    normal = rng.standard_normal
+    extra = (rng.random,) * uniforms
+    normals: list = []
+    drawn: list = []
+    for w in widths.tolist():
+        if w == 1:
+            normals.append(normal())
+        elif w:
+            normals.extend(normal(w))
+        for draw in extra:
+            drawn.append(draw())
+    return np.array(normals), np.array(drawn).reshape(len(widths), uniforms)
+
+
+def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, noisy: bool,
+                     dropout: float, outlier_prob: float, outlier_scale: float):
+    """Each sensor's readings as arrays over the steps where it fires.
+
+    Returns {sensor: (steps, values, dropped, outlier)} in the fire table's
+    sensor order, the lidar noise scale at its steps, and the order that
+    lists the readings of all sensors, numbered sensor by sensor, by step
+    and then sensor.
+    """
+    pos = truth.pos
+    table = rates.fire_table(truth.commanded.steps)
+    try:
+        ekf.altimeter_model(np.zeros(6), attitude)
+        alt_ok = True
+    except FilterSingularityError:
+        alt_ok = False
+
+    # where each sensor delivers a reading: its schedule, its field-of-view
+    # gate and its guards
+    fires = {sensor: steps.copy() for sensor, steps in table.items()}
+    for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):
+        steps = np.flatnonzero(table[sensor])
+        fires[sensor][steps] = gate(pos[steps])
+    dist, sin_elev = ekf.sight_geometry(pos)
+    in_range = ekf.range_ok(dist)
+    fires["alt"] &= alt_ok
+    fires["uwb"] &= in_range
+    fires["cam"] &= in_range & ekf.elevation_ok(sin_elev)
+    at = {sensor: np.flatnonzero(fire) for sensor, fire in fires.items()}
+
+    # exact values and noise scales: the standard deviation of a scalar
+    # reading, a factor on the Cholesky factor of a vector one
+    gamma = noise.lidar_gamma.gamma(_row_norms(pos[at["lidar"]] - env.rig.position))
+    cos_tilt = math.cos(attitude.roll) * math.cos(attitude.pitch)
+    exact = {"alt": -pos[at["alt"], 2] / cos_tilt, "uwb": dist[at["uwb"]],
+             "cam": pos[at["cam"]] / dist[at["cam"], None], "lidar": pos[at["lidar"]]}
+    scale = {"alt": math.sqrt(noise.r_alt), "uwb": math.sqrt(noise.r_uwb),
+             "cam": np.sqrt(1.0 / np.abs(sin_elev[at["cam"]]))[:, None],
+             "lidar": np.sqrt(gamma)[:, None]}
+    chol = {"cam": np.linalg.cholesky(noise.r_cam), "lidar": np.linalg.cholesky(noise.r_lidar)}
+
+    sensors = list(fires)
+    sizes = [len(at[sensor]) for sensor in sensors]
+    bounds = np.cumsum([0] + sizes)
+    step = np.concatenate([at[sensor] for sensor in sensors])
+    order = np.argsort(step * len(sensors) + np.repeat(np.arange(len(sensors)), sizes),
+                       kind="stable")
+    width = np.repeat([3 if sensor in chol else 1 for sensor in sensors], sizes) * noisy
+    normals, drawn = _draw_in_order(rng, width[order],
+                                    (noisy and outlier_prob > 0.0) + (dropout > 0.0))
+    # where each reading's draws sit, by the sensor-by-sensor numbering
+    first = np.empty(len(step), dtype=int)
+    first[order] = np.cumsum(width[order]) - width[order]
+    u = np.empty_like(drawn)
+    u[order] = drawn
+
+    readings = {}
+    for i, sensor in enumerate(sensors):
+        part = slice(bounds[i], bounds[i + 1])
+        z = exact[sensor]
+        outlier = np.zeros(sizes[i], dtype=bool)
+        if noisy:
+            if sensor in chol:
+                draws = normals[first[part, None] + np.arange(3)]
+                w = scale[sensor] * (chol[sensor] @ draws[:, :, None])[:, :, 0]
+            else:
+                w = scale[sensor] * normals[first[part]]
+            z = z + w
+            if outlier_prob > 0.0:
+                outlier = u[part, 0] < outlier_prob
+                z[outlier] += (outlier_scale - 1.0) * w[outlier]
+            if sensor == "cam":
+                z = z / _row_norms(z)[:, None]
+        dropped = u[part, -1] < dropout if dropout > 0.0 else np.zeros(sizes[i], dtype=bool)
+        readings[sensor] = (at[sensor], z, dropped, outlier)
+    return readings, gamma, order
+
+
 def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
                             rng, mode: str = "noisy", dropout: float = 0.0,
                             outlier_prob: float = 0.0,
@@ -122,72 +228,30 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
     sensor's configured covariance, and an outlier scales its draw by
     outlier_scale. Dropout marks events as lost without removing them, so
     replay can skip them while statistics still count them.
+
+    Events come in step order and, at one step, in the fire table's sensor
+    order. Each takes its draws from rng in that order: its noise normals
+    (noisy mode; one for a scalar reading, three for a vector one), then
+    its outlier uniform (noisy mode, outlier_prob > 0), then its dropout
+    uniform (dropout > 0).
     """
     if mode not in ("noisy", "perfect"):
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
     if not 0.0 <= dropout <= 1.0:
         raise ValueError("dropout must be within [0, 1]")
-    n = truth.commanded.steps
-    ts = truth.commanded.ts
-    table = rates.fire_table(n)
-    noisy = mode == "noisy"
-
-    try:
-        ekf.altimeter_model(np.zeros(6), attitude)
-        alt_ok = True
-    except FilterSingularityError:
-        alt_ok = False
-
-    # where each sensor delivers a reading, in the fire table's sensor order:
-    # its schedule, its field-of-view gate and its guards
-    fires = {sensor: steps.copy() for sensor, steps in table.items()}
-    for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):
-        steps = np.flatnonzero(table[sensor])
-        fires[sensor][steps] = gate(truth.pos[steps])
-    dist, sin_elev = ekf.sight_geometry(truth.pos)
-    in_range = ekf.range_ok(dist)
-    fires["alt"] &= alt_ok
-    fires["uwb"] &= in_range
-    fires["cam"] &= in_range & ekf.elevation_ok(sin_elev)
-
-    sd_alt = math.sqrt(noise.r_alt)
-    sd_uwb = math.sqrt(noise.r_uwb)
-    chol = {"cam": np.linalg.cholesky(noise.r_cam), "lidar": np.linalg.cholesky(noise.r_lidar)}
-    cos_tilt = math.cos(attitude.roll) * math.cos(attitude.pitch)
-
-    events: list[MeasurementEvent] = []
-    for k in planner.sensor_ticks(table).tolist():
-        r = truth.pos[k]
-        d = float(dist[k])
-        for sensor, fire in fires.items():
-            if not fire[k]:
-                continue
-            # the exact value and the noise scale: the standard deviation of
-            # a scalar reading, a factor on the Cholesky factor of a vector one
-            gamma = None
-            if sensor == "alt":
-                z, sd = -r[2] / cos_tilt, sd_alt
-            elif sensor == "uwb":
-                z, sd = d, sd_uwb
-            elif sensor == "cam":
-                z, sd = r / d, math.sqrt(1.0 / abs(sin_elev[k]))
-            else:
-                gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(r - env.rig.position)))
-                z, sd = r, math.sqrt(gamma)
-            outlier = False
-            if noisy:
-                L = chol.get(sensor)
-                w = sd * (rng.standard_normal() if L is None else L @ rng.standard_normal(3))
-                z = z + w
-                outlier = bool(outlier_prob > 0.0 and rng.random() < outlier_prob)
-                if outlier:
-                    z = z + (outlier_scale - 1.0) * w
-                if sensor == "cam":
-                    z = z / np.linalg.norm(z)
-            dropped = bool(dropout > 0.0 and rng.random() < dropout)
-            events.append(MeasurementEvent(step=k, t=k * ts, sensor=sensor, value=z,
-                                           gamma=gamma, dropped=dropped, outlier=outlier))
-    return events
+    # the arrays are built and dropped before any event exists, so the
+    # events do not sit among their freed temporaries
+    readings, gamma, order = _sensor_readings(truth, env, rates, noise, attitude, rng,
+                                              mode == "noisy", dropout, outlier_prob,
+                                              outlier_scale)
+    events: list = []
+    for sensor, (steps, z, dropped, outlier) in readings.items():
+        n = len(steps)
+        events += map(MeasurementEvent, steps.tolist(), (steps * truth.commanded.ts).tolist(),
+                      [sensor] * n, z.tolist() if z.ndim == 1 else list(z),
+                      gamma.tolist() if sensor == "lidar" else [None] * n,
+                      dropped.tolist(), outlier.tolist())
+    return [events[i] for i in order.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +261,34 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
 def _readings(events_list, n: int, rates) -> planner.Readings:
     """Undropped events of each run laid out on the schedule's tick axis."""
     ticks = planner.sensor_ticks(rates.fire_table(n))
-    tick_of = np.full(n + 1, -1)
+    tick_of = np.full(n + 2, -1)
     tick_of[ticks] = np.arange(len(ticks))
     shape = (len(events_list), len(ticks))
-    offered = {s: np.zeros(shape, dtype=bool) for s in ("alt", "uwb", "cam", "lidar")}
+    offered = {s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER}
     value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
              "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
     gamma = np.ones(shape)
     for b, events in enumerate(events_list):
+        steps = np.array([ev.step for ev in events], dtype=int)
+        off_tick = tick_of[np.clip(steps, 0, n + 1)] < 0
+        if off_tick.any():
+            raise ValueError(f"measurement event at step {steps[off_tick][0]} is not a "
+                             f"sensor tick of steps 1..{n}")
+        kept: dict = {s: [] for s in planner.SENSOR_ORDER}
         for ev in events:
-            ti = tick_of[ev.step] if 1 <= ev.step <= n else -1
-            if ti < 0:
-                raise ValueError(f"measurement event at step {ev.step} is not a "
-                                 f"sensor tick of steps 1..{n}")
-            if ev.dropped:
+            if not ev.dropped:
+                kept[ev.sensor].append(ev)
+        for sensor, evs in kept.items():
+            if not evs:
                 continue
-            if offered[ev.sensor][b, ti]:
-                raise ValueError(f"two {ev.sensor} events at step {ev.step}")
-            offered[ev.sensor][b, ti] = True
-            value[ev.sensor][b, ti] = ev.value
-            if ev.sensor == "lidar":
-                gamma[b, ti] = ev.gamma
+            ti = tick_of[np.array([ev.step for ev in evs], dtype=int)]
+            at, count = np.unique(ti, return_counts=True)
+            if (count > 1).any():
+                raise ValueError(f"two {sensor} events at step {ticks[at[count > 1][0]]}")
+            offered[sensor][b, ti] = True
+            value[sensor][b, ti] = [ev.value for ev in evs]
+            if sensor == "lidar":
+                gamma[b, ti] = [ev.gamma for ev in evs]
     return planner.Readings(offered=offered, value=value, gamma=gamma)
 
 

@@ -283,9 +283,10 @@ def _log_skips(skipped, members, step, sensor, reason) -> None:
         skipped[b].append((step, sensor, reason))
 
 
-def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
+def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor):
     """Joseph-form update of members idx by scalar readings.
 
+    idx selects members: slice(None) for all of them, else an index array.
     With w = P h and K = w / s, (I - K h')P = P - K w', so the Joseph form
     is M - (M h - r K) K' with M = P - K w'. innov is None in planning (zero
     innovation, mean untouched). Members whose innovation variance is not
@@ -296,6 +297,7 @@ def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
     s = (w * H).sum(axis=1) + r
     ok = (s > 0.0) & np.isfinite(s)
     if not ok.all():
+        idx = np.arange(len(P))[idx]
         _log_skips(skipped, idx[~ok], step, sensor, "innovation variance not positive")
         idx, Psub, w, s, H = idx[ok], Psub[ok], w[ok], s[ok], H[ok]
         innov = None if innov is None else innov[ok]
@@ -308,20 +310,23 @@ def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor) -> np.ndarray:
     return idx
 
 
-def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor) -> np.ndarray:
-    """Joseph-form update of members idx by 3-vector readings.
+def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
+    """Joseph-form update of members idx (as in _scalar_update) by 3-vector
+    readings.
 
     The Jacobians are zero in the velocity columns and Hr (n, 3, 3), their
     position block, is symmetric, so with HP = H P, G = inv(S) HP and K = G'
     the Joseph form is M - (M H' - K Reff) G with M = P - K HP, and no
-    product needs a transposed operand. rmin bounds the smallest eigenvalue
-    of each Reff from below. Members whose innovation covariance is singular
-    or worse conditioned than ekf.CONDITION_LIMIT are logged and left as
-    they are; returns the members updated.
+    product needs a transposed operand. Hr None stands for the identity,
+    whose products are the position rows and columns themselves. rmin
+    bounds the smallest eigenvalue of each Reff from below. Members whose
+    innovation covariance is singular or worse conditioned than
+    ekf.CONDITION_LIMIT are logged and left as they are; returns the members
+    updated.
     """
     Psub = P[idx]
-    HP = Hr @ Psub[:, 3:, :]
-    S = HP[:, :, 3:] @ Hr + Reff
+    HP = Psub[:, 3:, :] if Hr is None else Hr @ Psub[:, 3:, :]
+    S = HP[:, :, 3:] + Reff if Hr is None else HP[:, :, 3:] @ Hr + Reff
     # for PSD P, lmin(S) >= lmin(Reff) and lmax(S) <= trace(S), so this
     # certifies the condition test; only the other members need eigenvalues
     ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
@@ -332,18 +337,29 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor) -> n
         ok[check] = (lmin > 0.0) & (
             lmax / np.where(lmin > 0.0, lmin, 1.0) <= ekf.CONDITION_LIMIT
         )
-    if not ok.all():
-        _log_skips(skipped, idx[~ok], step, sensor, "innovation covariance singular")
-        idx, Psub, HP, S, Hr, Reff = idx[ok], Psub[ok], HP[ok], S[ok], Hr[ok], Reff[ok]
-        innov = None if innov is None else innov[ok]
+        if not ok.all():
+            idx = np.arange(len(P))[idx]
+            _log_skips(skipped, idx[~ok], step, sensor, "innovation covariance singular")
+            idx, Psub, HP, S, Reff = idx[ok], Psub[ok], HP[ok], S[ok], Reff[ok]
+            Hr = None if Hr is None else Hr[ok]
+            innov = None if innov is None else innov[ok]
     G = np.linalg.solve(S, HP)
     K = G.transpose(0, 2, 1).copy()
     M = Psub - K @ HP
-    out = M - (M[:, :, 3:] @ Hr - K @ Reff) @ G
+    MH = M[:, :, 3:] if Hr is None else M[:, :, 3:] @ Hr
+    out = M - (MH - K @ Reff) @ G
     P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
     if innov is not None:
         x[idx] += (K @ innov[:, :, None])[:, :, 0]
     return idx
+
+
+def _lidar_gamma(tick_pos, env, noise) -> np.ndarray:
+    """Lidar noise scale at each planned position; the range is squared in
+    place, so one (B, T, 3) temporary lives at a time."""
+    off = tick_pos - env.rig.position
+    off *= off
+    return noise.lidar_gamma.gamma(np.sqrt(off.sum(axis=2)))
 
 
 def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
@@ -396,7 +412,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         if tick_pos.shape != (B, T, 3):
             raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
         flat = tick_pos.reshape(-1, 3)
-        gamma = noise.lidar_gamma.gamma(np.linalg.norm(tick_pos - env.rig.position, axis=2))
+        gamma = _lidar_gamma(tick_pos, env, noise)
         offered = {
             "alt": np.broadcast_to(table["alt"][ticks], (B, T)),
             "uwb": np.broadcast_to(table["uwb"][ticks], (B, T)),
@@ -417,6 +433,9 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
 
     P = np.repeat(P0[None], B, axis=0)
+    members = np.arange(B)
+    # how many members have a reading of each sensor at each tick
+    n_offered = {sensor: offered[sensor].sum(axis=0) for sensor in SENSOR_ORDER}
     pec = np.empty((B, n))
     est = np.empty((B, n, 6)) if replay else None
     fired = {"cam": np.zeros((B, n + 1), dtype=bool),
@@ -464,33 +483,37 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             x[pin, :3] = vel[pin, min(e, n - 1)]
 
         for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
-            idx = np.flatnonzero(offered[sensor][:, ti])
-            if not len(idx):
+            count = n_offered[sensor][ti]
+            if not count:
                 continue
+            # a view of every member when all take part, else their indices
+            idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
             if sensor == "alt" and H_alt is None:
-                _log_skips(skipped, idx, e, sensor, alt_err)
+                _log_skips(skipped, members[idx], e, sensor, alt_err)
                 continue
             r = x[idx, 3:] if replay else tick_pos[idx, ti]
             if sensor in ("uwb", "cam"):
                 d, sin_a = ekf.sight_geometry(r)
-                near = ~ekf.range_ok(d)
-                low = ~near & ~ekf.elevation_ok(sin_a) if sensor == "cam" else np.zeros_like(near)
-                if near.any() or low.any():
+                keep = ekf.range_ok(d)
+                if sensor == "cam":
+                    keep &= ekf.elevation_ok(sin_a)
+                if not keep.all():
+                    idx = members[idx]
+                    near = ~ekf.range_ok(d)
                     _log_skips(skipped, idx[near], e, sensor,
                                "estimate within minimum anchor range")
-                    _log_skips(skipped, idx[low], e, sensor,
+                    _log_skips(skipped, idx[~(near | keep)], e, sensor,
                                "sight line too close to the horizon")
-                    keep = ~(near | low)
                     idx, r, d, sin_a = idx[keep], r[keep], d[keep], sin_a[keep]
                     if not len(idx):
                         continue
             z = value[sensor][idx, ti] if replay else None
             if sensor == "alt":
                 innov = None if z is None else z - r[:, 2] * H_alt[5]
-                applied = _scalar_update(P, x, idx, H_alt[None].repeat(len(idx), axis=0),
+                applied = _scalar_update(P, x, idx, H_alt[None].repeat(len(r), axis=0),
                                          noise.r_alt, innov, skipped, e, sensor)
             elif sensor == "uwb":
-                H = np.zeros((len(idx), 6))
+                H = np.zeros((len(r), 6))
                 H[:, 3:] = r / d[:, None]
                 applied = _scalar_update(P, x, idx, H, noise.r_uwb,
                                          None if z is None else z - d, skipped, e, sensor)
@@ -500,8 +523,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                     Hr = (_I3 - zp[:, :, None] * zp[:, None, :]) / d[:, None, None]
                     scale, R = 1.0 / np.abs(sin_a), noise.r_cam
                 else:
-                    zp = r
-                    Hr = _I3[None].repeat(len(idx), axis=0)
+                    zp, Hr = r, None
                     scale, R = gamma[idx, ti], noise.r_lidar
                 applied = _vector_update(P, x, idx, Hr, scale[:, None, None] * R,
                                          scale * rmin[sensor],

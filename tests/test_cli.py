@@ -338,6 +338,33 @@ class TestExitCodes:
         assert rc == 6
         assert "corrupt artifact path_scores.csv" in capsys.readouterr().err
 
+    def test_path_scores_without_its_columns_exits_6(
+        self, reduced_cfg, plan_out, tmp_path, capsys
+    ):
+        work = copy_plan(plan_out, tmp_path)
+        (work / "path_scores.csv").write_text("foo,bar\n1,2\n")
+        rc = cli.main(["report", "--config", str(reduced_cfg), "--out", str(work)])
+        assert rc == 6
+        err = capsys.readouterr().err
+        assert "corrupt artifact path_scores.csv" in err and "circuit" in err
+
+    @pytest.mark.parametrize("stage", ["simulate", "report"])
+    @pytest.mark.parametrize("edit", [
+        lambda r: {"seed": r["seed"]},
+        lambda r: {**r, "totals": "many"},
+        lambda r: {**r, "worst": len(r["totals"])},
+        lambda r: {**r, "graph": {"nodes": 1}},
+    ], ids=["seed_only", "totals_not_a_list", "worst_out_of_range", "graph_keys_missing"])
+    def test_ranking_without_its_keys_exits_6(
+        self, reduced_cfg, plan_out, tmp_path, capsys, stage, edit
+    ):
+        work = copy_plan(plan_out, tmp_path)
+        path = work / "ranking.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        rc = cli.main([stage, "--config", str(reduced_cfg), "--out", str(work)])
+        assert rc == 6
+        assert "corrupt artifact ranking.json" in capsys.readouterr().err
+
     class PlannerDetail(errors.InvalidCircuitError):
         pass
 
@@ -373,3 +400,20 @@ class TestExitCodes:
         )
         assert rc == 6
         capsys.readouterr()
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("rows", [0, 1, 2 * cli._TABLE_BLOCK + 3])
+    def test_matches_savetxt_bytes(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        arr = rng.standard_normal((rows, 10)) * 10.0 ** rng.integers(-300, 300, (rows, 10))
+        arr[:, 0] = np.arange(1, rows + 1)
+        specials = np.array([-0.0, 0.0, 1e-300, 1e300, 5e-324, 3.0, -7.0, 0.5, 12345678.0])
+        picks = rng.random((rows, 10)) < 0.3
+        arr[picks] = rng.choice(specials, int(picks.sum()))
+        for fmt in (["%d", "%.3f"] + ["%.9g"] * 8, ["%d", "%.3f", "%.9g", "%d", "%d"] * 2):
+            header = ",".join(f"c{i}" for i in range(10))
+            cli._write_table(tmp_path / "table.csv", header, fmt, arr)
+            np.savetxt(tmp_path / "savetxt.csv", arr, fmt=fmt, delimiter=",",
+                       header=header, comments="")
+            assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

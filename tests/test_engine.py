@@ -157,15 +157,30 @@ def test_scalar_kernel_matches_dense_joseph(with_innov, r):
 
 @pytest.mark.parametrize("with_innov", [False, True])
 def test_vector_kernel_matches_dense_joseph(with_innov):
+    check_vector_kernel(with_innov, identity=False)
+
+
+@pytest.mark.parametrize("with_innov", [False, True])
+def test_vector_kernel_with_identity_jacobian_matches_dense_joseph(with_innov):
+    check_vector_kernel(with_innov, identity=True)
+
+
+def check_vector_kernel(with_innov, identity):
     rng = np.random.default_rng(22)
     P, x = random_members(rng, 8)
+    if identity:
+        # with H = I, member 4 needs no position variance for S = Reff
+        P[4, 3:, :] = P[4, :, 3:] = 0.0
     P0, x0 = P.copy(), x.copy()
     idx = np.array([0, 1, 3, 4, 6, 7])
-    # camera-like (I - z z') / d and lidar-like I position blocks
+    # camera-like (I - z z') / d and lidar-like I position blocks, or the
+    # lidar's identity for every member, passed as None
     z = rng.normal(size=(len(idx), 3))
     z /= np.linalg.norm(z, axis=1)[:, None]
     Hr = (np.eye(3) - z[:, :, None] * z[:, None, :]) / rng.uniform(1.0, 10.0, len(idx))[:, None, None]
     Hr[::2] = np.eye(3)
+    if identity:
+        Hr[:] = np.eye(3)
     scale = rng.uniform(1.0, 5.0, len(idx))
     R = 1e-2 * np.eye(3)
     Reff = scale[:, None, None] * R
@@ -174,12 +189,14 @@ def test_vector_kernel_matches_dense_joseph(with_innov):
     # gets noise so anisotropic that S is worse conditioned than the limit
     Reff[0] = 0.0
     rmin[0] = 0.0
-    Hr[3] = 0.0
+    if not identity:
+        Hr[3] = 0.0
     Reff[3] = np.diag([1.0, 1.0, 1e-13])
     rmin[3] = 1e-13
     innov = rng.normal(size=(len(idx), 3)) if with_innov else None
     skipped = [[] for _ in range(8)]
-    applied = planner._vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, 9, "cam")
+    applied = planner._vector_update(P, x, idx, None if identity else Hr, Reff, rmin,
+                                     innov, skipped, 9, "cam")
     H = np.zeros((len(idx), 3, 6))
     H[:, :, 3:] = Hr
     want_skips = []
@@ -238,10 +255,14 @@ def scalar_replay(truth, events, rates, noise, att):
     return est, pec, counts, skipped
 
 
-def test_batched_replay_matches_scalar_filter():
+def near_horizon_runs(both_ways=True, runs=2):
+    """Runs of a triangle flown both ways (or forward only), replayed in one
+    batch.
+
+    One leg runs close to the camera's horizon, so truth and estimate fall
+    on different sides of the elevation guard now and then.
+    """
     env = open_env()
-    # a leg close to the camera's horizon: truth and estimate fall on
-    # different sides of the elevation guard now and then
     nodes = np.array([[1.5, 0.0, -1.5], [6.0, 2.5, -0.35], [9.0, -2.0, -0.5]])
     lengths = [float(np.linalg.norm(nodes[i] - nodes[j])) for i, j in ((0, 1), (1, 2), (2, 0))]
     g = roadmap.RoadmapGraph(nodes=nodes, source=0, edges=[
@@ -254,9 +275,13 @@ def test_batched_replay_matches_scalar_filter():
                                 length=total, flight_time=total / 0.5)
     kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
     records = montecarlo.run_trial_sets(
-        [(forward, 0), (backward, 1)], g, env, kin, rates, noise, master_seed=3,
-        runs=2, dropout=0.2, outlier_prob=0.05)
-    runs = [rec for recs in records for rec in recs]
+        [(forward, 0), (backward, 1)][:1 + both_ways], g, env, kin, rates, noise,
+        master_seed=3, runs=runs, dropout=0.2, outlier_prob=0.05)
+    return [rec for recs in records for rec in recs], kin, rates, noise
+
+
+def test_batched_replay_matches_scalar_filter():
+    runs, kin, rates, noise = near_horizon_runs()
     turns = [tuple(np.flatnonzero(np.any(np.diff(r.truth.commanded.vel, axis=0), axis=1)))
              for r in runs]
     assert turns[0] != turns[2]
@@ -274,3 +299,62 @@ def test_batched_replay_matches_scalar_filter():
         horizon_skips += sum(1 for _, sensor, why in res.skipped
                              if sensor == "cam" and "horizon" in why)
     assert horizon_skips >= 1
+
+
+# ---------------------------------------------------------------------------
+# a batch against each of its members alone
+
+
+def assert_same_result(got, want):
+    """Bitwise the same engine outputs."""
+    assert np.array_equal(got.pec, want.pec)
+    assert (got.est is None) == (want.est is None)
+    assert got.est is None or np.array_equal(got.est, want.est)
+    assert np.array_equal(got.cam_fired, want.cam_fired)
+    assert np.array_equal(got.lidar_fired, want.lidar_fired)
+    counts = ("alt_updates", "uwb_updates", "cam_updates", "lidar_updates")
+    assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+    assert got.skipped == want.skipped
+
+
+def offered_shares(offered):
+    """Whether some tick offers a sensor to every member, and whether some
+    offers it to only part of them."""
+    counts = np.concatenate([o.sum(axis=0) for o in offered.values()])
+    B = len(next(iter(offered.values())))
+    return bool((counts == B).any()), bool(((counts > 0) & (counts < B)).any())
+
+
+def test_planning_batch_equals_each_candidate_alone(tunnel):
+    pts = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(5))
+    g = roadmap.eulerize(roadmap.connect_knn(pts, 4, tunnel), tunnel)
+    cands = circuits.generate_candidates(g, 6, np.random.default_rng(6), 0.5)
+    kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
+    lines = [planner.Polyline.of(c, g, kin.cruise, noise.ts) for c in cands]
+    n = lines[0].steps
+    assert all(line.steps == n for line in lines)
+    ticks = planner.sensor_ticks(rates.fire_table(n))
+    tick_pos = np.stack([line.at(ticks)[0] for line in lines])
+    batch = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+    # the camera's gate splits the candidates at some ticks
+    cam = rates.fire_table(n)["cam"][ticks] & tunnel.camera_sees_many(
+        tick_pos.reshape(-1, 3)).reshape(len(cands), -1)
+    assert offered_shares({"cam": cam}) == (True, True)
+    for b in range(len(cands)):
+        alone = planner.run_batch(n, rates, noise, kin.attitude,
+                                  tick_pos=tick_pos[b:b + 1], env=tunnel)[0]
+        assert_same_result(batch[b], alone)
+
+
+def test_replay_batch_equals_each_run_alone():
+    # runs of one circuit share their turns, hence every span the engine
+    # predicts; runs of circuits that turn at other steps split each other's
+    # spans and agree with the batch to rounding only (checked above)
+    runs, kin, rates, noise = near_horizon_runs(both_ways=False, runs=4)
+    n = runs[0].truth.commanded.steps
+    readings = montecarlo._readings([rec.events for rec in runs], n, rates)
+    assert offered_shares(readings.offered) == (True, True)
+    assert any(rec.result.skipped for rec in runs)
+    for rec in runs:
+        alone = montecarlo.run_online_ekf(rec.truth, rec.events, rates, noise, kin.attitude)
+        assert_same_result(rec.result, alone)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
 
 
@@ -231,6 +232,36 @@ class TestSynthesis:
             checked += 1
         assert checked > 10
 
+    @pytest.mark.parametrize("circuit_seed", [6, 9])
+    @pytest.mark.parametrize("mode", ["noisy", "perfect"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("outlier_prob", [0.0, 0.2])
+    def test_matches_per_reading_oracle(self, tunnel, circuit_seed, mode, dropout,
+                                        outlier_prob):
+        g, c = tunnel_fixture(tunnel, circuit_seed=circuit_seed)
+        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
+        truth = montecarlo.simulate_truth(nom, np.random.default_rng(circuit_seed))
+        args = (truth, tunnel, planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude())
+        options = dict(mode=mode, dropout=dropout, outlier_prob=outlier_prob)
+        got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
+        got = montecarlo.synthesize_measurements(*args, got_rng, **options)
+        want = oracle.synthesize_measurements(*args, want_rng, **options)
+        assert len(got) == len(want)
+        assert {ev.sensor for ev in got} == {"alt", "uwb", "cam", "lidar"}
+        for ev, ref in zip(got, want):
+            assert (ev.step, ev.t, ev.sensor, ev.dropped, ev.outlier) == (
+                ref.step, ref.t, ref.sensor, ref.dropped, ref.outlier)
+            assert np.array_equal(ev.value, ref.value)
+            # the oracle squares the lidar range with libm's pow, the
+            # planner and this module with numpy's square
+            assert (ev.gamma is None) == (ref.gamma is None)
+            assert ev.gamma is None or abs(ev.gamma - ref.gamma) <= np.spacing(ref.gamma)
+        # both took the same draws, so both streams stand at one place
+        assert got_rng.random() == want_rng.random()
+        flags = [(ev.dropped, ev.outlier) for ev in got]
+        assert any(d for d, _ in flags) == (dropout > 0.0)
+        assert any(o for _, o in flags) == (mode == "noisy" and outlier_prob > 0.0)
+
     def test_dropout_flags(self):
         env, truth, events = straight_run_events(mode="noisy", dropout=1.0)
         assert events
@@ -277,6 +308,25 @@ class TestReplay:
         assert np.abs(result.est[:, 3:] - truth.pos[1:]).max() < 1e-6
         assert np.array_equal(result.cam_fired, plan.cam_fired)
         assert np.array_equal(result.lidar_fired, plan.lidar_fired)
+
+    @pytest.mark.parametrize("step, dropped, message", [
+        (0, False, "not a sensor tick"),
+        (3, True, "not a sensor tick"),
+        (10_000, False, "not a sensor tick"),
+        (5, False, "two uwb events at step 5"),
+    ])
+    def test_replay_refuses_off_tick_and_repeated_events(self, step, dropped, message):
+        _, truth, events = straight_run_events(mode="perfect", n_len=20.0)
+        assert any(ev.step == 5 and ev.sensor == "uwb" for ev in events)
+        events.append(montecarlo.MeasurementEvent(step=step, t=step * 0.02, sensor="uwb",
+                                                  value=1.0, dropped=dropped))
+        rates, noise = planner.RateSchedule(), ekf.NoiseConfig()
+        with pytest.raises(ValueError, match=message):
+            montecarlo.run_online_ekf(truth, events, rates, noise, ekf.Attitude())
+        # a dropped reading may repeat an undropped one
+        if step == 5:
+            events[-1].dropped = True
+            montecarlo.run_online_ekf(truth, events, rates, noise, ekf.Attitude())
 
     def test_flight_time_tracks_length(self, tunnel):
         g, c = tunnel_fixture(tunnel, graph_seed=9, circuit_seed=2)
