@@ -107,19 +107,15 @@ def _write_table(path: Path, header: str, fmt, arr: np.ndarray):
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _load_artifact(path: Path, loader=None):
-    """An earlier stage's artifact, read by loader or else as CSV rows; a
-    missing, unreadable or malformed file raises MissingArtifactError naming
-    it."""
+def _load_artifact(path: Path, loader):
+    """An earlier stage's artifact, read by loader; a missing, unreadable or
+    malformed file raises MissingArtifactError naming it."""
     if not path.exists():
         raise MissingArtifactError(
             f"missing artifact {path.name}: run the plan stage first"
         )
     try:
-        if loader is not None:
-            return loader(path)
-        with path.open(newline="") as fh:
-            return list(csv.DictReader(fh))
+        return loader(path)
     except (TunnelPlanError, OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
 
@@ -174,6 +170,21 @@ def _read_path_scores(path: Path) -> dict:
     return {
         int(r["circuit"]): {**{c: float(r[c]) for c in _PATH_SCORE_FLOATS},
                             **{c: r[c] == "true" for c in _PATH_SCORE_FLAGS}}
+        for r in rows
+    }
+
+
+def _read_aggregate(path: Path) -> dict:
+    """aggregate_<mode>.csv as {selection: its row}, numbers parsed."""
+    with path.open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in _AGGREGATE_HEADER if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"missing columns {', '.join(missing)}")
+    return {
+        r["selection"]: {c: r[c] if c in ("selection", "mode") else float(r[c])
+                         for c in _AGGREGATE_HEADER}
         for r in rows
     }
 
@@ -356,6 +367,10 @@ _STAT_FIELDS = [
     f.name for f in dataclasses.fields(montecarlo.RunStats)
     if f.name not in montecarlo.ID_FIELDS
 ]
+# aggregate_<mode>.csv columns; all but selection and mode are numbers
+_AGGREGATE_HEADER = ["selection", "circuit", "mode", "runs"] + [
+    f"{name}_{stat}" for name in _STAT_FIELDS for stat in ("mean", "median")
+]
 
 
 def _truths_svg(env, records, label: str, mode: str) -> str:
@@ -462,10 +477,7 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
             file=sys.stderr,
         )
 
-    agg_header = ["selection", "circuit", "mode", "runs"]
-    for name in _STAT_FIELDS:
-        agg_header += [f"{name}_mean", f"{name}_median"]
-    _write_csv(out / f"aggregate_{mode}.csv", agg_header, agg_rows)
+    _write_csv(out / f"aggregate_{mode}.csv", _AGGREGATE_HEADER, agg_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -503,15 +515,9 @@ def cmd_report(cfg: config.RunConfig, out: Path):
     simulation: dict = {"available": agg_path.exists(), "mode": mode}
     direction_ok = None
     if simulation["available"]:
-        rows = _load_artifact(agg_path)
-        sels = {}
-        for r in rows:
-            sels[r["selection"]] = {
-                k: (v if k in ("selection", "mode") else float(v))
-                for k, v in r.items()
-            }
+        sels = _load_artifact(agg_path, _read_aggregate)
         simulation["selections"] = sels
-        simulation["runs"] = int(float(rows[0]["runs"])) if rows else 0
+        simulation["runs"] = int(next(iter(sels.values()))["runs"]) if sels else 0
         if "best" in sels and "worst" in sels:
             direction_ok = bool(
                 sels["best"]["rms_3d_mean"] < sels["worst"]["rms_3d_mean"]

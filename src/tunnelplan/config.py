@@ -8,6 +8,7 @@ fully determines all artifacts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -207,6 +208,9 @@ def _require_int(value, path, minimum=None):
 def _require_num(value, path, minimum=None, maximum=None, above=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # NaN, the infinities and integers past the float range
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -246,8 +250,11 @@ def _validate(cfg: RunConfig):
         _require_num(getattr(cfg.rates, name), f"rates.{name}", above=0.0)
 
     n = cfg.noise
-    for name in ("q_vel", "q_pos", "r_alt", "r_uwb", "r_cam", "r_lidar"):
+    for name in ("q_vel", "q_pos", "r_alt", "r_uwb"):
         _require_num(getattr(n, name), f"noise.{name}", minimum=0.0)
+    # synthesis factors the covariance of a vector reading
+    for name in ("r_cam", "r_lidar"):
+        _require_num(getattr(n, name), f"noise.{name}", above=0.0)
     _require_num(n.lidar_ref_range_m, "noise.lidar_ref_range_m", above=0.0)
     _require_num(n.lidar_gamma_max, "noise.lidar_gamma_max", minimum=1.0)
 

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AttitudeSingularityError,
-    HorizonSingularityError,
-    NearOriginSingularityError,
-    SingularInnovationError,
-)
+from .errors import SingularInnovationError
 
 CONDITION_LIMIT = 1e12
 MIN_TILT_COS = 0.01
@@ -30,6 +26,7 @@ MIN_SIN_ELEVATION = 0.05
 # deflation, and the relative anisotropy below which it is exact enough
 _PAIR_TOL = 1e-5
 
+_I3 = np.eye(3)
 _I6 = np.eye(6)
 # upper triangle of a symmetric 3x3 block, row by row, where its diagonal
 # sits in that packing, and the packed index of every entry of the block
@@ -39,21 +36,12 @@ _MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def sight_geometry(r) -> tuple[np.ndarray, np.ndarray]:
-    """Range from the anchor at the origin and sine of the elevation angle,
-    for positions r of shape (..., 3)."""
+    """Range from the anchor at the origin and the unit sight line (zero at
+    the anchor), for positions r of shape (..., 3). The sine of the
+    elevation angle is -u[..., 2]."""
     r = np.asarray(r, dtype=float)
     d = np.sqrt((r * r).sum(axis=-1))
-    return d, -r[..., 2] / np.where(d > 0.0, d, 1.0)
-
-
-def range_ok(d):
-    """Range guard of the UWB and camera models."""
-    return d > MIN_RANGE
-
-
-def elevation_ok(sin_alpha):
-    """Horizon guard of the camera model."""
-    return np.abs(sin_alpha) > MIN_SIN_ELEVATION
+    return d, r / np.where(d > 0.0, d, 1.0)[..., None]
 
 
 @dataclass
@@ -117,17 +105,14 @@ class NoiseConfig:
         self.phi = np.eye(6)
         self.phi[3, 0] = self.phi[4, 1] = self.phi[5, 2] = self.ts
 
+    @property
+    def R(self) -> dict:
+        """Each sensor's noise covariance by name, a variance for alt and uwb."""
+        return {"alt": self.r_alt, "uwb": self.r_uwb, "cam": self.r_cam, "lidar": self.r_lidar}
+
 
 # ---------------------------------------------------------------------------
 # prediction
-
-
-def predict(b: BeliefState, cfg: NoiseConfig) -> BeliefState:
-    """One constant-velocity step: position integrates velocity, P inflates."""
-    x = b.x.copy()
-    x[3:] += cfg.ts * x[:3]
-    P = cfg.phi @ b.P @ cfg.phi.T + cfg.Q
-    return BeliefState(x=x, P=P, t=b.t + cfg.ts)
 
 
 def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +157,8 @@ def predict_span(
     """n prediction steps in closed form, plus the position covariance block
     after each intermediate step (shape (n, 3, 3)).
 
-    Agrees with n sequential predict() calls to rounding error.
+    Agrees with n single steps (position integrates velocity, P becomes
+    phi P phi' + Q) to rounding error.
     """
     A, Q = span_transition(cfg, n)
     x = A @ b.x
@@ -298,82 +284,103 @@ def joseph_update(
 
 
 # ---------------------------------------------------------------------------
-# sensor models: each returns the predicted measurement and its Jacobian
+# sensor models
+#
+# One model per sensor, over positions r of shape (n, 3). The engine
+# evaluates it at the estimate (replay) or the nominal position (planning),
+# synthesis at the truth. The predicted reading stays smooth across the
+# guards; a refused row's Jacobian and noise scale may be finite
+# placeholders, so no row raises a numpy warning.
+
+NEAR_ORIGIN = "estimate within minimum anchor range"
+BELOW_HORIZON = "sight line too close to the horizon"
 
 
-def altimeter_model(x: np.ndarray, att: Attitude) -> tuple[float, np.ndarray]:
-    """Tilt-compensated laser range to the floor: z = -r_d / (cos pitch cos roll)."""
-    c = math.cos(att.pitch) * math.cos(att.roll)
-    if c <= MIN_TILT_COS:
-        raise AttitudeSingularityError(f"beam projection cos {c:.4f} below limit")
-    H = np.zeros(6)
-    H[5] = -1.0 / c
-    return -x[5] / c, H
+class Prediction(NamedTuple):
+    """A sensor model evaluated at n positions.
 
-
-def uwb_model(x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Range from the UGV anchor at the origin to the estimated position."""
-    r = x[3:]
-    d, _ = sight_geometry(r)
-    if not range_ok(d):
-        raise NearOriginSingularityError(f"estimated range {d:.3f} m too small")
-    d = float(d)
-    H = np.zeros(6)
-    H[3:] = r / d
-    return d, H
-
-
-def camera_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unit line-of-sight vector from the origin, with elevation noise scale.
-
-    The noise scale grows as 1 / |sin(elevation)| toward the horizon; updates
-    too close to the horizon are refused outright.
+    z is the predicted reading, (n,) for a scalar sensor and (n, 3) for a
+    vector one. Hr is the position block of the Jacobian, (n, 3) or
+    (n, 3, 3); its velocity block is zero, and None stands for the identity.
+    scale multiplies the sensor's noise covariance, per row or 1.0 for all
+    (None where the caller supplies it). refused is empty when every row
+    passes the guards, else it maps each guard's skip reason to the rows it
+    refuses; the masks are disjoint.
     """
-    r = x[3:]
-    d, sin_alpha = sight_geometry(r)
-    if not range_ok(d):
-        raise NearOriginSingularityError(f"estimated range {d:.3f} m too small")
-    if not elevation_ok(sin_alpha):
-        raise HorizonSingularityError(f"sight line elevation sin {sin_alpha:.3f} too low")
-    d = float(d)
-    zhat = r / d
-    H = np.zeros((3, 6))
-    H[:, 3:] = (np.eye(3) - np.outer(zhat, zhat)) / d
-    return zhat, H, float(1.0 / abs(sin_alpha))
+
+    z: np.ndarray
+    Hr: np.ndarray | None
+    scale: np.ndarray | float | None
+    refused: dict
+
+    @property
+    def ok(self) -> np.ndarray:
+        """Rows every guard passes."""
+        ok = np.ones(len(self.z), dtype=bool)
+        for mask in self.refused.values():
+            ok &= ~mask
+        return ok
+
+    def take(self, keep) -> "Prediction":
+        """The rows selected by keep."""
+        def rows(a):
+            return a if a is None or np.ndim(a) == 0 else a[keep]
+        return Prediction(rows(self.z), rows(self.Hr), rows(self.scale),
+                          {why: mask[keep] for why, mask in self.refused.items()})
 
 
-def lidar_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct position fix from the cloud-registration pipeline."""
-    H = np.zeros((3, 6))
-    H[:, 3:] = np.eye(3)
-    return x[3:].copy(), H
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of v (n, 3), bit for bit as
+    np.linalg.norm of that row alone computes it (a dot product)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-# ---------------------------------------------------------------------------
-# sensor updates
+def altimeter(r: np.ndarray, att: Attitude) -> Prediction:
+    """Tilt-compensated laser range to the floor, z = -r_d / (cos pitch cos
+    roll). Every row is refused when the attitude tips the beam too far."""
+    c = math.cos(att.pitch) * math.cos(att.roll)
+    h = -1.0 / max(c, MIN_TILT_COS)
+    Hr = np.zeros((len(r), 3))
+    Hr[:, 2] = h
+    refused = ({f"beam projection cos {c:.4f} below limit": np.ones(len(r), dtype=bool)}
+               if c <= MIN_TILT_COS else {})
+    return Prediction(r[:, 2] * h, Hr, 1.0, refused)
 
 
-def altimeter_update(
-    b: BeliefState, z: float, att: Attitude, cfg: NoiseConfig
-) -> BeliefState:
-    zp, H = altimeter_model(b.x, att)
-    return joseph_update(b, H[None, :], [[cfg.r_alt]], np.array([z - zp]))
+def uwb(r: np.ndarray) -> Prediction:
+    """Range from the UGV anchor at the origin."""
+    d, u = sight_geometry(r)
+    ok = d > MIN_RANGE
+    return Prediction(d, u, 1.0, {} if ok.all() else {NEAR_ORIGIN: ~ok})
 
 
-def uwb_update(b: BeliefState, z: float, cfg: NoiseConfig) -> BeliefState:
-    zp, H = uwb_model(b.x)
-    return joseph_update(b, H[None, :], [[cfg.r_uwb]], np.array([z - zp]))
+def camera(r: np.ndarray) -> Prediction:
+    """Unit line-of-sight vector from the origin.
+
+    The noise scale grows as 1 / |sin(elevation)| toward the horizon;
+    readings too close to the horizon are refused outright.
+    """
+    d, zhat = sight_geometry(r)
+    abs_sin = np.abs(zhat[:, 2])
+    in_range = d > MIN_RANGE
+    ok = in_range & (abs_sin > MIN_SIN_ELEVATION)
+    Hr = ((_I3 - zhat[:, :, None] * zhat[:, None, :])
+          / np.maximum(d, MIN_RANGE)[:, None, None])
+    refused = {} if ok.all() else {NEAR_ORIGIN: ~in_range, BELOW_HORIZON: in_range & ~ok}
+    return Prediction(zhat, Hr, 1.0 / np.maximum(abs_sin, MIN_SIN_ELEVATION), refused)
 
 
-def camera_update(b: BeliefState, z: np.ndarray, cfg: NoiseConfig) -> BeliefState:
-    zp, H, scale = camera_model(b.x)
-    return joseph_update(b, H, scale * cfg.r_cam, np.asarray(z, float) - zp)
+def lidar(r: np.ndarray, rig: np.ndarray | None = None,
+          gamma: LidarGammaModel | None = None) -> Prediction:
+    """Direct position fix from the cloud-registration pipeline; z is r
+    itself. The noise scale is gamma at the range to the rig, or None
+    without a rig."""
+    scale = None if rig is None else gamma.gamma(row_norms(r - rig))
+    return Prediction(r, None, scale, {})
 
 
-def lidar_update(
-    b: BeliefState, z: np.ndarray, cfg: NoiseConfig, gamma: float = 1.0
-) -> BeliefState:
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be at least 1, got {gamma}")
-    zp, H = lidar_model(b.x)
-    return joseph_update(b, H, gamma * cfg.r_lidar, np.asarray(z, float) - zp)
+def sensor_models(att: Attitude, rig: np.ndarray | None = None,
+                  gamma: LidarGammaModel | None = None) -> dict:
+    """Each sensor's model over positions, by name in update order."""
+    return {"alt": lambda r: altimeter(r, att), "uwb": uwb, "cam": camera,
+            "lidar": lambda r: lidar(r, rig, gamma)}

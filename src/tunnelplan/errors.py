@@ -28,24 +28,13 @@ class InvalidCircuitError(TunnelPlanError):
 class FilterSingularityError(TunnelPlanError):
     """Base class for numerically singular filter-update conditions.
 
-    Path propagation catches these, logs the skipped update, and continues.
+    The belief engine never raises these: it logs the update as skipped and
+    continues.
     """
 
 
 class SingularInnovationError(FilterSingularityError):
     """Innovation covariance is not invertible (condition number too large)."""
-
-
-class AttitudeSingularityError(FilterSingularityError):
-    """Attitude too close to gimbal-vertical for the altimeter projection."""
-
-
-class NearOriginSingularityError(FilterSingularityError):
-    """Estimated position too close to the origin for a range-based update."""
-
-
-class HorizonSingularityError(FilterSingularityError):
-    """Camera elevation angle too close to the horizon for noise scaling."""
 
 
 class ConfigError(TunnelPlanError):

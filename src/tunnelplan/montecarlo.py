@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import config, ekf, planner
-from .errors import FilterSingularityError
 
 DOWN = np.array([0.0, 0.0, 1.0])
 
@@ -110,12 +109,6 @@ class MeasurementEvent:
     outlier: bool = False
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of v (n, 3), bit for bit as
-    np.linalg.norm of that row alone computes it (a dot product)."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
 def _draw_in_order(rng, widths: np.ndarray, uniforms: int):
     """The draws of readings that take them one after another: widths[i]
     normals, then the given number of uniforms, for each reading i.
@@ -149,43 +142,29 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
     """
     pos = truth.pos
     table = rates.fire_table(truth.commanded.steps)
-    try:
-        ekf.altimeter_model(np.zeros(6), attitude)
-        alt_ok = True
-    except FilterSingularityError:
-        alt_ok = False
+    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+    gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
+    R = noise.R
 
-    # where each sensor delivers a reading: its schedule, its field-of-view
-    # gate and its guards
-    fires = {sensor: steps.copy() for sensor, steps in table.items()}
-    for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):
-        steps = np.flatnonzero(table[sensor])
-        fires[sensor][steps] = gate(pos[steps])
-    dist, sin_elev = ekf.sight_geometry(pos)
-    in_range = ekf.range_ok(dist)
-    fires["alt"] &= alt_ok
-    fires["uwb"] &= in_range
-    fires["cam"] &= in_range & ekf.elevation_ok(sin_elev)
-    at = {sensor: np.flatnonzero(fire) for sensor, fire in fires.items()}
+    # where each sensor delivers a reading (its schedule, its field-of-view
+    # gate and its guards), the exact value there and its noise scale
+    at, exact, noise_scale = {}, {}, {}
+    for sensor, fire in table.items():
+        steps = np.flatnonzero(fire)
+        if sensor in gates:
+            steps = steps[gates[sensor](pos[steps])]
+        m = models[sensor](pos[steps])
+        keep = m.ok
+        at[sensor], m = steps[keep], m.take(keep)
+        exact[sensor], noise_scale[sensor] = m.z, m.scale
 
-    # exact values and noise scales: the standard deviation of a scalar
-    # reading, a factor on the Cholesky factor of a vector one
-    gamma = noise.lidar_gamma.gamma(_row_norms(pos[at["lidar"]] - env.rig.position))
-    cos_tilt = math.cos(attitude.roll) * math.cos(attitude.pitch)
-    exact = {"alt": -pos[at["alt"], 2] / cos_tilt, "uwb": dist[at["uwb"]],
-             "cam": pos[at["cam"]] / dist[at["cam"], None], "lidar": pos[at["lidar"]]}
-    scale = {"alt": math.sqrt(noise.r_alt), "uwb": math.sqrt(noise.r_uwb),
-             "cam": np.sqrt(1.0 / np.abs(sin_elev[at["cam"]]))[:, None],
-             "lidar": np.sqrt(gamma)[:, None]}
-    chol = {"cam": np.linalg.cholesky(noise.r_cam), "lidar": np.linalg.cholesky(noise.r_lidar)}
-
-    sensors = list(fires)
+    sensors = list(table)
     sizes = [len(at[sensor]) for sensor in sensors]
     bounds = np.cumsum([0] + sizes)
     step = np.concatenate([at[sensor] for sensor in sensors])
     order = np.argsort(step * len(sensors) + np.repeat(np.arange(len(sensors)), sizes),
                        kind="stable")
-    width = np.repeat([3 if sensor in chol else 1 for sensor in sensors], sizes) * noisy
+    width = np.repeat([3 if exact[sensor].ndim == 2 else 1 for sensor in sensors], sizes) * noisy
     normals, drawn = _draw_in_order(rng, width[order],
                                     (noisy and outlier_prob > 0.0) + (dropout > 0.0))
     # where each reading's draws sit, by the sensor-by-sensor numbering
@@ -200,20 +179,23 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
         z = exact[sensor]
         outlier = np.zeros(sizes[i], dtype=bool)
         if noisy:
-            if sensor in chol:
+            # a scalar reading's standard deviation, a factor on the Cholesky
+            # factor of a vector one's covariance
+            if z.ndim == 2:
                 draws = normals[first[part, None] + np.arange(3)]
-                w = scale[sensor] * (chol[sensor] @ draws[:, :, None])[:, :, 0]
+                chol = np.linalg.cholesky(R[sensor])
+                w = np.sqrt(noise_scale[sensor])[:, None] * (chol @ draws[:, :, None])[:, :, 0]
             else:
-                w = scale[sensor] * normals[first[part]]
+                w = np.sqrt(noise_scale[sensor] * R[sensor]) * normals[first[part]]
             z = z + w
             if outlier_prob > 0.0:
                 outlier = u[part, 0] < outlier_prob
                 z[outlier] += (outlier_scale - 1.0) * w[outlier]
             if sensor == "cam":
-                z = z / _row_norms(z)[:, None]
+                z = z / ekf.row_norms(z)[:, None]
         dropped = u[part, -1] < dropout if dropout > 0.0 else np.zeros(sizes[i], dtype=bool)
         readings[sensor] = (at[sensor], z, dropped, outlier)
-    return readings, gamma, order
+    return readings, noise_scale["lidar"], order
 
 
 def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
@@ -467,10 +449,3 @@ def run_trial_sets(selected, graph, env, kin, rates, noise,
         for truth, events, result in zip(truths, events_list, results)
     ]
     return [records[i * runs:(i + 1) * runs] for i in range(len(selected))]
-
-
-def run_trials(circuit, circuit_index, graph, env, kin, rates, noise,
-               master_seed: int, runs: int, **options) -> list[TrialRecord]:
-    """Monte Carlo replay of one circuit; options as in run_trial_sets."""
-    return run_trial_sets([(circuit, circuit_index)], graph, env, kin, rates,
-                          noise, master_seed, runs, **options)[0]

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ekf
-from .errors import FilterSingularityError, InvalidCircuitError
+from .errors import InvalidCircuitError
 
 SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
-_I3 = np.eye(3)
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +43,6 @@ def pec_series(blocks: np.ndarray, norm: str = "spectral") -> np.ndarray:
     if norm == "fro":
         return np.sqrt((blocks * blocks).sum(axis=(1, 2)))
     raise ValueError(f"unknown pec norm {norm!r}; expected 'spectral' or 'fro'")
-
-
-def pec(P: np.ndarray, norm: str = "spectral") -> float:
-    """Scalar uncertainty of the position block of a full 6x6 covariance."""
-    P = np.asarray(P, dtype=float)
-    if P.shape != (6, 6):
-        raise ValueError("expected a 6x6 covariance")
-    return float(pec_series(P[3:, 3:][None, :, :], norm)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +274,18 @@ def _log_skips(skipped, members, step, sensor, reason) -> None:
         skipped[b].append((step, sensor, reason))
 
 
-def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor):
+def _scalar_update(P, x, idx, Hr, r, innov, skipped, step, sensor):
     """Joseph-form update of members idx by scalar readings.
 
     idx selects members: slice(None) for all of them, else an index array.
-    With w = P h and K = w / s, (I - K h')P = P - K w', so the Joseph form
-    is M - (M h - r K) K' with M = P - K w'. innov is None in planning (zero
+    Hr (n, 3) is the position block of each Jacobian row h. With w = P h
+    and K = w / s, (I - K h')P = P - K w', so the Joseph form is
+    M - (M h - r K) K' with M = P - K w'. innov is None in planning (zero
     innovation, mean untouched). Members whose innovation variance is not
     positive are logged and left as they are; returns the members updated.
     """
+    H = np.zeros((len(Hr), 6))
+    H[:, 3:] = Hr
     Psub = P[idx]
     w = (Psub @ H[:, :, None])[:, :, 0]
     s = (w * H).sum(axis=1) + r
@@ -354,14 +348,6 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
     return idx
 
 
-def _lidar_gamma(tick_pos, env, noise) -> np.ndarray:
-    """Lidar noise scale at each planned position; the range is squared in
-    place, so one (B, T, 3) temporary lives at a time."""
-    off = tick_pos - env.rig.position
-    off *= off
-    return noise.lidar_gamma.gamma(np.sqrt(off.sum(axis=2)))
-
-
 def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
               readings=None, P0=None, pec_norm="spectral") -> list:
     """Propagate the belief of every member along its trajectory at once.
@@ -412,7 +398,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         if tick_pos.shape != (B, T, 3):
             raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
         flat = tick_pos.reshape(-1, 3)
-        gamma = _lidar_gamma(tick_pos, env, noise)
+        gamma = ekf.lidar(flat, env.rig.position, noise.lidar_gamma).scale.reshape(B, T)
         offered = {
             "alt": np.broadcast_to(table["alt"][ticks], (B, T)),
             "uwb": np.broadcast_to(table["uwb"][ticks], (B, T)),
@@ -424,11 +410,10 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
     ahead = np.arange(n + 1) - bounds[last]
 
-    try:
-        _, H_alt = ekf.altimeter_model(np.zeros(6), attitude)
-        alt_err = None
-    except FilterSingularityError as exc:
-        H_alt, alt_err = None, str(exc)
+    # the lidar's noise scale comes from gamma: the readings' own in replay,
+    # the rig's range to each nominal position in planning
+    models = ekf.sensor_models(attitude)
+    R = noise.R
     rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
 
@@ -488,46 +473,23 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                 continue
             # a view of every member when all take part, else their indices
             idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
-            if sensor == "alt" and H_alt is None:
-                _log_skips(skipped, members[idx], e, sensor, alt_err)
-                continue
-            r = x[idx, 3:] if replay else tick_pos[idx, ti]
-            if sensor in ("uwb", "cam"):
-                d, sin_a = ekf.sight_geometry(r)
-                keep = ekf.range_ok(d)
-                if sensor == "cam":
-                    keep &= ekf.elevation_ok(sin_a)
-                if not keep.all():
-                    idx = members[idx]
-                    near = ~ekf.range_ok(d)
-                    _log_skips(skipped, idx[near], e, sensor,
-                               "estimate within minimum anchor range")
-                    _log_skips(skipped, idx[~(near | keep)], e, sensor,
-                               "sight line too close to the horizon")
-                    idx, r, d, sin_a = idx[keep], r[keep], d[keep], sin_a[keep]
-                    if not len(idx):
-                        continue
-            z = value[sensor][idx, ti] if replay else None
-            if sensor == "alt":
-                innov = None if z is None else z - r[:, 2] * H_alt[5]
-                applied = _scalar_update(P, x, idx, H_alt[None].repeat(len(r), axis=0),
-                                         noise.r_alt, innov, skipped, e, sensor)
-            elif sensor == "uwb":
-                H = np.zeros((len(r), 6))
-                H[:, 3:] = r / d[:, None]
-                applied = _scalar_update(P, x, idx, H, noise.r_uwb,
-                                         None if z is None else z - d, skipped, e, sensor)
+            m = models[sensor](x[idx, 3:] if replay else tick_pos[idx, ti])
+            if m.refused:
+                idx = members[idx]
+                for why, mask in m.refused.items():
+                    _log_skips(skipped, idx[mask], e, sensor, why)
+                keep = m.ok
+                idx, m = idx[keep], m.take(keep)
+                if not len(idx):
+                    continue
+            innov = value[sensor][idx, ti] - m.z if replay else None
+            scale = gamma[idx, ti] if m.scale is None else m.scale
+            if m.z.ndim == 1:
+                applied = _scalar_update(P, x, idx, m.Hr, scale * R[sensor], innov,
+                                         skipped, e, sensor)
             else:
-                if sensor == "cam":
-                    zp = r / d[:, None]
-                    Hr = (_I3 - zp[:, :, None] * zp[:, None, :]) / d[:, None, None]
-                    scale, R = 1.0 / np.abs(sin_a), noise.r_cam
-                else:
-                    zp, Hr = r, None
-                    scale, R = gamma[idx, ti], noise.r_lidar
-                applied = _vector_update(P, x, idx, Hr, scale[:, None, None] * R,
-                                         scale * rmin[sensor],
-                                         None if z is None else z - zp, skipped, e, sensor)
+                applied = _vector_update(P, x, idx, m.Hr, scale[:, None, None] * R[sensor],
+                                         scale * rmin[sensor], innov, skipped, e, sensor)
                 fired[sensor][applied, e] = True
             counts[applied, col] += 1
 
@@ -642,12 +604,6 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise,
         for i, res in zip(idxs, results):
             scores[i] = _summarize(circuit_list[i], lines[i], res)
     return scores
-
-
-def propagate_path(circuit, graph, env, kin, rates, noise,
-                   pec_norm="spectral") -> PathScore:
-    """Score one circuit by propagating the belief along its trajectory."""
-    return propagate_paths([circuit], graph, env, kin, rates, noise, pec_norm)[0]
 
 
 def check_uncertainty_threshold(score: PathScore, limit: float) -> bool:

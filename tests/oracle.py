@@ -1,7 +1,9 @@
 """Reference implementations that tests compare the pipeline against.
 
 Each one is the plain per-element form of a computation the package does in
-bulk, kept here so that a faster version can be checked against it.
+bulk, kept here so that a faster version can be checked against it. All of
+them evaluate the package's sensor models (ekf.sensor_models) one position
+at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,54 @@ import numpy as np
 from tunnelplan import ekf, planner
 from tunnelplan.errors import FilterSingularityError
 from tunnelplan.montecarlo import MeasurementEvent
+
+# ---------------------------------------------------------------------------
+# the scalar reference filter: one belief, one step or reading at a time
+
+
+def predict(b: ekf.BeliefState, cfg: ekf.NoiseConfig) -> ekf.BeliefState:
+    """One constant-velocity step: position integrates velocity, P inflates."""
+    x = b.x.copy()
+    x[3:] += cfg.ts * x[:3]
+    P = cfg.phi @ b.P @ cfg.phi.T + cfg.Q
+    return ekf.BeliefState(x=x, P=P, t=b.t + cfg.ts)
+
+
+def _update(b, pred: ekf.Prediction, z, R) -> ekf.BeliefState:
+    """Joseph update of b by reading z against pred, the sensor's model at
+    b's position, with R scaled by the model's noise scale. A reading a
+    guard refuses raises FilterSingularityError with the guard's reason."""
+    for why, refused in pred.refused.items():
+        if refused[0]:
+            raise FilterSingularityError(why)
+    zp = pred.z[0]
+    H = np.zeros((np.size(zp), 6))
+    H[:, 3:] = np.eye(3) if pred.Hr is None else pred.Hr[0]
+    scale = pred.scale if np.ndim(pred.scale) == 0 else pred.scale[0]
+    return ekf.joseph_update(b, H, scale * np.atleast_2d(R),
+                             np.atleast_1d(np.asarray(z, float) - zp))
+
+
+def altimeter_update(b, z: float, att: ekf.Attitude, cfg: ekf.NoiseConfig):
+    return _update(b, ekf.altimeter(b.x[None, 3:], att), z, cfg.r_alt)
+
+
+def uwb_update(b, z: float, cfg: ekf.NoiseConfig):
+    return _update(b, ekf.uwb(b.x[None, 3:]), z, cfg.r_uwb)
+
+
+def camera_update(b, z, cfg: ekf.NoiseConfig):
+    return _update(b, ekf.camera(b.x[None, 3:]), z, cfg.r_cam)
+
+
+def lidar_update(b, z, cfg: ekf.NoiseConfig, gamma: float = 1.0):
+    if gamma < 1.0:
+        raise ValueError(f"gamma must be at least 1, got {gamma}")
+    return _update(b, ekf.lidar(b.x[None, 3:])._replace(scale=gamma), z, cfg.r_lidar)
+
+
+# ---------------------------------------------------------------------------
+# measurement synthesis
 
 
 def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy",
@@ -28,49 +78,32 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
     ts = truth.commanded.ts
     table = rates.fire_table(n)
     noisy = mode == "noisy"
-
-    try:
-        ekf.altimeter_model(np.zeros(6), attitude)
-        alt_ok = True
-    except FilterSingularityError:
-        alt_ok = False
+    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+    R = noise.R
 
     fires = {sensor: steps.copy() for sensor, steps in table.items()}
     for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):
         steps = np.flatnonzero(table[sensor])
         fires[sensor][steps] = gate(truth.pos[steps])
-    dist, sin_elev = ekf.sight_geometry(truth.pos)
-    in_range = ekf.range_ok(dist)
-    fires["alt"] &= alt_ok
-    fires["uwb"] &= in_range
-    fires["cam"] &= in_range & ekf.elevation_ok(sin_elev)
-
-    sd_alt = math.sqrt(noise.r_alt)
-    sd_uwb = math.sqrt(noise.r_uwb)
-    chol = {"cam": np.linalg.cholesky(noise.r_cam), "lidar": np.linalg.cholesky(noise.r_lidar)}
-    cos_tilt = math.cos(attitude.roll) * math.cos(attitude.pitch)
 
     events = []
     for k in planner.sensor_ticks(table).tolist():
         r = truth.pos[k]
-        d = float(dist[k])
-        for sensor, fire in fires.items():
-            if not fire[k]:
+        for sensor, model in models.items():
+            if not fires[sensor][k]:
                 continue
-            gamma = None
-            if sensor == "alt":
-                z, sd = -r[2] / cos_tilt, sd_alt
-            elif sensor == "uwb":
-                z, sd = d, sd_uwb
-            elif sensor == "cam":
-                z, sd = r / d, math.sqrt(1.0 / abs(sin_elev[k]))
-            else:
-                gamma = noise.lidar_gamma.gamma(float(np.linalg.norm(r - env.rig.position)))
-                z, sd = r, math.sqrt(gamma)
+            pred = model(r[None])
+            if not pred.ok[0]:
+                continue
+            z = pred.z[0]
+            gamma = float(pred.scale[0]) if sensor == "lidar" else None
             outlier = False
             if noisy:
-                L = chol.get(sensor)
-                w = sd * (rng.standard_normal() if L is None else L @ rng.standard_normal(3))
+                if z.ndim:
+                    w = math.sqrt(pred.scale[0]) * (np.linalg.cholesky(R[sensor])
+                                                   @ rng.standard_normal(3))
+                else:
+                    w = math.sqrt(pred.scale * R[sensor]) * rng.standard_normal()
                 z = z + w
                 outlier = bool(outlier_prob > 0.0 and rng.random() < outlier_prob)
                 if outlier:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from test_circuits import verify_circuit
 from test_cli import REDUCED
 
@@ -137,16 +138,14 @@ def test_03_measurement_jacobians_match_finite_differences(check):
             J[:, i] = (np.atleast_1d(fun(xp)) - np.atleast_1d(fun(xm))) / (2 * eps)
         return J
 
-    models = [
-        (lambda x: ekf.altimeter_model(x, att)[0],
-         lambda x: ekf.altimeter_model(x, att)[1][None, :], 1),
-        (lambda x: ekf.uwb_model(x)[0],
-         lambda x: ekf.uwb_model(x)[1][None, :], 1),
-        (lambda x: ekf.camera_model(x)[0],
-         lambda x: ekf.camera_model(x)[1], 3),
-        (lambda x: ekf.lidar_model(x)[0],
-         lambda x: ekf.lidar_model(x)[1], 3),
-    ]
+    def jacobian(pred):
+        H = np.zeros((np.size(pred.z[0]), 6))
+        H[:, 3:] = np.eye(3) if pred.Hr is None else pred.Hr[0]
+        return H
+
+    # the models the belief engine runs, lidar noise scale included
+    rig = mapenv.UgvRig().position
+    models = ekf.sensor_models(att, rig, ekf.LidarGammaModel()).values()
     for _ in range(100):
         # keep clear of the range/elevation guards so models stay smooth
         x = np.concatenate([
@@ -154,9 +153,11 @@ def test_03_measurement_jacobians_match_finite_differences(check):
             [rng.uniform(2.0, 15.0), rng.uniform(-4.0, 4.0),
              rng.uniform(-6.5, -2.0)],
         ])
-        for fun, jac, m in models:
-            H = jac(x)
-            J = fd_jacobian(fun, x, m)
+        for model in models:
+            pred = model(x[None, 3:])
+            assert pred.ok.all()
+            H = jacobian(pred)
+            J = fd_jacobian(lambda s: model(s[None, 3:]).z[0], x, len(H))
             rel = np.abs(J - H).max() / max(np.abs(H).max(), 1.0)
             worst = max(worst, rel)
     check(
@@ -176,23 +177,22 @@ def test_04_covariance_symmetric_psd_trace_monotone(check):
     steps = 10_000
     trace_viol = 0
     for k in range(1, steps + 1):
-        b = ekf.predict(b, cfg)
+        b = oracle.predict(b, cfg)
         # orbit through the safe forward volume to vary the geometry
         w = 2 * math.pi * k / 900.0
         b.x[3:] = [8.0 + 3.0 * math.cos(w), 3.0 * math.sin(w),
                    -3.0 + math.sin(0.7 * w)]
         updates = []
         if k % 10 == 0:
-            zp, _ = ekf.altimeter_model(b.x, att)
-            updates.append(lambda s, z=zp: ekf.altimeter_update(s, z, att, cfg))
+            zp = ekf.altimeter(b.x[None, 3:], att).z[0]
+            updates.append(lambda s, z=zp: oracle.altimeter_update(s, z, att, cfg))
         if k % 5 == 0:
-            zu, _ = ekf.uwb_model(b.x)
-            zc, _, _ = ekf.camera_model(b.x)
-            zl, _ = ekf.lidar_model(b.x)
+            r = b.x[None, 3:]
+            zu, zc, zl = ekf.uwb(r).z[0], ekf.camera(r).z[0], ekf.lidar(r).z[0].copy()
             updates += [
-                lambda s, z=zu: ekf.uwb_update(s, z, cfg),
-                lambda s, z=zc: ekf.camera_update(s, z, cfg),
-                lambda s, z=zl: ekf.lidar_update(s, z, cfg, gamma=1.5),
+                lambda s, z=zu: oracle.uwb_update(s, z, cfg),
+                lambda s, z=zc: oracle.camera_update(s, z, cfg),
+                lambda s, z=zl: oracle.lidar_update(s, z, cfg, gamma=1.5),
             ]
         for up in updates:
             before = float(np.trace(b.P))
@@ -222,12 +222,12 @@ def test_05_lidar_only_matches_independent_kalman_filter(check):
     H[:, 3:] = np.eye(3)
     worst_x = worst_p = 0.0
     for k in range(1000):
-        b = ekf.predict(b, cfg)
+        b = oracle.predict(b, cfg)
         x = cfg.phi @ x
         P = cfg.phi @ P @ cfg.phi.T + cfg.Q
         z = np.array([5.0 + 0.01 * k, 1.0, -3.0]) + 0.15 * rng.standard_normal(3)
         gamma = cfg.lidar_gamma.gamma(float(np.linalg.norm(z)))
-        b = ekf.lidar_update(b, z, cfg, gamma=gamma)
+        b = oracle.lidar_update(b, z, cfg, gamma=gamma)
         R = gamma * cfg.r_lidar
         S = H @ P @ H.T + R
         K = np.linalg.solve(S, H @ P).T
@@ -248,12 +248,12 @@ def test_06_planned_and_replayed_pec_series_agree(default_artifacts, check):
     kin = planner.KinematicProfile()
     rates = planner.RateSchedule()
     noise = ekf.NoiseConfig()
-    score = planner.propagate_path(cands[best], g, env, kin, rates, noise)
-    rec = montecarlo.run_trials(
-        cands[best], best, g, env, kin, rates, noise,
+    score = planner.propagate_paths([cands[best]], g, env, kin, rates, noise)[0]
+    rec = montecarlo.run_trial_sets(
+        [(cands[best], best)], g, env, kin, rates, noise,
         master_seed=ranking["seed"], runs=1, mode="perfect",
         cross_track_sigma=0.0, speed_sigma=0.0, dropout=0.0,
-    )[0]
+    )[0][0]
     same_t = np.array_equal(score.t, rec.result.t)
     dmax = float(np.abs(score.pec - rec.result.pec).max())
     check(
@@ -273,10 +273,10 @@ def test_07_ranking_separation_and_error_direction(default_artifacts, check):
     noise = ekf.NoiseConfig()
     means = {}
     for name, idx in (("best", best), ("worst", worst)):
-        recs = montecarlo.run_trials(
-            cands[idx], idx, g, env, kin, rates, noise,
+        recs = montecarlo.run_trial_sets(
+            [(cands[idx], idx)], g, env, kin, rates, noise,
             master_seed=ranking["seed"], runs=10, mode="perfect", dropout=0.0,
-        )
+        )[0]
         means[name] = float(np.mean([r.stats.rms_3d for r in recs]))
     check(
         7, "best/worst totals separated and error ranking holds",

@@ -348,6 +348,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "corrupt artifact path_scores.csv" in err and "circuit" in err
 
+    def _spoil_a_number(text):
+        header, row, *rest = text.splitlines()
+        fields = row.split(",")
+        fields[4] = "fast"
+        return "\n".join([header, ",".join(fields), *rest]) + "\n"
+
+    @pytest.mark.parametrize("edit", [lambda text: "foo\n1\n", _spoil_a_number],
+                             ids=["columns_missing", "number_not_a_number"])
+    def test_aggregate_without_its_columns_exits_6(
+        self, reduced_cfg, pipeline_out, tmp_path, capsys, edit
+    ):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline_out, work)
+        path = work / "aggregate_noisy.csv"
+        path.write_text(edit(path.read_text()))
+        rc = cli.main(["report", "--config", str(reduced_cfg), "--out", str(work)])
+        assert rc == 6
+        assert "corrupt artifact aggregate_noisy.csv" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stage", ["simulate", "report"])
     @pytest.mark.parametrize("edit", [
         lambda r: {"seed": r["seed"]},

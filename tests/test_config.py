@@ -166,6 +166,15 @@ class TestValidation:
             "rates.predict_hz=0",
             "rates.cam_hz=200",
             "noise.r_alt=-0.1",
+            # non-finite numbers, and vector noise too small to factor
+            "noise.q_pos=.nan",
+            "kinematics.cruise_mps=.inf",
+            "kinematics.roll_deg=-.inf",
+            "plan.max_flight_time_s=.inf",
+            pytest.param("kinematics.cruise_mps=1" + "0" * 400,
+                         id="kinematics.cruise_mps=10**400"),
+            "noise.r_cam=0",
+            "noise.r_lidar=0",
             "simulate.runs=0",
             "simulate.mode=perfectly",
             "simulate.dropout=1.5",

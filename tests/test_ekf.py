@@ -2,7 +2,9 @@
 
 State order is [v_n, v_e, v_d, r_n, r_e, r_d]; measurement Jacobians are
 checked against central finite differences of the predicted-measurement
-functions, recomputed independently here.
+functions, recomputed independently here. Single-step prediction and the
+per-reading updates are the scalar reference filter in oracle.py, built on
+the package's sensor models and Joseph update.
 """
 
 import math
@@ -10,13 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from tunnelplan import ekf
-from tunnelplan.errors import (
-    AttitudeSingularityError,
-    HorizonSingularityError,
-    NearOriginSingularityError,
-    SingularInnovationError,
-)
+from tunnelplan.errors import FilterSingularityError, SingularInnovationError
 
 
 def finite_difference(h, x, eps=1e-6):
@@ -52,7 +50,7 @@ def belief(x=None, P=None, t=0.0):
 class TestPredict:
     def test_identity_covariance_one_step(self):
         cfg = ekf.NoiseConfig()
-        out = ekf.predict(belief(), cfg)
+        out = oracle.predict(belief(), cfg)
         eye = np.eye(3)
         want = np.block(
             [[1.01 * eye, 0.02 * eye], [0.02 * eye, 2.0004 * eye]]
@@ -62,7 +60,7 @@ class TestPredict:
 
     def test_mean_kinematics(self):
         cfg = ekf.NoiseConfig()
-        out = ekf.predict(belief(x=[1, 2, 3, 4, 5, 6]), cfg)
+        out = oracle.predict(belief(x=[1, 2, 3, 4, 5, 6]), cfg)
         assert np.allclose(out.x, [1, 2, 3, 4.02, 5.04, 6.06], atol=1e-12)
 
     def test_default_process_noise(self):
@@ -75,7 +73,7 @@ class TestPredict:
         b = belief(x=[1, 2, 3, 4, 5, 6])
         x0 = b.x.copy()
         P0 = b.P.copy()
-        ekf.predict(b, cfg)
+        oracle.predict(b, cfg)
         assert np.array_equal(b.x, x0)
         assert np.array_equal(b.P, P0)
 
@@ -86,7 +84,7 @@ class TestPredict:
         seq = b
         blocks = []
         for _ in range(7):
-            seq = ekf.predict(seq, cfg)
+            seq = oracle.predict(seq, cfg)
             blocks.append(seq.P[3:, 3:].copy())
         spanned, pos_blocks = ekf.predict_span(b, cfg, 7)
         assert np.allclose(spanned.P, seq.P, atol=1e-11)
@@ -221,25 +219,29 @@ class TestGainAndJoseph:
 
 class TestAltimeter:
     def test_level_attitude_prediction(self):
-        z, H = ekf.altimeter_model(np.array([0, 0, 0, 1.0, 1.0, -2.0]), ekf.Attitude())
-        assert z == pytest.approx(2.0)
-        assert np.allclose(H, [0, 0, 0, 0, 0, -1.0])
+        m = ekf.altimeter(np.array([[1.0, 1.0, -2.0]]), ekf.Attitude())
+        assert m.z[0] == pytest.approx(2.0)
+        assert np.allclose(m.Hr[0], [0, 0, -1.0])
+        assert m.ok.all()
 
     def test_tilted_attitude_projection(self):
         att = ekf.Attitude(roll=math.pi / 4, pitch=math.pi / 4)
-        z, H = ekf.altimeter_model(np.array([0, 0, 0, 0, 0, -2.0]), att)
-        assert z == pytest.approx(4.0)
-        assert H[5] == pytest.approx(-2.0)
+        m = ekf.altimeter(np.array([[0, 0, -2.0]]), att)
+        assert m.z[0] == pytest.approx(4.0)
+        assert m.Hr[0, 2] == pytest.approx(-2.0)
 
     def test_gimbal_guard(self):
         att = ekf.Attitude(pitch=math.radians(89.9))
-        with pytest.raises(AttitudeSingularityError):
-            ekf.altimeter_model(np.array([0, 0, 0, 0, 0, -2.0]), att)
+        m = ekf.altimeter(np.array([[0, 0, -2.0], [1.0, 2.0, -3.0]]), att)
+        assert [mask.tolist() for mask in m.refused.values()] == [[True, True]]
+        with pytest.raises(FilterSingularityError, match="beam projection"):
+            oracle.altimeter_update(belief(x=[0, 0, 0, 0, 0, -2.0]), 2.0, att,
+                                    ekf.NoiseConfig())
 
     def test_update_moves_altitude_only_for_diagonal_p(self):
         cfg = ekf.NoiseConfig()
         b = belief(x=[0, 0, 0, 0, 0, -2.0])
-        out = ekf.altimeter_update(b, 2.5, ekf.Attitude(), cfg)
+        out = oracle.altimeter_update(b, 2.5, ekf.Attitude(), cfg)
         assert out.x[5] < -2.0
         assert np.allclose(out.x[:5], 0.0)
         assert out.P[5, 5] < 1.0
@@ -247,68 +249,83 @@ class TestAltimeter:
 
 class TestUwb:
     def test_range_prediction_and_jacobian(self):
-        z, H = ekf.uwb_model(np.array([0, 0, 0, 3.0, 4.0, 0.0]))
-        assert z == pytest.approx(5.0)
-        assert np.allclose(H, [0, 0, 0, 0.6, 0.8, 0.0], atol=1e-12)
+        m = ekf.uwb(np.array([[3.0, 4.0, 0.0]]))
+        assert m.z[0] == pytest.approx(5.0)
+        assert np.allclose(m.Hr[0], [0.6, 0.8, 0.0], atol=1e-12)
 
     def test_near_origin_guard(self):
-        with pytest.raises(NearOriginSingularityError):
-            ekf.uwb_model(np.array([0, 0, 0, 0.05, 0.0, 0.0]))
+        m = ekf.uwb(np.array([[0.05, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 4.0, 0.0]]))
+        assert list(m.refused) == [ekf.NEAR_ORIGIN]
+        assert m.refused[ekf.NEAR_ORIGIN].tolist() == [True, True, False]
+        with pytest.raises(FilterSingularityError, match=ekf.NEAR_ORIGIN):
+            oracle.uwb_update(belief(x=[0, 0, 0, 0.05, 0.0, 0.0]), 1.0, ekf.NoiseConfig())
 
     def test_exact_range_leaves_mean(self):
         cfg = ekf.NoiseConfig()
         b = belief(x=[0, 0, 0, 3.0, 4.0, 0.0])
-        out = ekf.uwb_update(b, 5.0, cfg)
+        out = oracle.uwb_update(b, 5.0, cfg)
         assert np.allclose(out.x, b.x, atol=1e-12)
         assert np.trace(out.P) < np.trace(b.P)
 
     def test_long_range_pulls_outward(self):
         cfg = ekf.NoiseConfig()
         b = belief(x=[0, 0, 0, 3.0, 4.0, 0.0])
-        out = ekf.uwb_update(b, 6.0, cfg)
+        out = oracle.uwb_update(b, 6.0, cfg)
         assert np.linalg.norm(out.x[3:]) > 5.0
 
 
 class TestCamera:
     def test_overhead_unit_vector(self):
-        z, H, scale = ekf.camera_model(np.array([0, 0, 0, 0.0, 0.0, -5.0]))
-        assert np.allclose(z, [0, 0, -1.0])
-        assert scale == pytest.approx(1.0)
+        m = ekf.camera(np.array([[0.0, 0.0, -5.0]]))
+        assert np.allclose(m.z[0], [0, 0, -1.0])
+        assert m.scale[0] == pytest.approx(1.0)
 
     def test_horizon_guard(self):
-        with pytest.raises(HorizonSingularityError):
-            ekf.camera_model(np.array([0, 0, 0, 3.0, 4.0, 0.0]))
+        m = ekf.camera(np.array([[3.0, 4.0, 0.0]]))
+        assert (m.refused[ekf.NEAR_ORIGIN][0], m.refused[ekf.BELOW_HORIZON][0]) == (False, True)
+        with pytest.raises(FilterSingularityError, match=ekf.BELOW_HORIZON):
+            oracle.camera_update(belief(x=[0, 0, 0, 3.0, 4.0, 0.0]), [0.6, 0.8, 0.0],
+                                 ekf.NoiseConfig())
 
     def test_near_origin_guard(self):
-        with pytest.raises(NearOriginSingularityError):
-            ekf.camera_model(np.array([0, 0, 0, 0.01, 0.0, -0.05]))
+        # below the minimum range the horizon guard no longer applies
+        m = ekf.camera(np.array([[0.01, 0.0, -0.05], [0.05, 0.0, 0.0]]))
+        assert m.refused[ekf.NEAR_ORIGIN].tolist() == [True, True]
+        assert m.refused[ekf.BELOW_HORIZON].tolist() == [False, False]
+        with pytest.raises(FilterSingularityError, match=ekf.NEAR_ORIGIN):
+            oracle.camera_update(belief(x=[0, 0, 0, 0.01, 0.0, -0.05]), [0, 0, -1.0],
+                                 ekf.NoiseConfig())
 
     def test_elevation_noise_scale(self):
         # 30 degrees above the horizon doubles the effective noise
         horiz = 5.0 * math.cos(math.radians(30.0))
         up = 5.0 * math.sin(math.radians(30.0))
-        z, H, scale = ekf.camera_model(np.array([0, 0, 0, horiz, 0.0, -up]))
-        assert scale == pytest.approx(2.0, rel=1e-12)
+        m = ekf.camera(np.array([[horiz, 0.0, -up]]))
+        assert m.scale[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_exact_bearing_leaves_mean(self):
         cfg = ekf.NoiseConfig()
         x = np.array([0, 0, 0, 2.0, 1.0, -4.0])
         z = x[3:] / np.linalg.norm(x[3:])
-        out = ekf.camera_update(belief(x=x), z, cfg)
+        out = oracle.camera_update(belief(x=x), z, cfg)
         assert np.allclose(out.x, x, atol=1e-12)
 
 
 class TestLidar:
     def test_position_prediction(self):
-        z, H = ekf.lidar_model(np.array([0, 0, 0, 1.0, 2.0, -3.0]))
-        assert np.allclose(z, [1.0, 2.0, -3.0])
-        assert np.allclose(H[:, 3:], np.eye(3))
-        assert np.allclose(H[:, :3], 0.0)
+        rig = np.array([1.0, 2.0, 7.0])
+        m = ekf.lidar(np.array([[1.0, 2.0, -3.0]]), rig, ekf.LidarGammaModel())
+        assert np.allclose(m.z[0], [1.0, 2.0, -3.0])
+        # the identity Jacobian
+        assert m.Hr is None
+        assert m.scale[0] == pytest.approx(4.0)
+        assert m.ok.all()
+        assert ekf.lidar(m.z).scale is None
 
     def test_unit_gamma_tightens_position(self):
         cfg = ekf.NoiseConfig(r_lidar=0.01 * np.eye(3))
         b = belief(x=[0, 0, 0, 1.0, 2.0, -3.0])
-        out = ekf.lidar_update(b, b.x[3:].copy(), cfg, gamma=1.0)
+        out = oracle.lidar_update(b, b.x[3:].copy(), cfg, gamma=1.0)
         for i in (3, 4, 5):
             assert out.P[i, i] == pytest.approx(0.01 / 1.01, rel=1e-10)
         assert np.allclose(out.x, b.x, atol=1e-12)
@@ -316,14 +333,14 @@ class TestLidar:
     def test_large_gamma_weakens_update(self):
         cfg = ekf.NoiseConfig()
         b = belief(x=[0, 0, 0, 1.0, 2.0, -3.0])
-        tight = ekf.lidar_update(b, b.x[3:].copy(), cfg, gamma=1.0)
-        loose = ekf.lidar_update(b, b.x[3:].copy(), cfg, gamma=50.0)
+        tight = oracle.lidar_update(b, b.x[3:].copy(), cfg, gamma=1.0)
+        loose = oracle.lidar_update(b, b.x[3:].copy(), cfg, gamma=50.0)
         assert np.trace(loose.P) > np.trace(tight.P)
 
     def test_gamma_below_one_rejected(self):
         cfg = ekf.NoiseConfig()
         with pytest.raises(ValueError):
-            ekf.lidar_update(belief(), np.zeros(3), cfg, gamma=0.5)
+            oracle.lidar_update(belief(), np.zeros(3), cfg, gamma=0.5)
 
 
 class TestGammaModel:
@@ -359,30 +376,27 @@ class TestJacobians:
                 out.append(x)
         return out
 
+    def _check(self, model, rtol, atol):
+        for x in self._states():
+            m = model(x[None, 3:])
+            assert m.ok.all()
+            H = np.zeros((np.size(m.z[0]), 6))
+            H[:, 3:] = np.eye(3) if m.Hr is None else m.Hr[0]
+            J = finite_difference(lambda s: model(s[None, 3:]).z[0], x)
+            assert np.allclose(H, J, rtol=rtol, atol=atol)
+
     def test_altimeter_jacobian(self):
         att = ekf.Attitude(roll=0.1, pitch=-0.2)
-        for x in self._states():
-            _, H = ekf.altimeter_model(x, att)
-            J = finite_difference(lambda s: ekf.altimeter_model(s, att)[0], x)
-            assert np.allclose(H, J[0], rtol=1e-5, atol=1e-8)
+        self._check(lambda r: ekf.altimeter(r, att), 1e-5, 1e-8)
 
     def test_uwb_jacobian(self):
-        for x in self._states():
-            _, H = ekf.uwb_model(x)
-            J = finite_difference(lambda s: ekf.uwb_model(s)[0], x)
-            assert np.allclose(H, J[0], rtol=1e-5, atol=1e-8)
+        self._check(ekf.uwb, 1e-5, 1e-8)
 
     def test_camera_jacobian(self):
-        for x in self._states():
-            _, H, _ = ekf.camera_model(x)
-            J = finite_difference(lambda s: ekf.camera_model(s)[0], x)
-            assert np.allclose(H, J, rtol=1e-5, atol=1e-7)
+        self._check(ekf.camera, 1e-5, 1e-7)
 
     def test_lidar_jacobian(self):
-        for x in self._states():
-            _, H = ekf.lidar_model(x)
-            J = finite_difference(lambda s: ekf.lidar_model(s)[0], x)
-            assert np.allclose(H, J, rtol=1e-5, atol=1e-9)
+        self._check(ekf.lidar, 1e-5, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +410,19 @@ class TestFilterHealth:
         b = belief(x=[0.5, 0, 0, 4.0, 1.0, -3.0])
         att = ekf.Attitude()
         for step in range(1, 1501):
-            b = ekf.predict(b, cfg)
+            b = oracle.predict(b, cfg)
             r = b.x[3:]
             if step % 10 == 0:
                 pre = np.trace(b.P)
-                b = ekf.altimeter_update(b, -r[2] + rng.normal(0, 0.1), att, cfg)
+                b = oracle.altimeter_update(b, -r[2] + rng.normal(0, 0.1), att, cfg)
                 assert np.trace(b.P) <= pre + 1e-9
             if step % 5 == 0:
                 pre = np.trace(b.P)
-                b = ekf.uwb_update(b, np.linalg.norm(r) + rng.normal(0, 0.1), cfg)
+                b = oracle.uwb_update(b, np.linalg.norm(r) + rng.normal(0, 0.1), cfg)
                 assert np.trace(b.P) <= pre + 1e-9
             if step % 5 == 0:
                 pre = np.trace(b.P)
-                b = ekf.lidar_update(b, r + rng.normal(0, 0.1, 3), cfg, gamma=2.0)
+                b = oracle.lidar_update(b, r + rng.normal(0, 0.1, 3), cfg, gamma=2.0)
                 assert np.trace(b.P) <= pre + 1e-9
             assert np.abs(b.P - b.P.T).max() <= 1e-9
         assert np.linalg.eigvalsh(b.P).min() >= -1e-9
@@ -445,8 +459,8 @@ class TestFilterHealth:
             P_ref = IKH @ P_ref @ IKH.T + K @ R @ K.T
             P_ref = 0.5 * (P_ref + P_ref.T)
 
-            b = ekf.predict(b, cfg)
-            b = ekf.lidar_update(b, z, cfg, gamma=gamma)
+            b = oracle.predict(b, cfg)
+            b = oracle.lidar_update(b, z, cfg, gamma=gamma)
 
             assert np.allclose(b.x, x_ref, atol=1e-10)
             assert np.allclose(b.P, P_ref, atol=1e-10)

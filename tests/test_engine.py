@@ -6,12 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
-from tunnelplan.errors import (
-    FilterSingularityError,
-    HorizonSingularityError,
-    NearOriginSingularityError,
-)
+from tunnelplan.errors import FilterSingularityError
 
 # a camera on the ground with a long reach sees down to the horizon, so the
 # elevation guard, not the field of view, decides near-horizon updates
@@ -46,16 +43,21 @@ def plan_one(nom, rates, noise, env, **options):
 def test_boundary_points_are_exact():
     d, _ = ekf.sight_geometry(AT_MIN_RANGE)
     assert d == ekf.MIN_RANGE
-    d, sin_a = ekf.sight_geometry(AT_MIN_ELEVATION)
-    assert abs(sin_a) == ekf.MIN_SIN_ELEVATION
+    d, u = ekf.sight_geometry(AT_MIN_ELEVATION)
+    assert abs(u[2]) == ekf.MIN_SIN_ELEVATION
     assert d > ekf.MIN_RANGE
 
 
 def test_scalar_models_reject_the_boundary():
-    with pytest.raises(NearOriginSingularityError):
-        ekf.uwb_model(np.concatenate([np.zeros(3), AT_MIN_RANGE]))
-    with pytest.raises(HorizonSingularityError):
-        ekf.camera_model(np.concatenate([np.zeros(3), AT_MIN_ELEVATION]))
+    assert ekf.uwb(AT_MIN_RANGE[None]).refused[ekf.NEAR_ORIGIN].tolist() == [True]
+    assert ekf.camera(AT_MIN_ELEVATION[None]).refused[ekf.BELOW_HORIZON].tolist() == [True]
+    noise = ekf.NoiseConfig()
+    with pytest.raises(FilterSingularityError, match=ekf.NEAR_ORIGIN):
+        oracle.uwb_update(ekf.BeliefState(x=np.concatenate([np.zeros(3), AT_MIN_RANGE]),
+                                          P=np.eye(6)), ekf.MIN_RANGE, noise)
+    with pytest.raises(FilterSingularityError, match=ekf.BELOW_HORIZON):
+        oracle.camera_update(ekf.BeliefState(x=np.concatenate([np.zeros(3), AT_MIN_ELEVATION]),
+                                             P=np.eye(6)), AT_MIN_ELEVATION / 5.0, noise)
 
 
 @pytest.mark.parametrize("point, sensor", [(AT_MIN_RANGE, "uwb"),
@@ -147,7 +149,7 @@ def test_scalar_kernel_matches_dense_joseph(with_innov, r):
     H[3] = 0.0
     innov = rng.normal(size=len(idx)) if with_innov else None
     skipped = [[] for _ in range(8)]
-    applied = planner._scalar_update(P, x, idx, H, r, innov, skipped, 7, "uwb")
+    applied = planner._scalar_update(P, x, idx, H[:, 3:], r, innov, skipped, 7, "uwb")
     want_skips = [0, 5] if r == 0.0 else []
     assert all(s == [(7, "uwb", "innovation variance not positive")]
                for s in skipped if s)
@@ -215,7 +217,7 @@ def check_vector_kernel(with_innov, identity):
 
 
 def scalar_replay(truth, events, rates, noise, att):
-    """Per-step ekf.predict and ekf.*_update, pinning the commanded velocity
+    """Per-step oracle.predict and oracle.*_update, pinning the commanded velocity
     at sensor ticks, this run's own turns and the last step."""
     nom = truth.commanded
     n = nom.steps
@@ -228,17 +230,17 @@ def scalar_replay(truth, events, rates, noise, att):
         if not ev.dropped:
             by_step.setdefault(ev.step, []).append(ev)
     update = {
-        "alt": lambda b, ev: ekf.altimeter_update(b, ev.value, att, noise),
-        "uwb": lambda b, ev: ekf.uwb_update(b, ev.value, noise),
-        "cam": lambda b, ev: ekf.camera_update(b, ev.value, noise),
-        "lidar": lambda b, ev: ekf.lidar_update(b, ev.value, noise, ev.gamma),
+        "alt": lambda b, ev: oracle.altimeter_update(b, ev.value, att, noise),
+        "uwb": lambda b, ev: oracle.uwb_update(b, ev.value, noise),
+        "cam": lambda b, ev: oracle.camera_update(b, ev.value, noise),
+        "lidar": lambda b, ev: oracle.lidar_update(b, ev.value, noise, ev.gamma),
     }
     b = ekf.BeliefState(x=np.concatenate([nom.vel[0], nom.pos[0]]), P=np.eye(6))
     est, pec = np.empty((n, 6)), np.empty(n)
     counts = dict.fromkeys(update, 0)
     skipped = []
     for k in range(1, n + 1):
-        b = ekf.predict(b, noise)
+        b = oracle.predict(b, noise)
         if k in bounds:
             b.x[:3] = nom.vel[min(k, n - 1)]
         for sensor in ("alt", "uwb", "cam", "lidar"):

@@ -166,6 +166,19 @@ class TestSynthesis:
             elif ev.sensor == "lidar":
                 assert np.allclose(ev.value, r, atol=1e-12)
 
+    def test_perfect_mode_factors_no_covariance(self):
+        # exact readings take no draws, so a singular noise covariance is
+        # never factored
+        env = empty_env()
+        g, c = out_and_back([3.0, 1.0, -2.0], [12.0, 1.0, -2.0])
+        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
+        truth = montecarlo.simulate_truth(nom, np.random.default_rng(1))
+        noise = ekf.NoiseConfig(r_cam=np.zeros((3, 3)), r_lidar=np.zeros((3, 3)))
+        events = montecarlo.synthesize_measurements(
+            truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
+            np.random.default_rng(2), mode="perfect")
+        assert {ev.sensor for ev in events} == {"alt", "uwb", "cam", "lidar"}
+
     def test_perfect_mode_ignores_outlier_probability(self):
         # no outlier is drawn, so the events and their dropout draws are
         # those of a run without outliers
@@ -252,10 +265,7 @@ class TestSynthesis:
             assert (ev.step, ev.t, ev.sensor, ev.dropped, ev.outlier) == (
                 ref.step, ref.t, ref.sensor, ref.dropped, ref.outlier)
             assert np.array_equal(ev.value, ref.value)
-            # the oracle squares the lidar range with libm's pow, the
-            # planner and this module with numpy's square
-            assert (ev.gamma is None) == (ref.gamma is None)
-            assert ev.gamma is None or abs(ev.gamma - ref.gamma) <= np.spacing(ref.gamma)
+            assert ev.gamma == ref.gamma
         # both took the same draws, so both streams stand at one place
         assert got_rng.random() == want_rng.random()
         flags = [(ev.dropped, ev.outlier) for ev in got]
@@ -294,7 +304,7 @@ class TestReplay:
         kin = planner.KinematicProfile()
         rates = planner.RateSchedule()
         noise = ekf.NoiseConfig()
-        plan = planner.propagate_path(c, g, tunnel, kin, rates, noise)
+        plan = planner.propagate_paths([c], g, tunnel, kin, rates, noise)[0]
 
         nom = planner.build_nominal_trajectory(c, g, kin.cruise, noise.ts)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(30),

@@ -28,6 +28,16 @@ def out_and_back_graph(a, b):
     return g, c
 
 
+def pec(P, norm="spectral"):
+    """pec of the position block of a full 6x6 covariance."""
+    return float(planner.pec_series(np.asarray(P)[3:, 3:][None], norm)[0])
+
+
+def propagate_path(circuit, graph, env, kin, rates, noise):
+    """Score of one circuit propagated alone."""
+    return planner.propagate_paths([circuit], graph, env, kin, rates, noise)[0]
+
+
 def polyline_point(waypoints, s):
     """Independent arc-length interpolation used as the position oracle."""
     seglen = [np.linalg.norm(waypoints[i + 1] - waypoints[i]) for i in range(len(waypoints) - 1)]
@@ -45,11 +55,11 @@ def polyline_point(waypoints, s):
 
 class TestPec:
     def test_identity(self):
-        assert planner.pec(np.eye(6)) == pytest.approx(1.0)
+        assert pec(np.eye(6)) == pytest.approx(1.0)
 
     def test_dominant_axis(self):
         P = np.diag([9.0, 9.0, 9.0, 4.0, 1.0, 1.0])
-        assert planner.pec(P) == pytest.approx(4.0)
+        assert pec(P) == pytest.approx(4.0)
 
     def test_matches_eigvalsh_oracle(self):
         rng = np.random.default_rng(3)
@@ -59,16 +69,16 @@ class TestPec:
             P = np.zeros((6, 6))
             P[3:, 3:] = block
             want = float(np.linalg.eigvalsh(block)[-1])
-            assert planner.pec(P) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert pec(P) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_frobenius_option(self):
         P = np.zeros((6, 6))
         P[3:, 3:] = np.diag([3.0, 4.0, 0.0])
-        assert planner.pec(P, norm="fro") == pytest.approx(5.0)
+        assert pec(P, norm="fro") == pytest.approx(5.0)
 
     def test_unknown_norm_rejected(self):
         with pytest.raises(ValueError):
-            planner.pec(np.eye(6), norm="nuclear")
+            pec(np.eye(6), norm="nuclear")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +197,8 @@ class TestPropagatePath:
         env = empty_env()
         g = roadmap.RoadmapGraph(nodes=np.array([[1.0, 0.0, -1.0]]), edges=[], source=0)
         c = circuits.random_euler_circuit(g, np.random.default_rng(1))
-        score = planner.propagate_path(c, g, env, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         assert len(score.pec) == 0
         assert score.total == 0.0
 
@@ -196,8 +206,8 @@ class TestPropagatePath:
         nodes = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(11))
         g = roadmap.eulerize(roadmap.connect_knn(nodes, 4, tunnel), tunnel)
         c = circuits.random_euler_circuit(g, np.random.default_rng(12))
-        score = planner.propagate_path(c, g, tunnel, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, tunnel, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
         assert len(score.pec) == nom.steps
         assert abs(len(score.pec) - math.floor(score.flight_time * 50.0)) <= 1
@@ -208,8 +218,8 @@ class TestPropagatePath:
 
     def test_lidar_coverage_on_boresight(self):
         env, g, c = boresight_fixture()
-        score = planner.propagate_path(c, g, env, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         n = len(score.pec)
         assert score.lidar_updates == n // 5
         assert score.lidar_fired[4::5].all()
@@ -225,8 +235,8 @@ class TestPropagatePath:
         kin = planner.KinematicProfile()
         rates = planner.RateSchedule()
         noise = ekf.NoiseConfig()
-        covered = planner.propagate_path(c, g, env, kin, rates, noise)
-        uncovered = planner.propagate_path(c, g, blind, kin, rates, noise)
+        covered = propagate_path(c, g, env, kin, rates, noise)
+        uncovered = propagate_path(c, g, blind, kin, rates, noise)
         assert covered.total < uncovered.total
         assert covered.lidar_updates > 0
         assert uncovered.lidar_updates == 0
@@ -236,8 +246,8 @@ class TestPropagatePath:
         g = roadmap.eulerize(roadmap.connect_knn(nodes, 4, tunnel), tunnel)
         c = circuits.random_euler_circuit(g, np.random.default_rng(14))
         args = (c, g, tunnel, planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig())
-        a = planner.propagate_path(*args)
-        b = planner.propagate_path(*args)
+        a = propagate_path(*args)
+        b = propagate_path(*args)
         assert np.array_equal(a.pec, b.pec)
         assert np.array_equal(a.t, b.t)
         assert a.total == b.total
@@ -248,20 +258,20 @@ class TestPropagatePath:
         c = circuits.random_euler_circuit(g, np.random.default_rng(16))
         c.nodes[1] = c.nodes[2]
         with pytest.raises(InvalidCircuitError):
-            planner.propagate_path(c, g, tunnel, planner.KinematicProfile(),
-                                   planner.RateSchedule(), ekf.NoiseConfig())
+            propagate_path(c, g, tunnel, planner.KinematicProfile(),
+                           planner.RateSchedule(), ekf.NoiseConfig())
 
     def test_gimbal_attitude_skips_altimeter(self):
         env, g, c = boresight_fixture()
         kin = planner.KinematicProfile(attitude=ekf.Attitude(pitch=math.radians(89.9)))
-        score = planner.propagate_path(c, g, env, kin, planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, kin, planner.RateSchedule(), ekf.NoiseConfig())
         assert score.skipped
         assert all(s[1] == "alt" for s in score.skipped)
 
     def test_stats_fields_consistent(self):
         env, g, c = boresight_fixture()
-        score = planner.propagate_path(c, g, env, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         assert score.mean == pytest.approx(float(np.mean(score.pec)))
         assert score.median == pytest.approx(float(np.median(score.pec)))
         assert score.sigma == pytest.approx(float(np.std(score.pec)))
@@ -282,7 +292,7 @@ class TestBatchedPropagation:
         noise = ekf.NoiseConfig()
         batch = planner.propagate_paths(cands, g, tunnel, kin, rates, noise)
         for c, got in zip(cands, batch):
-            want = planner.propagate_path(c, g, tunnel, kin, rates, noise)
+            want = propagate_path(c, g, tunnel, kin, rates, noise)
             assert np.array_equal(got.cam_fired, want.cam_fired)
             assert np.array_equal(got.lidar_fired, want.lidar_fired)
             assert got.cam_updates == want.cam_updates
@@ -305,7 +315,7 @@ class TestBatchedPropagation:
         rates = planner.RateSchedule()
         noise = ekf.NoiseConfig()
         got = planner.propagate_paths([c], g, env, kin, rates, noise)[0]
-        want = planner.propagate_path(c, g, env, kin, rates, noise)
+        want = propagate_path(c, g, env, kin, rates, noise)
         assert len(got.skipped) == len(want.skipped)
         assert got.skipped[0][1] == "alt"
         assert np.allclose(got.pec, want.pec, rtol=1e-9)
@@ -393,14 +403,14 @@ class TestRanking:
 class TestThreshold:
     def test_generous_threshold_passes(self):
         env, g, c = boresight_fixture()
-        score = planner.propagate_path(c, g, env, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         assert planner.check_uncertainty_threshold(score, 1e9) is True
         assert score.threshold_ok is True
 
     def test_tight_threshold_fails(self):
         env, g, c = boresight_fixture()
-        score = planner.propagate_path(c, g, env, planner.KinematicProfile(),
-                                       planner.RateSchedule(), ekf.NoiseConfig())
+        score = propagate_path(c, g, env, planner.KinematicProfile(),
+                               planner.RateSchedule(), ekf.NoiseConfig())
         assert planner.check_uncertainty_threshold(score, 0.5) is False
         assert score.threshold_ok is False
