@@ -278,10 +278,10 @@ def replay_runs(truths, events_list, rates, noise, attitude, P0=None,
                 pec_norm: str = "spectral") -> list:
     """Replay each run's measurements through the filter along its circuit.
 
-    Runs with equal step counts are filtered together in one batched sweep.
-    The commanded velocity is the control input: it is pinned at each of a
-    run's boundaries while the position estimate integrates it and absorbs
-    the measurement corrections. Dropped events are skipped.
+    Runs with equal step counts are filtered together in one batched sweep;
+    a run's result does not depend on the others in its batch. The
+    commanded trajectory is the control input and the filter estimates the
+    offset from it (see planner.run_batch). Dropped events are skipped.
     """
     noms = [truth.commanded for truth in truths]
     results: list = [None] * len(noms)

@@ -357,11 +357,14 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     member's nominal positions at the T steps of
     sensor_ticks(rates.fire_table(steps)). It gates camera and lidar on
     env's field of view there and applies zero-innovation updates. Replay
-    follows the commanded trajectories noms, each of the given steps: it
-    leaves the position estimate free, pins the velocity to the commanded
-    value at the member's own boundaries (sensor ticks, its turns and the
-    last step), evaluates Jacobians and guards at the member's estimate and
-    applies its readings.
+    follows the commanded trajectories noms, each of the given steps, and
+    holds the mean as its offset from them: it leaves the position offset
+    free, evaluates Jacobians and guards at the member's estimate and
+    applies its readings. A tick's velocity correction lasts until the
+    member's own next turn, capped at the next tick; the velocity is the
+    commanded one otherwise. Both modes predict between the same bounds,
+    step 0, the sensor ticks and the last step, so a member's bits do not
+    depend on the others in its batch.
 
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
@@ -384,16 +387,24 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     T = len(ticks)
     tick_of = np.full(n + 1, -1)
     tick_of[ticks] = np.arange(T)
-    bounds = [[0, n], ticks]
+    bounds = np.unique(np.concatenate([[0, n], ticks]))
+    # the last bound at or before each step, and the steps predicted past it
+    last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
+    ahead = np.arange(n + 1) - bounds[last]
     x = value = None
     if replay:
         offered, value, gamma = readings.offered, readings.value, readings.gamma
         vel = np.stack([nm.vel for nm in noms]).reshape(B, n, 3)
-        turn = np.zeros((B, n + 1), dtype=bool)
-        turn[:, 1:n] = np.any(vel[:, 1:] != vel[:, :-1], axis=2)
-        bounds.append(np.flatnonzero(turn.any(axis=0)))
-        x = np.concatenate([vel[:, 0] if n else np.zeros((B, 3)),
-                            np.stack([nm.pos[0] for nm in noms])], axis=1)
+        pos = np.stack([nm.pos for nm in noms])
+        tick_pos = pos[:, ticks]
+        # each member's first turn after every step (n + 1 for none), and the
+        # steps past each bound that its velocity correction lasts
+        turn_at = np.full((B, n + 2), n + 1)
+        turn_at[:, 1:n] = np.where(np.any(vel[:, 1:] != vel[:, :-1], axis=2), np.arange(1, n),
+                                   n + 1)
+        after = np.minimum.accumulate(turn_at[:, ::-1], axis=1)[:, ::-1]
+        hold = np.minimum(after[:, bounds + 1], np.append(bounds[1:], n + 1)) - bounds
+        x = np.zeros((B, 6))
     else:
         if tick_pos.shape != (B, T, 3):
             raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
@@ -405,10 +416,6 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             "cam": table["cam"][ticks] & env.camera_sees_many(flat).reshape(B, T),
             "lidar": table["lidar"][ticks] & env.lidar_sees_many(flat).reshape(B, T),
         }
-    bounds = np.unique(np.concatenate(bounds))
-    # the last bound at or before each step, and the steps predicted past it
-    last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
-    ahead = np.arange(n + 1) - bounds[last]
 
     # the lidar's noise scale comes from gamma: the readings' own in replay,
     # the rig's range to each nominal position in planning
@@ -443,9 +450,11 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             pec[:, s0 - 1:s1 - 1] = pec_series(blocks.reshape(-1, 3, 3),
                                                pec_norm).reshape(B, -1)
             if replay:
-                xs = xrec[:, slot]
-                est[:, s0 - 1:s1 - 1, :3] = xs[..., :3]
-                est[:, s0 - 1:s1 - 1, 3:] = xs[..., 3:] + (k * ts)[None, :, None] * xs[..., :3]
+                xs, held = xrec[:, slot], hold[:, last[s0:s1]]
+                est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
+                                             + (k < held)[..., None] * xs[..., :3])
+                est[:, s0 - 1:s1 - 1, 3:] = pos[:, s0:s1] + (
+                    xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
     spans: dict = {}
     rec[:, 0] = P
@@ -463,9 +472,8 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         P = A @ P @ At + Q
         ti = tick_of[e]
         if replay:
-            x[:, 3:] += span * ts * x[:, :3]
-            pin = slice(None) if ti >= 0 or e == n else turn[:, e]
-            x[pin, :3] = vel[pin, min(e, n - 1)]
+            x[:, 3:] += (hold[:, j - 1] * ts)[:, None] * x[:, :3]
+            x[:, :3] = 0.0
 
         for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
             count = n_offered[sensor][ti]
@@ -473,7 +481,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                 continue
             # a view of every member when all take part, else their indices
             idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
-            m = models[sensor](x[idx, 3:] if replay else tick_pos[idx, ti])
+            m = models[sensor](tick_pos[idx, ti] + x[idx, 3:] if replay else tick_pos[idx, ti])
             if m.refused:
                 idx = members[idx]
                 for why, mask in m.refused.items():
