@@ -276,6 +276,11 @@ def _validate(cfg: RunConfig):
                 f"simulate.selections: bad entry {sel!r}; use one of "
                 f"{list(SELECTION_NAMES)} or a candidate index"
             )
+    # a selection's label names its output files and aggregate row
+    labels = [str(sel) for sel in s.selections]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"simulate.selections: repeated entries {repeated}")
     _require_num(s.cross_track_sigma_m, "simulate.cross_track_sigma_m", minimum=0.0)
     _require_num(s.cross_track_tau_s, "simulate.cross_track_tau_s", above=0.0)
     _require_num(s.speed_sigma_mps, "simulate.speed_sigma_mps", minimum=0.0)

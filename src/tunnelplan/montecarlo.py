@@ -109,93 +109,47 @@ class MeasurementEvent:
     outlier: bool = False
 
 
-def _draw_in_order(rng, widths: np.ndarray, uniforms: int):
-    """The draws of readings that take them one after another: widths[i]
-    normals, then the given number of uniforms, for each reading i.
-
-    Returns all normals in order and a (readings, uniforms) array. This is
-    the one walk over single readings: a bulk draw would order the stream
-    differently.
-    """
-    normal = rng.standard_normal
-    extra = (rng.random,) * uniforms
-    normals: list = []
-    drawn: list = []
-    for w in widths.tolist():
-        if w == 1:
-            normals.append(normal())
-        elif w:
-            normals.extend(normal(w))
-        for draw in extra:
-            drawn.append(draw())
-    return np.array(normals), np.array(drawn).reshape(len(widths), uniforms)
-
-
 def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, noisy: bool,
                      dropout: float, outlier_prob: float, outlier_scale: float):
     """Each sensor's readings as arrays over the steps where it fires.
 
-    Returns {sensor: (steps, values, dropped, outlier)} in the fire table's
-    sensor order, the lidar noise scale at its steps, and the order that
-    lists the readings of all sensors, numbered sensor by sensor, by step
-    and then sensor.
+    Returns {sensor: (steps, values, noise scale, dropped, outlier)} in the
+    fire table's sensor order, and takes the draws from rng in that order,
+    sensor by sensor (see synthesize_measurements).
     """
     pos = truth.pos
-    table = rates.fire_table(truth.commanded.steps)
     models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
     gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
-    R = noise.R
-
-    # where each sensor delivers a reading (its schedule, its field-of-view
-    # gate and its guards), the exact value there and its noise scale
-    at, exact, noise_scale = {}, {}, {}
-    for sensor, fire in table.items():
+    readings = {}
+    for sensor, fire in rates.fire_table(truth.commanded.steps).items():
+        # where the sensor delivers a reading (its schedule, its field-of-view
+        # gate and its guards), the exact value there and its noise scale
         steps = np.flatnonzero(fire)
         if sensor in gates:
             steps = steps[gates[sensor](pos[steps])]
         m = models[sensor](pos[steps])
         keep = m.ok
-        at[sensor], m = steps[keep], m.take(keep)
-        exact[sensor], noise_scale[sensor] = m.z, m.scale
-
-    sensors = list(table)
-    sizes = [len(at[sensor]) for sensor in sensors]
-    bounds = np.cumsum([0] + sizes)
-    step = np.concatenate([at[sensor] for sensor in sensors])
-    order = np.argsort(step * len(sensors) + np.repeat(np.arange(len(sensors)), sizes),
-                       kind="stable")
-    width = np.repeat([3 if exact[sensor].ndim == 2 else 1 for sensor in sensors], sizes) * noisy
-    normals, drawn = _draw_in_order(rng, width[order],
-                                    (noisy and outlier_prob > 0.0) + (dropout > 0.0))
-    # where each reading's draws sit, by the sensor-by-sensor numbering
-    first = np.empty(len(step), dtype=int)
-    first[order] = np.cumsum(width[order]) - width[order]
-    u = np.empty_like(drawn)
-    u[order] = drawn
-
-    readings = {}
-    for i, sensor in enumerate(sensors):
-        part = slice(bounds[i], bounds[i + 1])
-        z = exact[sensor]
-        outlier = np.zeros(sizes[i], dtype=bool)
+        steps, m = steps[keep], m.take(keep)
+        z, n = m.z, len(steps)
+        outlier = np.zeros(n, dtype=bool)
         if noisy:
             # a scalar reading's standard deviation, a factor on the Cholesky
             # factor of a vector one's covariance
+            R = noise.R[sensor]
             if z.ndim == 2:
-                draws = normals[first[part, None] + np.arange(3)]
-                chol = np.linalg.cholesky(R[sensor])
-                w = np.sqrt(noise_scale[sensor])[:, None] * (chol @ draws[:, :, None])[:, :, 0]
+                draws = rng.standard_normal((n, 3))
+                w = np.sqrt(m.scale)[:, None] * (np.linalg.cholesky(R) @ draws[:, :, None])[:, :, 0]
             else:
-                w = np.sqrt(noise_scale[sensor] * R[sensor]) * normals[first[part]]
+                w = np.sqrt(m.scale * R) * rng.standard_normal(n)
             z = z + w
             if outlier_prob > 0.0:
-                outlier = u[part, 0] < outlier_prob
+                outlier = rng.random(n) < outlier_prob
                 z[outlier] += (outlier_scale - 1.0) * w[outlier]
             if sensor == "cam":
                 z = z / ekf.row_norms(z)[:, None]
-        dropped = u[part, -1] < dropout if dropout > 0.0 else np.zeros(sizes[i], dtype=bool)
-        readings[sensor] = (at[sensor], z, dropped, outlier)
-    return readings, noise_scale["lidar"], order
+        dropped = rng.random(n) < dropout if dropout > 0.0 else np.zeros(n, dtype=bool)
+        readings[sensor] = (steps, z, m.scale, dropped, outlier)
+    return readings
 
 
 def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
@@ -212,10 +166,11 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
     replay can skip them while statistics still count them.
 
     Events come in step order and, at one step, in the fire table's sensor
-    order. Each takes its draws from rng in that order: its noise normals
-    (noisy mode; one for a scalar reading, three for a vector one), then
-    its outlier uniform (noisy mode, outlier_prob > 0), then its dropout
-    uniform (dropout > 0).
+    order. The draws from rng come sensor by sensor in that order, each
+    sensor's in bulk over its readings in step order: its noise normals
+    (noisy mode; (n,) for a scalar sensor, (n, 3) for a vector one), then
+    its n outlier uniforms (noisy mode, outlier_prob > 0), then its n
+    dropout uniforms (dropout > 0).
     """
     if mode not in ("noisy", "perfect"):
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
@@ -223,17 +178,18 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
         raise ValueError("dropout must be within [0, 1]")
     # the arrays are built and dropped before any event exists, so the
     # events do not sit among their freed temporaries
-    readings, gamma, order = _sensor_readings(truth, env, rates, noise, attitude, rng,
-                                              mode == "noisy", dropout, outlier_prob,
-                                              outlier_scale)
+    readings = _sensor_readings(truth, env, rates, noise, attitude, rng, mode == "noisy",
+                                dropout, outlier_prob, outlier_scale)
     events: list = []
-    for sensor, (steps, z, dropped, outlier) in readings.items():
+    for sensor, (steps, z, scale, dropped, outlier) in readings.items():
         n = len(steps)
         events += map(MeasurementEvent, steps.tolist(), (steps * truth.commanded.ts).tolist(),
                       [sensor] * n, z.tolist() if z.ndim == 1 else list(z),
-                      gamma.tolist() if sensor == "lidar" else [None] * n,
+                      scale.tolist() if sensor == "lidar" else [None] * n,
                       dropped.tolist(), outlier.tolist())
-    return [events[i] for i in order.tolist()]
+    # a stable sort keeps the sensor order within a step
+    events.sort(key=lambda ev: ev.step)
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +230,7 @@ def _readings(events_list, n: int, rates) -> planner.Readings:
     return planner.Readings(offered=offered, value=value, gamma=gamma)
 
 
-def replay_runs(truths, events_list, rates, noise, attitude, P0=None,
+def replay_runs(truths, events_list, rates, noise, attitude,
                 pec_norm: str = "spectral") -> list:
     """Replay each run's measurements through the filter along its circuit.
 
@@ -289,16 +245,16 @@ def replay_runs(truths, events_list, rates, noise, attitude, P0=None,
         n = noms[idxs[0]].steps
         readings = _readings([events_list[i] for i in idxs], n, rates)
         batch = planner.run_batch(n, rates, noise, attitude, noms=[noms[i] for i in idxs],
-                                  readings=readings, P0=P0, pec_norm=pec_norm)
+                                  readings=readings, pec_norm=pec_norm)
         for i, res in zip(idxs, batch):
             results[i] = res
     return results
 
 
 def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude,
-                   P0=None, pec_norm: str = "spectral"):
+                   pec_norm: str = "spectral"):
     """Replay one run's synthesized measurements; see replay_runs."""
-    return replay_runs([truth], [events], rates, noise, attitude, P0, pec_norm)[0]
+    return replay_runs([truth], [events], rates, noise, attitude, pec_norm)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -395,15 +395,14 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     if replay:
         offered, value, gamma = readings.offered, readings.value, readings.gamma
         vel = np.stack([nm.vel for nm in noms]).reshape(B, n, 3)
-        pos = np.stack([nm.pos for nm in noms])
-        tick_pos = pos[:, ticks]
-        # each member's first turn after every step (n + 1 for none), and the
-        # steps past each bound that its velocity correction lasts
-        turn_at = np.full((B, n + 2), n + 1)
-        turn_at[:, 1:n] = np.where(np.any(vel[:, 1:] != vel[:, :-1], axis=2), np.arange(1, n),
-                                   n + 1)
-        after = np.minimum.accumulate(turn_at[:, ::-1], axis=1)[:, ::-1]
-        hold = np.minimum(after[:, bounds + 1], np.append(bounds[1:], n + 1)) - bounds
+        tick_pos = np.stack([nm.pos[ticks] for nm in noms])
+        # each member's first turn after every bound (n + 1 for none), and
+        # the steps past the bound that its velocity correction lasts
+        hold = np.empty((B, len(bounds)), dtype=int)
+        for b in range(B):
+            turns = np.flatnonzero(np.any(vel[b, 1:] != vel[b, :-1], axis=1)) + 1
+            after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
+            hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
         x = np.zeros((B, 6))
     else:
         if tick_pos.shape != (B, T, 3):
@@ -453,7 +452,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                 xs, held = xrec[:, slot], hold[:, last[s0:s1]]
                 est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
                                              + (k < held)[..., None] * xs[..., :3])
-                est[:, s0 - 1:s1 - 1, 3:] = pos[:, s0:s1] + (
+                est[:, s0 - 1:s1 - 1, 3:] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
                     xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
     spans: dict = {}

@@ -70,9 +70,12 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
     """montecarlo.synthesize_measurements, one reading at a time.
 
     Walks the sensor ticks in order and, at each, the sensors in the fire
-    table's order; every reading takes its draws from rng as it is made:
-    its noise normals (noisy mode), then its outlier uniform (noisy mode,
-    outlier_prob > 0), then its dropout uniform (dropout > 0).
+    table's order to find where each sensor delivers a reading. Then, sensor
+    by sensor in that order, it draws the sensor's arrays from rng, its
+    noise normals (noisy mode), its outlier uniforms (noisy mode,
+    outlier_prob > 0) and its dropout uniforms (dropout > 0), and builds its
+    readings one at a time from them. Events are listed by step and then
+    sensor.
     """
     n = truth.commanded.steps
     ts = truth.commanded.ts
@@ -86,31 +89,37 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
         steps = np.flatnonzero(table[sensor])
         fires[sensor][steps] = gate(truth.pos[steps])
 
-    events = []
+    found = {sensor: [] for sensor in models}
     for k in planner.sensor_ticks(table).tolist():
-        r = truth.pos[k]
         for sensor, model in models.items():
-            if not fires[sensor][k]:
-                continue
-            pred = model(r[None])
-            if not pred.ok[0]:
-                continue
+            if fires[sensor][k]:
+                pred = model(truth.pos[k][None])
+                if pred.ok[0]:
+                    found[sensor].append((k, pred))
+
+    events = []
+    for sensor, readings in found.items():
+        count = len(readings)
+        shape = (count, 3) if sensor in ("cam", "lidar") else count
+        normals = rng.standard_normal(shape) if noisy else None
+        outlier_u = rng.random(count) if noisy and outlier_prob > 0.0 else None
+        dropout_u = rng.random(count) if dropout > 0.0 else None
+        for i, (k, pred) in enumerate(readings):
             z = pred.z[0]
             gamma = float(pred.scale[0]) if sensor == "lidar" else None
             outlier = False
             if noisy:
                 if z.ndim:
-                    w = math.sqrt(pred.scale[0]) * (np.linalg.cholesky(R[sensor])
-                                                   @ rng.standard_normal(3))
+                    w = math.sqrt(pred.scale[0]) * (np.linalg.cholesky(R[sensor]) @ normals[i])
                 else:
-                    w = math.sqrt(pred.scale * R[sensor]) * rng.standard_normal()
+                    w = math.sqrt(pred.scale * R[sensor]) * normals[i]
                 z = z + w
-                outlier = bool(outlier_prob > 0.0 and rng.random() < outlier_prob)
+                outlier = bool(outlier_u is not None and outlier_u[i] < outlier_prob)
                 if outlier:
                     z = z + (outlier_scale - 1.0) * w
                 if sensor == "cam":
                     z = z / np.linalg.norm(z)
-            dropped = bool(dropout > 0.0 and rng.random() < dropout)
+            dropped = bool(dropout_u is not None and dropout_u[i] < dropout)
             events.append(MeasurementEvent(step=k, t=k * ts, sensor=sensor, value=z,
                                            gamma=gamma, dropped=dropped, outlier=outlier))
-    return events
+    return sorted(events, key=lambda ev: ev.step)

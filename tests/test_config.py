@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from tunnelplan import config, mapenv
+from tunnelplan import cli, config, mapenv
 from tunnelplan.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -182,6 +182,8 @@ class TestValidation:
             "simulate.selections=[]",
             "simulate.selections=[bestest]",
             "simulate.selections=[-2]",
+            "simulate.selections=[best, best]",
+            "simulate.selections=[3, worst, '3']",
             "seed=abc",
         ],
     )
@@ -192,6 +194,12 @@ class TestValidation:
     def test_numeric_selection_allowed(self):
         cfg = config.load_config(overrides=["simulate.selections=[best, 3]"])
         assert cfg.simulate.selections == ["best", 3]
+
+    def test_repeated_select_option_exits_2(self, tmp_path):
+        # a repeat would replay the same runs twice into the same files
+        argv = ["all", "--select", "best", "--select", "best", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
 
 
 class TestRoundTrip:

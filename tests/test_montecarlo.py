@@ -272,6 +272,38 @@ class TestSynthesis:
         assert any(d for d, _ in flags) == (dropout > 0.0)
         assert any(o for _, o in flags) == (mode == "noisy" and outlier_prob > 0.0)
 
+    def test_lidar_noise_matches_its_covariance(self):
+        # residuals over sqrt(gamma) are draws of the configured covariance,
+        # off-diagonal terms included; bounds are five standard errors
+        R = np.array([[0.0225, 0.009, 0.0], [0.009, 0.04, -0.006], [0.0, -0.006, 0.01]])
+        noise = ekf.NoiseConfig(r_lidar=R)
+        env = empty_env(bounds_max=(300.0, 5.0, 0.0))
+        g, c = out_and_back([3.0, 1.0, -2.0], [260.0, 1.0, -2.0])
+        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
+        truth = montecarlo.simulate_truth(nom, np.random.default_rng(40))
+        events = montecarlo.synthesize_measurements(
+            truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
+            np.random.default_rng(41))
+        lidar = [ev for ev in events if ev.sensor == "lidar"]
+        assert len(lidar) > 1000
+        res = np.array([(ev.value - truth.pos[ev.step]) / math.sqrt(ev.gamma) for ev in lidar])
+        assert np.ptp([ev.gamma for ev in lidar]) > 0.1
+        cov = res.T @ res / len(res)
+        d = np.diag(R)
+        assert np.all(np.abs(cov - R) <= 5.0 * np.sqrt((np.outer(d, d) + R * R) / len(res)))
+
+    def test_flag_fractions_per_sensor(self):
+        dropout, outlier_prob = 0.3, 0.2
+        _, _, events = straight_run_events(dropout=dropout, outlier_prob=outlier_prob)
+        for sensor in ("alt", "uwb", "cam", "lidar"):
+            evs = [ev for ev in events if ev.sensor == sensor]
+            n = len(evs)
+            assert n > 100, sensor
+            for p, frac in ((dropout, np.mean([ev.dropped for ev in evs])),
+                            (outlier_prob, np.mean([ev.outlier for ev in evs]))):
+                # five standard deviations of a binomial fraction
+                assert abs(frac - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), (sensor, p, frac)
+
     def test_dropout_flags(self):
         env, truth, events = straight_run_events(mode="noisy", dropout=1.0)
         assert events
