@@ -10,11 +10,20 @@ the nominal trajectory, batched over candidates) and measurement replay
 (mean free, commanded velocity treated as a control input, batched over
 Monte Carlo runs), so planned and replayed covariance series agree step for
 step.
+
+A large batch is split into contiguous chunks of members, one per usable
+CPU: the calling process sweeps the first and forked workers the others,
+writing their members' outputs into memory shared with the caller. The
+set-up (fire table, visibility gates, readings) stays in the caller. A
+member's bits do not depend on the others in its batch, so a split run
+returns the same bits as a serial one.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,6 +245,10 @@ def _validate_circuit(circuit, graph) -> None:
 
 # recorded covariances turned into per-step pec at a time, in bytes
 _FLUSH_BYTES = 2 << 20
+# members x sensor ticks from which a batch is split across CPUs. On a
+# 2-vCPU VM two halves lost time at 5,000, saved 4 % at 10,000 and 10-16 %
+# from 20,000; below it sit the many small batches of the unit tests
+_SPLIT_MEMBER_TICKS = 20_000
 
 
 @dataclass
@@ -369,6 +382,8 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
     pec is recorded after each full step, including that step's updates.
+    A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
+    in chunks across the usable CPUs (_split_members), with the same bits.
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
@@ -391,7 +406,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     # the last bound at or before each step, and the steps predicted past it
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
     ahead = np.arange(n + 1) - bounds[last]
-    x = value = None
+    value = vel = hold = None
     if replay:
         offered, value, gamma = readings.offered, readings.value, readings.gamma
         vel = np.stack([nm.vel for nm in noms]).reshape(B, n, 3)
@@ -403,7 +418,6 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             turns = np.flatnonzero(np.any(vel[b, 1:] != vel[b, :-1], axis=1)) + 1
             after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
             hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
-        x = np.zeros((B, 6))
     else:
         if tick_pos.shape != (B, T, 3):
             raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
@@ -423,93 +437,112 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
 
-    P = np.repeat(P0[None], B, axis=0)
-    members = np.arange(B)
-    # how many members have a reading of each sensor at each tick
-    n_offered = {sensor: offered[sensor].sum(axis=0) for sensor in SENSOR_ORDER}
-    pec = np.empty((B, n))
-    est = np.empty((B, n, 6)) if replay else None
-    fired = {"cam": np.zeros((B, n + 1), dtype=bool),
-             "lidar": np.zeros((B, n + 1), dtype=bool)}
-    counts = np.zeros((B, 4), dtype=int)
-    skipped: list[list] = [[] for _ in range(B)]
+    k = _process_count(B, T)
+    # outputs each process fills for its own members: in shared memory once
+    # forked workers write them
+    zeros = np.zeros if k == 1 else _shared_zeros
+    pec = zeros((B, n))
+    est = zeros((B, n, 6)) if replay else None
+    fired = {"cam": zeros((B, n + 1), dtype=bool), "lidar": zeros((B, n + 1), dtype=bool)}
 
-    # The covariance (and mean) after each bound goes to a buffer of a few
-    # MB; each flush predicts every step since the previous flush from the
-    # bound before it and reduces the whole chunk to pec in one pass.
-    chunk = max(1, _FLUSH_BYTES // (B * 6 * 6 * 8))
-    rec = np.empty((B, chunk + 1, 6, 6))
-    xrec = np.empty((B, chunk + 1, 6)) if replay else None
+    def propagate(offered, value, gamma, tick_pos, vel, hold, noms, pec, est, fired):
+        """The per-tick sweep and flushes of the members these inputs hold.
 
-    def flush(j0: int, j1: int) -> None:
-        for s0 in range(bounds[j0] + 1, bounds[j1] + 1, chunk):
-            s1 = min(s0 + chunk, bounds[j1] + 1)
-            slot, k = last[s0:s1] - j0, ahead[s0:s1]
-            blocks = ekf.position_blocks(rec[:, slot], k, noise)
-            pec[:, s0 - 1:s1 - 1] = pec_series(blocks.reshape(-1, 3, 3),
-                                               pec_norm).reshape(B, -1)
-            if replay:
-                xs, held = xrec[:, slot], hold[:, last[s0:s1]]
-                est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
-                                             + (k < held)[..., None] * xs[..., :3])
-                est[:, s0 - 1:s1 - 1, 3:] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
-                    xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
+        Writes their pec, estimates and fired flags into the given rows and
+        returns their update counts (B, 4) and skip logs.
+        """
+        B = len(tick_pos)
+        P = np.repeat(P0[None], B, axis=0)
+        x = np.zeros((B, 6)) if replay else None
+        members = np.arange(B)
+        # how many members have a reading of each sensor at each tick
+        n_offered = {sensor: offered[sensor].sum(axis=0) for sensor in SENSOR_ORDER}
+        counts = np.zeros((B, 4), dtype=int)
+        skipped: list[list] = [[] for _ in range(B)]
 
-    spans: dict = {}
-    rec[:, 0] = P
-    if replay:
-        xrec[:, 0] = x
-    j0 = 0
-    for j in range(1, len(bounds)):
-        e = int(bounds[j])
-        span = e - int(bounds[j - 1])
-        if span not in spans:
-            A, Q = ekf.span_transition(noise, span)
-            # a contiguous transpose multiplies faster than the view A.T
-            spans[span] = (A, A.T.copy(), Q)
-        A, At, Q = spans[span]
-        P = A @ P @ At + Q
-        ti = tick_of[e]
+        # The covariance (and mean) after each bound goes to a buffer of a few
+        # MB; each flush predicts every step since the previous flush from the
+        # bound before it and reduces the whole chunk to pec in one pass.
+        chunk = max(1, _FLUSH_BYTES // (B * 6 * 6 * 8))
+        rec = np.empty((B, chunk + 1, 6, 6))
+        xrec = np.empty((B, chunk + 1, 6)) if replay else None
+
+        def flush(j0: int, j1: int) -> None:
+            for s0 in range(bounds[j0] + 1, bounds[j1] + 1, chunk):
+                s1 = min(s0 + chunk, bounds[j1] + 1)
+                slot, k = last[s0:s1] - j0, ahead[s0:s1]
+                blocks = ekf.position_blocks(rec[:, slot], k, noise)
+                pec[:, s0 - 1:s1 - 1] = pec_series(blocks.reshape(-1, 3, 3),
+                                                   pec_norm).reshape(B, -1)
+                if replay:
+                    xs, held = xrec[:, slot], hold[:, last[s0:s1]]
+                    est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
+                                                 + (k < held)[..., None] * xs[..., :3])
+                    est[:, s0 - 1:s1 - 1, 3:] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
+                        xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
+
+        spans: dict = {}
+        rec[:, 0] = P
         if replay:
-            x[:, 3:] += (hold[:, j - 1] * ts)[:, None] * x[:, :3]
-            x[:, :3] = 0.0
+            xrec[:, 0] = x
+        j0 = 0
+        for j in range(1, len(bounds)):
+            e = int(bounds[j])
+            span = e - int(bounds[j - 1])
+            if span not in spans:
+                A, Q = ekf.span_transition(noise, span)
+                # a contiguous transpose multiplies faster than the view A.T
+                spans[span] = (A, A.T.copy(), Q)
+            A, At, Q = spans[span]
+            P = A @ P @ At + Q
+            ti = tick_of[e]
+            if replay:
+                x[:, 3:] += (hold[:, j - 1] * ts)[:, None] * x[:, :3]
+                x[:, :3] = 0.0
 
-        for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
-            count = n_offered[sensor][ti]
-            if not count:
-                continue
-            # a view of every member when all take part, else their indices
-            idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
-            m = models[sensor](tick_pos[idx, ti] + x[idx, 3:] if replay else tick_pos[idx, ti])
-            if m.refused:
-                idx = members[idx]
-                for why, mask in m.refused.items():
-                    _log_skips(skipped, idx[mask], e, sensor, why)
-                keep = m.ok
-                idx, m = idx[keep], m.take(keep)
-                if not len(idx):
+            for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
+                count = n_offered[sensor][ti]
+                if not count:
                     continue
-            innov = value[sensor][idx, ti] - m.z if replay else None
-            scale = gamma[idx, ti] if m.scale is None else m.scale
-            if m.z.ndim == 1:
-                applied = _scalar_update(P, x, idx, m.Hr, scale * R[sensor], innov,
-                                         skipped, e, sensor)
-            else:
-                applied = _vector_update(P, x, idx, m.Hr, scale[:, None, None] * R[sensor],
-                                         scale * rmin[sensor], innov, skipped, e, sensor)
-                fired[sensor][applied, e] = True
-            counts[applied, col] += 1
+                # a view of every member when all take part, else their indices
+                idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
+                m = models[sensor](tick_pos[idx, ti] + x[idx, 3:] if replay else tick_pos[idx, ti])
+                if m.refused:
+                    idx = members[idx]
+                    for why, mask in m.refused.items():
+                        _log_skips(skipped, idx[mask], e, sensor, why)
+                    keep = m.ok
+                    idx, m = idx[keep], m.take(keep)
+                    if not len(idx):
+                        continue
+                innov = value[sensor][idx, ti] - m.z if replay else None
+                scale = gamma[idx, ti] if m.scale is None else m.scale
+                if m.z.ndim == 1:
+                    applied = _scalar_update(P, x, idx, m.Hr, scale * R[sensor], innov,
+                                             skipped, e, sensor)
+                else:
+                    applied = _vector_update(P, x, idx, m.Hr, scale[:, None, None] * R[sensor],
+                                             scale * rmin[sensor], innov, skipped, e, sensor)
+                    fired[sensor][applied, e] = True
+                counts[applied, col] += 1
 
-        rec[:, j - j0] = P
-        if replay:
-            xrec[:, j - j0] = x
-        if e - bounds[j0] >= chunk or j == len(bounds) - 1:
-            flush(j0, j)
-            rec[:, 0] = rec[:, j - j0]
+            rec[:, j - j0] = P
             if replay:
-                xrec[:, 0] = xrec[:, j - j0]
-            j0 = j
+                xrec[:, j - j0] = x
+            if e - bounds[j0] >= chunk or j == len(bounds) - 1:
+                flush(j0, j)
+                rec[:, 0] = rec[:, j - j0]
+                if replay:
+                    xrec[:, 0] = xrec[:, j - j0]
+                j0 = j
 
+        return counts, skipped
+
+    def sweep(lo: int, hi: int) -> tuple:
+        return propagate(*(_rows(a, lo, hi) for a in (offered, value, gamma, tick_pos, vel,
+                                                      hold, noms, pec, est, fired)))
+
+    counts, skipped = _split_members(k, B, sweep)
     t_axis = np.arange(1, n + 1) * ts
     return [
         EngineResult(t=t_axis, pec=pec[b], cam_fired=fired["cam"][b, 1:],
@@ -520,6 +553,107 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                      skipped=skipped[b])
         for b in range(B)
     ]
+
+
+def _rows(a, lo: int, hi: int):
+    """Members lo..hi-1 of a per-member input: an array, a list or a dict of
+    arrays; None stays None."""
+    if isinstance(a, dict):
+        return {key: v[lo:hi] for key, v in a.items()}
+    return None if a is None else a[lo:hi]
+
+
+def _process_count(B: int, T: int) -> int:
+    """How many processes share a batch of B members over T sensor ticks."""
+    if B * T < _SPLIT_MEMBER_TICKS or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = min(len(os.sched_getaffinity(0)), B)
+    if cpus < 2:
+        return 1
+    import multiprocessing  # costs about 10 ms, so only once a split is due
+
+    # a daemonic process may not start workers of its own
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1
+    return cpus
+
+
+def _shared_zeros(shape, dtype=float) -> np.ndarray:
+    """Zeros in anonymous shared memory, which forked workers write in place."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
+def _split_members(k: int, B: int, sweep) -> tuple:
+    """sweep(lo, hi) over k contiguous chunks of the B members; returns
+    their update counts and skip logs in member order.
+
+    The caller sweeps the first chunk and forked workers the others. A
+    worker writes its members' outputs into the caller's shared arrays and
+    sends back only their counts and skip logs. The caller also sweeps a
+    chunk whose worker could not be started. A worker's exception is
+    raised again here, and no worker outlives the call.
+    """
+    if k == 1:
+        return sweep(0, B)
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    edges = [B * i // k for i in range(k + 1)]
+    chunks = list(zip(edges[:-1], edges[1:]))
+    # per chunk after the first: its worker and the pipe it answers on
+    workers: list = []
+    try:
+        for lo, hi in chunks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_sweep_part, args=(sweep, lo, hi, send), daemon=True)
+            try:
+                proc.start()
+            except OSError:  # no process to be had: the caller sweeps this chunk
+                recv.close()
+                workers.append(None)
+            else:
+                workers.append((proc, recv))
+            finally:
+                send.close()
+        parts = [sweep(*chunks[0])]
+        for (lo, hi), worker in zip(chunks[1:], workers):
+            if worker is None:
+                parts.append(sweep(lo, hi))
+                continue
+            proc, recv = worker
+            try:
+                ok, part = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"belief engine worker died with exit code "
+                                   f"{proc.exitcode}") from None
+            if not ok:
+                raise part
+            parts.append(part)
+    except BaseException:
+        for worker in filter(None, workers):
+            worker[0].terminate()
+        raise
+    finally:
+        for proc, recv in filter(None, workers):
+            recv.close()
+            proc.join()
+    return (np.concatenate([counts for counts, _ in parts]),
+            [log for _, logs in parts for log in logs])
+
+
+def _sweep_part(sweep, lo: int, hi: int, conn) -> None:
+    """A worker's body: send (True, what sweep returns) or (False, the
+    exception)."""
+    try:
+        reply = (True, sweep(lo, hi))
+    except BaseException as exc:  # raised again in the caller
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
 
 
 def step_groups(paths) -> list:

@@ -1,7 +1,10 @@
 """The batched belief engine against the scalar filter, and the sensor guards
 at their exact boundaries."""
 
+import errno
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -326,7 +329,9 @@ def offered_shares(offered):
     return bool((counts == B).any()), bool(((counts > 0) & (counts < B)).any())
 
 
-def test_planning_batch_equals_each_candidate_alone(tunnel):
+def tunnel_candidates(tunnel):
+    """Six candidates over one small roadmap of the shipped tunnel, given at
+    their sensor ticks: their step count, tick positions and models."""
     pts = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(5))
     g = roadmap.eulerize(roadmap.connect_knn(pts, 4, tunnel), tunnel)
     cands = circuits.generate_candidates(g, 6, np.random.default_rng(6), 0.5)
@@ -336,12 +341,17 @@ def test_planning_batch_equals_each_candidate_alone(tunnel):
     assert all(line.steps == n for line in lines)
     ticks = planner.sensor_ticks(rates.fire_table(n))
     tick_pos = np.stack([line.at(ticks)[0] for line in lines])
-    batch = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
     # the camera's gate splits the candidates at some ticks
     cam = rates.fire_table(n)["cam"][ticks] & tunnel.camera_sees_many(
         tick_pos.reshape(-1, 3)).reshape(len(cands), -1)
     assert offered_shares({"cam": cam}) == (True, True)
-    for b in range(len(cands)):
+    return n, tick_pos, kin, rates, noise
+
+
+def test_planning_batch_equals_each_candidate_alone(tunnel):
+    n, tick_pos, kin, rates, noise = tunnel_candidates(tunnel)
+    batch = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+    for b in range(len(tick_pos)):
         alone = planner.run_batch(n, rates, noise, kin.attitude,
                                   tick_pos=tick_pos[b:b + 1], env=tunnel)[0]
         assert_same_result(batch[b], alone)
@@ -357,3 +367,112 @@ def test_replay_batch_equals_each_run_alone():
     for rec in runs:
         alone = montecarlo.run_online_ekf(rec.truth, rec.events, rates, noise, kin.attitude)
         assert_same_result(rec.result, alone)
+
+
+# ---------------------------------------------------------------------------
+# a batch split across worker processes against the serial sweep
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every batch across three CPUs; returns the worker counts used."""
+    monkeypatch.setattr(planner, "_SPLIT_MEMBER_TICKS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    used = []
+    process_count = planner._process_count
+
+    def counted(B, T):
+        used.append(process_count(B, T))
+        return used[-1]
+
+    monkeypatch.setattr(planner, "_process_count", counted)
+    return used
+
+
+def test_split_planning_equals_serial(tunnel, split):
+    n, tick_pos, kin, rates, noise = tunnel_candidates(tunnel)
+    got = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+    assert split == [3] and not multiprocessing.active_children()
+    split.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        want = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+    assert split == [1]
+    for g, w in zip(got, want, strict=True):
+        assert_same_result(g, w)
+
+
+def test_split_replay_equals_serial(split):
+    # built serially: near_horizon_runs() replays its runs before the split
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        runs, kin, rates, noise = near_horizon_runs()
+    split.clear()
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+                                 rates, noise, kin.attitude)
+    # four runs on three CPUs: chunks of one, one and two members
+    assert split == [3] and not multiprocessing.active_children()
+    for g, rec in zip(got, runs, strict=True):
+        assert_same_result(g, rec.result)
+
+
+def failing_altimeter(where):
+    """An altimeter model that fails in the calling process or in a worker."""
+    caller = os.getpid()
+    altimeter = ekf.altimeter
+
+    def model(r, att):
+        if (os.getpid() == caller) == (where == "caller"):
+            if where == "worker exits":
+                os._exit(3)
+            raise ValueError("altimeter failed")
+        return altimeter(r, att)
+
+    return model
+
+
+@pytest.mark.parametrize("where, error", [("caller", ValueError), ("worker", ValueError),
+                                          ("worker exits", RuntimeError)])
+def test_split_failure_leaves_no_worker(split, monkeypatch, where, error):
+    runs, kin, rates, noise = near_horizon_runs()
+    monkeypatch.setattr(ekf, "altimeter", failing_altimeter(where))
+    with pytest.raises(error, match="altimeter failed|exit code 3"):
+        montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+                               rates, noise, kin.attitude)
+    assert split[-1] == 3
+    assert not multiprocessing.active_children()
+
+
+def test_caller_sweeps_a_chunk_whose_worker_cannot_start(split, monkeypatch):
+    runs, kin, rates, noise = near_horizon_runs()
+    fork = os.fork
+    forks = []
+
+    def second_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+                                 rates, noise, kin.attitude)
+    assert forks == [0, 1] and not multiprocessing.active_children()
+    for g, rec in zip(got, runs, strict=True):
+        assert_same_result(g, rec.result)
+
+
+def test_one_cpu_starts_no_process(split, monkeypatch):
+    runs, kin, rates, noise = near_horizon_runs()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    split.clear()
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+                                 rates, noise, kin.attitude)
+    assert split == [1]
+    for g, rec in zip(got, runs, strict=True):
+        assert_same_result(g, rec.result)
