@@ -194,7 +194,7 @@ def _resolve_selection(ranking: dict, sel) -> int:
     n = len(ranking["totals"])
     if isinstance(sel, bool):
         raise ConfigError(f"bad selection {sel!r}")
-    if isinstance(sel, int) or (isinstance(sel, str) and sel.isdigit()):
+    if isinstance(sel, int) or config.is_candidate_index(sel):
         idx = int(sel)
         if not 0 <= idx < n:
             raise ConfigError(
@@ -288,7 +288,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
     )
     scores = planner.propagate_paths(
         cands, g, env, cfg.kinematic_profile(), cfg.rate_schedule(),
-        cfg.noise_config(), cfg.plan.pec_norm,
+        cfg.noise_config(),
     )
     for s in scores:
         planner.check_uncertainty_threshold(s, cfg.plan.pec_threshold_m2)
@@ -428,7 +428,6 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
         dropout=sim.dropout if mode == "noisy" else 0.0,
         outlier_prob=sim.outlier_prob,
         outlier_scale=sim.outlier_scale,
-        pec_norm=cfg.plan.pec_norm,
     )
     agg_rows = []
     for (label, idx), records in zip(selected, trial_sets):

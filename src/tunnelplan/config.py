@@ -26,6 +26,15 @@ STREAM_MONTECARLO = 2
 SELECTION_NAMES = ("best", "worst", "second_best", "second_worst")
 
 
+def is_candidate_index(label) -> bool:
+    """True for a selection label that names a candidate by its index.
+
+    Only ASCII decimal digits count: int() also reads other scripts'
+    digits, which would give one candidate a second label.
+    """
+    return isinstance(label, str) and label.isascii() and label.isdigit()
+
+
 @dataclass
 class PlanSection:
     nodes: int = 12
@@ -34,7 +43,6 @@ class PlanSection:
     forward_bias: float = 3.0
     max_flight_time_s: float = 900.0
     pec_threshold_m2: float = 25.0
-    pec_norm: str = "spectral"
 
 
 @dataclass
@@ -42,15 +50,6 @@ class KinematicsSection:
     cruise_mps: float = 0.5
     roll_deg: float = 0.0
     pitch_deg: float = 0.0
-
-
-@dataclass
-class RatesSection:
-    predict_hz: float = 50.0
-    alt_hz: float = 5.0
-    uwb_hz: float = 10.0
-    cam_hz: float = 10.0
-    lidar_hz: float = 10.0
 
 
 @dataclass
@@ -85,7 +84,7 @@ class RunConfig:
     out_dir: str = "out"
     plan: PlanSection = field(default_factory=PlanSection)
     kinematics: KinematicsSection = field(default_factory=KinematicsSection)
-    rates: RatesSection = field(default_factory=RatesSection)
+    rates: planner.RateSchedule = field(default_factory=planner.RateSchedule)
     noise: NoiseSection = field(default_factory=NoiseSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
 
@@ -115,14 +114,7 @@ class RunConfig:
         return planner.KinematicProfile(cruise=k.cruise_mps, attitude=att)
 
     def rate_schedule(self) -> planner.RateSchedule:
-        r = self.rates
-        return planner.RateSchedule(
-            predict_hz=r.predict_hz,
-            alt_hz=r.alt_hz,
-            uwb_hz=r.uwb_hz,
-            cam_hz=r.cam_hz,
-            lidar_hz=r.lidar_hz,
-        )
+        return self.rates
 
     def noise_config(self) -> ekf.NoiseConfig:
         n = self.noise
@@ -151,7 +143,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 _SECTIONS = {
     "plan": PlanSection,
     "kinematics": KinematicsSection,
-    "rates": RatesSection,
+    "rates": planner.RateSchedule,
     "noise": NoiseSection,
     "simulate": SimulateSection,
 }
@@ -164,7 +156,14 @@ def _section_from_dict(cls, data, prefix):
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {prefix}.{key}")
-    return cls(**data)
+    if cls is planner.RateSchedule:
+        # the schedule checks its rates' signs and order as it is built
+        for key, value in data.items():
+            _require_num(value, f"{prefix}.{key}")
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}.{exc}") from exc
 
 
 def _from_dict(data: dict) -> RunConfig:
@@ -234,20 +233,17 @@ def _validate(cfg: RunConfig):
     _require_str(cfg.out_dir, "out_dir")
 
     p = cfg.plan
-    _require_int(p.nodes, "plan.nodes", 1)
+    # a one-node roadmap has no edge to fly
+    _require_int(p.nodes, "plan.nodes", 2)
     _require_int(p.knn, "plan.knn", 1)
     _require_int(p.candidates, "plan.candidates", 1)
     _require_num(p.forward_bias, "plan.forward_bias", minimum=1.0)
     _require_num(p.max_flight_time_s, "plan.max_flight_time_s", above=0.0)
     _require_num(p.pec_threshold_m2, "plan.pec_threshold_m2", above=0.0)
-    _require_str(p.pec_norm, "plan.pec_norm", choices=("spectral", "fro"))
 
     _require_num(cfg.kinematics.cruise_mps, "kinematics.cruise_mps", above=0.0)
     _require_num(cfg.kinematics.roll_deg, "kinematics.roll_deg")
     _require_num(cfg.kinematics.pitch_deg, "kinematics.pitch_deg")
-
-    for name in ("predict_hz", "alt_hz", "uwb_hz", "cam_hz", "lidar_hz"):
-        _require_num(getattr(cfg.rates, name), f"rates.{name}", above=0.0)
 
     n = cfg.noise
     for name in ("q_vel", "q_pos", "r_alt", "r_uwb"):
@@ -271,7 +267,7 @@ def _validate(cfg: RunConfig):
                 raise ConfigError(
                     f"simulate.selections: index must be >= 0, got {sel}"
                 )
-        elif not (isinstance(sel, str) and (sel in SELECTION_NAMES or sel.isdigit())):
+        elif not (sel in SELECTION_NAMES or is_candidate_index(sel)):
             raise ConfigError(
                 f"simulate.selections: bad entry {sel!r}; use one of "
                 f"{list(SELECTION_NAMES)} or a candidate index"
@@ -288,10 +284,8 @@ def _validate(cfg: RunConfig):
     _require_num(s.outlier_prob, "simulate.outlier_prob", minimum=0.0, maximum=1.0)
     _require_num(s.outlier_scale, "simulate.outlier_scale", minimum=0.0)
 
-    # component constructors enforce cross-field rules (e.g. sensor rates may
-    # not exceed the prediction rate)
+    # the components check their own parameters too
     try:
-        cfg.rate_schedule()
         cfg.noise_config()
         cfg.kinematic_profile()
     except ValueError as exc:

@@ -85,7 +85,6 @@ class EnvironmentMap:
     obstacles: list[BoxObstacle] = field(default_factory=list)
     collision_margin: float = DEFAULT_COLLISION_MARGIN
     rig: UgvRig = field(default_factory=UgvRig)
-    seg_step: float = SEGMENT_SAMPLE_STEP
 
     def __post_init__(self):
         self.bounds_min = as_point(self.bounds_min)
@@ -107,36 +106,28 @@ class EnvironmentMap:
 
     # -- collision queries --------------------------------------------------
 
-    def is_free(self, p, margin: float | None = None) -> bool:
+    def is_free(self, p) -> bool:
         """True if p is inside bounds and outside every margin-inflated box."""
-        q = as_point(p)
-        m = self.collision_margin if margin is None else margin
-        if not (np.all(q >= self.bounds_min) and np.all(q <= self.bounds_max)):
-            return False
-        if len(self.obstacles) == 0:
-            return True
-        hit = np.all((q >= self._lo - m) & (q <= self._hi + m), axis=1)
-        return not bool(hit.any())
+        return self.points_free(as_point(p)[None, :])
 
-    def points_free(self, pts: np.ndarray, margin: float | None = None) -> bool:
-        """Vectorized is_free over an (N, 3) array; True when all points pass."""
-        m = self.collision_margin if margin is None else margin
+    def points_free(self, pts: np.ndarray) -> bool:
+        """is_free for every row of an (N, 3) array; True when all pass."""
         if not np.all((pts >= self.bounds_min) & (pts <= self.bounds_max)):
             return False
-        for lo, hi in zip(self._lo, self._hi):
-            if np.all((pts >= lo - m) & (pts <= hi + m), axis=1).any():
-                return False
-        return True
+        m = self.collision_margin
+        p = pts[:, None, :]
+        return not np.all((p >= self._lo - m) & (p <= self._hi + m), axis=2).any()
 
-    def segment_is_free(self, a, b, margin: float | None = None) -> bool:
-        """Sampled collision check along the segment a..b at seg_step spacing."""
+    def segment_is_free(self, a, b) -> bool:
+        """Sampled collision check along the segment a..b at
+        SEGMENT_SAMPLE_STEP spacing."""
         pa = as_point(a)
         pb = as_point(b)
         length = float(np.linalg.norm(pb - pa))
-        num = max(2, int(math.ceil(length / self.seg_step)) + 1)
+        num = max(2, int(math.ceil(length / SEGMENT_SAMPLE_STEP)) + 1)
         ts = np.linspace(0.0, 1.0, num)
         pts = pa[None, :] + ts[:, None] * (pb - pa)[None, :]
-        return self.points_free(pts, margin)
+        return self.points_free(pts)
 
     # -- sight lines --------------------------------------------------------
 
@@ -262,11 +253,18 @@ def load_map(path) -> EnvironmentMap:
         raise MapFormatError(f"cannot read map file {path}: {exc}") from exc
     _check_keys(raw, _MAP_KEYS, "the top level", path)
 
-    try:
-        bounds_min = raw["bounds_min"]
-        bounds_max = raw["bounds_max"]
-    except KeyError as exc:
-        raise MapFormatError(f"map file {path} is missing {exc}") from exc
+    bounds = []
+    for key in ("bounds_min", "bounds_max"):
+        if key not in raw:
+            raise MapFormatError(f"map file {path} is missing {key!r}")
+        try:
+            point = as_point(raw[key])
+        except (TypeError, ValueError) as exc:
+            raise MapFormatError(f"{key} in {path} is malformed: {exc}") from exc
+        # node sampling draws uniformly between the bounds
+        if not np.isfinite(point).all():
+            raise MapFormatError(f"{key} in {path} is not finite: {point.tolist()}")
+        bounds.append(point)
 
     obstacles = []
     for i, entry in enumerate(raw.get("obstacles") or []):
@@ -301,8 +299,8 @@ def load_map(path) -> EnvironmentMap:
         raise MapFormatError(f"collision_margin_m in {path} is malformed: {exc}") from exc
 
     return EnvironmentMap(
-        bounds_min=bounds_min,
-        bounds_max=bounds_max,
+        bounds_min=bounds[0],
+        bounds_max=bounds[1],
         obstacles=obstacles,
         collision_margin=margin,
         rig=rig,

@@ -230,8 +230,7 @@ def _readings(events_list, n: int, rates) -> planner.Readings:
     return planner.Readings(offered=offered, value=value, gamma=gamma)
 
 
-def replay_runs(truths, events_list, rates, noise, attitude,
-                pec_norm: str = "spectral") -> list:
+def replay_runs(truths, events_list, rates, noise, attitude) -> list:
     """Replay each run's measurements through the filter along its circuit.
 
     Runs with equal step counts are filtered together in one batched sweep;
@@ -245,16 +244,15 @@ def replay_runs(truths, events_list, rates, noise, attitude,
         n = noms[idxs[0]].steps
         readings = _readings([events_list[i] for i in idxs], n, rates)
         batch = planner.run_batch(n, rates, noise, attitude, noms=[noms[i] for i in idxs],
-                                  readings=readings, pec_norm=pec_norm)
+                                  readings=readings)
         for i, res in zip(idxs, batch):
             results[i] = res
     return results
 
 
-def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude,
-                   pec_norm: str = "spectral"):
+def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude):
     """Replay one run's synthesized measurements; see replay_runs."""
-    return replay_runs([truth], [events], rates, noise, attitude, pec_norm)[0]
+    return replay_runs([truth], [events], rates, noise, attitude)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +373,8 @@ def run_trial_sets(selected, graph, env, kin, rates, noise,
                    master_seed: int, runs: int, mode: str = "noisy",
                    cross_track_sigma: float = 0.3, cross_track_tau: float = 2.0,
                    speed_sigma: float = 0.05, dropout: float = 0.0,
-                   outlier_prob: float = 0.0, outlier_scale: float = 10.0,
-                   pec_norm: str = "spectral") -> list[list[TrialRecord]]:
+                   outlier_prob: float = 0.0,
+                   outlier_scale: float = 10.0) -> list[list[TrialRecord]]:
     """Monte Carlo replay of several circuits: simulate, measure, filter, score.
 
     selected lists (circuit, circuit_index) pairs; the result holds one list
@@ -397,8 +395,7 @@ def run_trial_sets(selected, graph, env, kin, rates, noise,
                 truth, env, rates, noise, kin.attitude, meas_rng, mode=mode,
                 dropout=dropout, outlier_prob=outlier_prob,
                 outlier_scale=outlier_scale))
-    results = replay_runs(truths, events_list, rates, noise, kin.attitude,
-                          pec_norm=pec_norm)
+    results = replay_runs(truths, events_list, rates, noise, kin.attitude)
     records = [
         TrialRecord(truth=truth, events=events, result=result,
                     stats=compute_stats(truth, result, events=events, mode=mode))

@@ -35,26 +35,6 @@ SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
 
 
 # ---------------------------------------------------------------------------
-# position-error covariance norms
-
-
-def pec_series(blocks: np.ndarray, norm: str = "spectral") -> np.ndarray:
-    """Scalar position-error covariance for a batch of 3x3 position blocks.
-
-    The spectral norm is each block's largest eigenvalue (ekf.sym3_max); the
-    smallest is never computed.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    if blocks.ndim != 3 or blocks.shape[1:] != (3, 3):
-        raise ValueError("expected an (n, 3, 3) batch of position blocks")
-    if norm == "spectral":
-        return ekf.sym3_max(blocks)
-    if norm == "fro":
-        return np.sqrt((blocks * blocks).sum(axis=(1, 2)))
-    raise ValueError(f"unknown pec norm {norm!r}; expected 'spectral' or 'fro'")
-
-
-# ---------------------------------------------------------------------------
 # profiles and schedules
 
 
@@ -362,7 +342,7 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
 
 
 def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
-              readings=None, P0=None, pec_norm="spectral") -> list:
+              readings=None, P0=None) -> list:
     """Propagate the belief of every member along its trajectory at once.
 
     Planning (readings is None) pins the mean to each nominal trajectory,
@@ -381,7 +361,8 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
 
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
-    pec is recorded after each full step, including that step's updates.
+    pec, the position block's largest eigenvalue, is recorded after each
+    full step, including that step's updates.
     A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
     in chunks across the usable CPUs (_split_members), with the same bits.
     """
@@ -472,8 +453,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                 s1 = min(s0 + chunk, bounds[j1] + 1)
                 slot, k = last[s0:s1] - j0, ahead[s0:s1]
                 blocks = ekf.position_blocks(rec[:, slot], k, noise)
-                pec[:, s0 - 1:s1 - 1] = pec_series(blocks.reshape(-1, 3, 3),
-                                                   pec_norm).reshape(B, -1)
+                pec[:, s0 - 1:s1 - 1] = ekf.sym3_max(blocks.reshape(-1, 3, 3)).reshape(B, -1)
                 if replay:
                     xs, held = xrec[:, slot], hold[:, last[s0:s1]]
                     est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
@@ -722,8 +702,7 @@ def _summarize(circuit, line, result) -> PathScore:
     )
 
 
-def propagate_paths(circuit_list, graph, env, kin, rates, noise,
-                    pec_norm="spectral") -> list:
+def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
     """Score every candidate circuit, batching those with equal step counts.
 
     Planning reads the nominal trajectory only at sensor ticks, so only
@@ -740,8 +719,7 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise,
         tick_pos = np.empty((len(idxs), len(ticks), 3))
         for b, i in enumerate(idxs):
             tick_pos[b] = lines[i].at(ticks)[0]
-        results = run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=env,
-                            pec_norm=pec_norm)
+        results = run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=env)
         for i, res in zip(idxs, results):
             scores[i] = _summarize(circuit_list[i], lines[i], res)
     return scores

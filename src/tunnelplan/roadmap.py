@@ -91,7 +91,6 @@ def sample_nodes(
     count: int,
     rng: np.random.Generator,
     forward_bias: float = DEFAULT_FORWARD_BIAS,
-    max_attempts: int = DEFAULT_SAMPLING_BUDGET,
 ) -> np.ndarray:
     """Rejection-sample `count` collision-free points, deployment point first.
 
@@ -109,9 +108,9 @@ def sample_nodes(
     pivot_n = env.rig.position[0]
     attempts = 0
     while len(points) < count:
-        if attempts >= max_attempts:
+        if attempts >= DEFAULT_SAMPLING_BUDGET:
             raise SamplingExhaustedError(
-                f"placed {len(points)}/{count} nodes in {max_attempts} attempts"
+                f"placed {len(points)}/{count} nodes in {DEFAULT_SAMPLING_BUDGET} attempts"
             )
         attempts += 1
         p = rng.uniform(env.bounds_min, env.bounds_max)

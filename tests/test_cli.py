@@ -299,6 +299,20 @@ class TestExitCodes:
         assert rc == 3
         assert "rig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["[-2.0, -6.0]", "[a, -5, -8]"],
+                             ids=["two_entries", "non_numeric"])
+    def test_malformed_map_bounds_exit_3(self, tmp_path, capsys, bounds):
+        mapf = tmp_path / "m.yaml"
+        mapf.write_text(f"bounds_min: {bounds}\nbounds_max: [20, 5, 0]\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(REDUCED + "\n")
+        rc = cli.main(
+            ["plan", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+             "--set", f"map={mapf}"]
+        )
+        assert rc == 3
+        assert "bounds_min" in capsys.readouterr().err
+
     def test_unbridgeable_roadmap_exits_4(self, tmp_path, capsys):
         # this seed places nodes whose components cannot be joined without
         # cutting through an obstacle

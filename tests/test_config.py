@@ -22,7 +22,6 @@ class TestDefaults:
         assert cfg.plan.knn == 5
         assert cfg.plan.candidates == 80
         assert cfg.plan.forward_bias == 3.0
-        assert cfg.plan.pec_norm == "spectral"
         assert cfg.simulate.runs == 10
         assert cfg.simulate.mode == "noisy"
         assert cfg.simulate.selections == ["best", "worst"]
@@ -155,17 +154,27 @@ class TestValidation:
         "override",
         [
             "plan.nodes=0",
+            # a one-node roadmap has no edge, so every candidate is empty
+            "plan.nodes=1",
             "plan.knn=0",
             "plan.candidates=0",
             "plan.nodes=8.5",
             "plan.forward_bias=0.5",
             "plan.pec_norm=spectrall",
+            # pec is always the largest eigenvalue; the key is gone
+            "plan.pec_norm=spectral",
             "plan.max_flight_time_s=0",
             "plan.pec_threshold_m2=-1",
             "kinematics.cruise_mps=0",
             "rates.predict_hz=0",
             "rates.cam_hz=200",
+            "rates.lidar_hz=0",
+            "rates.uwb_hz=.nan",
             "noise.r_alt=-0.1",
+            "noise.q_vel=-1",
+            "noise.r_uwb=-1",
+            "noise.lidar_gamma_max=0.5",
+            "noise.lidar_ref_range_m=0",
             # non-finite numbers, and vector noise too small to factor
             "noise.q_pos=.nan",
             "kinematics.cruise_mps=.inf",
@@ -179,11 +188,18 @@ class TestValidation:
             "simulate.mode=perfectly",
             "simulate.dropout=1.5",
             "simulate.outlier_prob=-0.1",
+            "simulate.outlier_scale=-1",
+            "simulate.cross_track_tau_s=0",
+            "simulate.cross_track_sigma_m=-1",
+            "simulate.speed_sigma_mps=-1",
             "simulate.selections=[]",
             "simulate.selections=[bestest]",
             "simulate.selections=[-2]",
             "simulate.selections=[best, best]",
             "simulate.selections=[3, worst, '3']",
+            # int() reads other scripts' digits, so only ASCII ones index
+            "simulate.selections=['\u00b2']",
+            "simulate.selections=[3, '\u0663']",
             "seed=abc",
         ],
     )
@@ -200,6 +216,31 @@ class TestValidation:
         argv = ["all", "--select", "best", "--select", "best", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not any(tmp_path.iterdir())
+
+    def test_non_ascii_digit_select_exits_2(self, tmp_path):
+        # '²' passes str.isdigit() but int() cannot read it
+        argv = ["all", "--select", "\u00b2", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
+
+    def test_rate_error_names_its_key(self):
+        with pytest.raises(ConfigError, match=r"rates\.cam_hz exceeds predict_hz"):
+            config.load_config(overrides=["rates.cam_hz=200"])
+        with pytest.raises(ConfigError, match=r"rates\.alt_hz: expected a number"):
+            config.load_config(overrides=["rates.alt_hz=fast"])
+
+    def test_one_node_roadmap_exits_2(self, tmp_path):
+        argv = ["all", "--set", "plan.nodes=1", "--set", "plan.candidates=2",
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert not any(tmp_path.iterdir())
+
+    def test_config_file_naming_pec_norm_exits_2(self, tmp_path, capsys):
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text("plan:\n  pec_norm: spectral\n")
+        assert cli.main(["plan", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "unknown config key plan.pec_norm" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -14,9 +14,9 @@ from tunnelplan.errors import MapFormatError
 # independent oracles, written against the documented geometry only
 
 
-def free_oracle(env, p, margin=None):
+def free_oracle(env, p):
     """Point query by direct componentwise comparison."""
-    m = env.collision_margin if margin is None else margin
+    m = env.collision_margin
     for ax in range(3):
         if p[ax] < env.bounds_min[ax] or p[ax] > env.bounds_max[ax]:
             return False
@@ -31,14 +31,14 @@ def free_oracle(env, p, margin=None):
     return True
 
 
-def segment_oracle(env, a, b, margin=None):
+def segment_oracle(env, a, b):
     """Dense 1 mm sampling along the segment, independent of the implementation."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     num = max(2, int(math.ceil(np.linalg.norm(b - a) / 0.001)) + 1)
     ts = np.linspace(0.0, 1.0, num)
     pts = a[None, :] + ts[:, None] * (b - a)[None, :]
-    m = env.collision_margin if margin is None else margin
+    m = env.collision_margin
     in_bounds = np.all((pts >= env.bounds_min) & (pts <= env.bounds_max), axis=1)
     if not in_bounds.all():
         return False
@@ -116,6 +116,14 @@ class TestLoading:
             "bounds_min: [1, 0, 0]\nbounds_max: [0, 1, 1]\nobstacles: []\n"
         )
         with pytest.raises(MapFormatError):
+            mapenv.load_map(bad)
+
+    @pytest.mark.parametrize("bounds", ["[-2.0, -6.0]", "[a, 0, 0]", "[-.inf, 0, -2]"],
+                             ids=["two_entries", "non_numeric", "infinite"])
+    def test_malformed_bounds_rejected(self, tmp_path, bounds):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"bounds_min: {bounds}\nbounds_max: [4, 4, 0]\n")
+        with pytest.raises(MapFormatError, match="bounds_min"):
             mapenv.load_map(bad)
 
     def test_inverted_obstacle_rejected(self, tmp_path):

@@ -409,7 +409,7 @@ class TestReplay:
         assert result.lidar_updates == 0
         b0 = ekf.BeliefState(x=np.zeros(6), P=np.eye(6), t=0.0)
         _, blocks = ekf.predict_span(b0, noise, nom.steps)
-        want = planner.pec_series(blocks)
+        want = ekf.sym3_max(blocks)
         assert np.allclose(result.pec, want, rtol=1e-9)
 
     def test_noisy_errors_stay_bounded(self, tunnel):

@@ -28,9 +28,9 @@ def out_and_back_graph(a, b):
     return g, c
 
 
-def pec(P, norm="spectral"):
+def pec(P):
     """pec of the position block of a full 6x6 covariance."""
-    return float(planner.pec_series(np.asarray(P)[3:, 3:][None], norm)[0])
+    return float(ekf.sym3_max(np.asarray(P, dtype=float)[3:, 3:][None])[0])
 
 
 def propagate_path(circuit, graph, env, kin, rates, noise):
@@ -70,15 +70,6 @@ class TestPec:
             P[3:, 3:] = block
             want = float(np.linalg.eigvalsh(block)[-1])
             assert pec(P) == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-    def test_frobenius_option(self):
-        P = np.zeros((6, 6))
-        P[3:, 3:] = np.diag([3.0, 4.0, 0.0])
-        assert pec(P, norm="fro") == pytest.approx(5.0)
-
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ValueError):
-            pec(np.eye(6), norm="nuclear")
 
 
 # ---------------------------------------------------------------------------
