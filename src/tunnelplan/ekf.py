@@ -33,6 +33,9 @@ _I6 = np.eye(6)
 _UPPER = np.triu_indices(3)
 _UPPER_DIAG = np.array([0, 3, 5])
 _MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
+# flat indices into a 6x6 covariance of the upper triangles of its position
+# block, its two velocity-position cross blocks and its velocity block
+_TRIANGLES = [6 * (r + _UPPER[0]) + c + _UPPER[1] for r, c in ((3, 3), (0, 3), (3, 0), (0, 0))]
 
 
 def sight_geometry(r) -> tuple[np.ndarray, np.ndarray]:
@@ -133,21 +136,33 @@ def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     return A, Q
 
 
-def position_blocks(P: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
-    """Position covariance block k prediction steps after covariance P.
+def packed_triangles(P: np.ndarray) -> np.ndarray:
+    """The three upper triangles position_blocks reads from covariances P
+    (..., 6, 6), packed (3, ..., 6): the position block, the sum of the two
+    velocity-position cross blocks, and the velocity block."""
+    flat = P.reshape(P.shape[:-2] + (36,))
+    pos, cross, cross_t, vel = (flat[..., rows] for rows in _TRIANGLES)
+    return np.stack([pos, cross + cross_t, vel])
 
-    P has shape (..., 6, 6) and k broadcasts against its leading axes; the
-    result has shape (..., 3, 3). k == 0 returns the position block of P.
-    Only the upper triangle is computed; the lower one mirrors it.
+
+def position_blocks(tri: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
+    """Position covariance block k prediction steps after the covariance
+    whose packed_triangles are tri.
+
+    tri has shape (3, ..., 6) and k broadcasts against the leading axes of
+    tri[0]; the result has shape (..., 3, 3). k == 0 returns the position
+    block itself. Only the upper triangle is computed; the lower one
+    mirrors it.
     """
     tau = cfg.ts
     ks = np.asarray(k, dtype=float)[..., None]
-    kt = ks * tau
-    i, j = _UPPER
-    up = (P[..., 3 + i, 3 + j] + kt * (P[..., i, 3 + j] + P[..., 3 + i, j])
-          + kt * kt * P[..., i, j])
+    # spread over the triangle's entries, kt multiplies them elementwise
+    kt = np.repeat(ks * tau, 6, axis=-1)
+    up = tri[0] + kt * tri[1] + kt * kt * tri[2]
     s2 = (ks - 1.0) * ks * (2.0 * ks - 1.0) / 6.0
-    up[..., _UPPER_DIAG] += ks * cfg.q_diag[3:] + (tau * tau) * s2 * cfg.q_diag[:3]
+    diag = ks * cfg.q_diag[3:] + (tau * tau) * s2 * cfg.q_diag[:3]
+    for axis, entry in enumerate(_UPPER_DIAG):
+        up[..., entry] += diag[..., axis]
     return up[..., _MIRROR].reshape(up.shape[:-1] + (3, 3))
 
 
@@ -163,7 +178,7 @@ def predict_span(
     A, Q = span_transition(cfg, n)
     x = A @ b.x
     P = A @ b.P @ A.T + Q
-    blocks = position_blocks(b.P, np.arange(1, n + 1), cfg)
+    blocks = position_blocks(packed_triangles(b.P), np.arange(1, n + 1), cfg)
     return BeliefState(x=x, P=P, t=b.t + n * cfg.ts), blocks
 
 

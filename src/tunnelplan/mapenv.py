@@ -51,6 +51,24 @@ class BoxObstacle:
             raise MapFormatError(f"obstacle has min > max: {self.lo} vs {self.hi}")
 
 
+# each rig quantity, its key in a map file and the values it accepts
+_RIG_LIMITS = (("lidar_pitch", "lidar_pitch_deg", "finite"),
+               ("lidar_halfangle", "lidar_halfangle_deg", "positive"),
+               ("lidar_max_range", "lidar_max_range_m", "positive"),
+               ("camera_mount_height", "camera_mount_height_m", "non-negative"),
+               ("camera_max_range", "camera_max_range_m", "positive"))
+
+
+def _check_limit(value: float, name: str, key: str, accepts: str) -> None:
+    """Raise MapFormatError naming the field and its map key unless value is
+    finite and, where accepts says so, positive or non-negative."""
+    ok = math.isfinite(value) and {"finite": True, "positive": value > 0.0,
+                                   "non-negative": value >= 0.0}[accepts]
+    if not ok:
+        what = "finite" if accepts == "finite" else f"finite and {accepts}"
+        raise MapFormatError(f"{name} (map key {key}) must be {what}, got {value}")
+
+
 @dataclass
 class UgvRig:
     """Ground-vehicle sensor head: an upward-pitched lidar and a tracking camera.
@@ -70,6 +88,10 @@ class UgvRig:
 
     def __post_init__(self):
         self.position = as_point(self.position)
+        # a NaN or out-of-range value would shut a gate for every point, or
+        # open it, without an error
+        for name, key, accepts in _RIG_LIMITS:
+            _check_limit(getattr(self, name), name, key, accepts)
 
     @property
     def camera_position(self) -> np.ndarray:
@@ -94,8 +116,8 @@ class EnvironmentMap:
                 f"bounds_min must be strictly below bounds_max: "
                 f"{self.bounds_min} vs {self.bounds_max}"
             )
-        if self.collision_margin < 0.0:
-            raise MapFormatError("collision margin must be non-negative")
+        _check_limit(self.collision_margin, "collision_margin", "collision_margin_m",
+                     "non-negative")
         # stacked box corners for vectorized batch checks
         if self.obstacles:
             self._lo = np.stack([b.lo for b in self.obstacles])
@@ -285,7 +307,7 @@ def load_map(path) -> EnvironmentMap:
             camera_mount_height=float(rig_raw.get("camera_mount_height_m", 0.8)),
             camera_max_range=float(rig_raw.get("camera_max_range_m", 6.0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MapFormatError) as exc:
         raise MapFormatError(f"ugv block in {path} is malformed: {exc}") from exc
     if np.any(rig.position != 0.0):
         raise MapFormatError(
@@ -298,10 +320,13 @@ def load_map(path) -> EnvironmentMap:
     except (TypeError, ValueError) as exc:
         raise MapFormatError(f"collision_margin_m in {path} is malformed: {exc}") from exc
 
-    return EnvironmentMap(
-        bounds_min=bounds[0],
-        bounds_max=bounds[1],
-        obstacles=obstacles,
-        collision_margin=margin,
-        rig=rig,
-    )
+    try:
+        return EnvironmentMap(
+            bounds_min=bounds[0],
+            bounds_max=bounds[1],
+            obstacles=obstacles,
+            collision_margin=margin,
+            rig=rig,
+        )
+    except MapFormatError as exc:
+        raise MapFormatError(f"map file {path} is malformed: {exc}") from exc

@@ -13,10 +13,11 @@ step.
 
 A large batch is split into contiguous chunks of members, one per usable
 CPU: the calling process sweeps the first and forked workers the others,
-writing their members' outputs into memory shared with the caller. The
-set-up (fire table, visibility gates, readings) stays in the caller. A
-member's bits do not depend on the others in its batch, so a split run
-returns the same bits as a serial one.
+writing their members' outputs into memory shared with the caller. Each
+process builds its own members' update lists (visibility gates, sensor
+models, readings) block by block, so the caller holds no per-member
+set-up. A member's bits do not depend on the others in its batch, so a
+split run returns the same bits as a serial one.
 """
 
 from __future__ import annotations
@@ -229,6 +230,16 @@ _FLUSH_BYTES = 2 << 20
 # 2-vCPU VM two halves lost time at 5,000, saved 4 % at 10,000 and 10-16 %
 # from 20,000; below it sit the many small batches of the unit tests
 _SPLIT_MEMBER_TICKS = 20_000
+# sensor ticks whose update lists are built at once. A list's arrays take
+# about 330 B per member and tick (a camera pair's Jacobian, noise and bound
+# alone 152 B), so a block holds about 42 kB per member, a fifth of the
+# member's pec row on the shipped flight. Blocks of 8,192 member-ticks, 4,096
+# ticks of a two-run replay chunk, raised replay_deep's peak memory by 1.6 MB
+# that the allocator kept after the lists were freed
+_LIST_TICKS = 128
+# the sensors whose replay Jacobian and noise do not depend on the estimate:
+# the altimeter's H is constant and the lidar's noise is its reading's gamma R
+_FIXED_AT_ESTIMATE = ("alt", "lidar")
 
 
 @dataclass
@@ -267,18 +278,16 @@ def _log_skips(skipped, members, step, sensor, reason) -> None:
         skipped[b].append((step, sensor, reason))
 
 
-def _scalar_update(P, x, idx, Hr, r, innov, skipped, step, sensor):
+def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor):
     """Joseph-form update of members idx by scalar readings.
 
     idx selects members: slice(None) for all of them, else an index array.
-    Hr (n, 3) is the position block of each Jacobian row h. With w = P h
-    and K = w / s, (I - K h')P = P - K w', so the Joseph form is
-    M - (M h - r K) K' with M = P - K w'. innov is None in planning (zero
-    innovation, mean untouched). Members whose innovation variance is not
-    positive are logged and left as they are; returns the members updated.
+    H (n, 6) holds each Jacobian row h. With w = P h and K = w / s,
+    (I - K h')P = P - K w', so the Joseph form is M - (M h - r K) K' with
+    M = P - K w'. innov is None in planning (zero innovation, mean
+    untouched). Members whose innovation variance is not positive are
+    logged and left as they are; returns the members updated.
     """
-    H = np.zeros((len(Hr), 6))
-    H[:, 3:] = Hr
     Psub = P[idx]
     w = (Psub @ H[:, :, None])[:, :, 0]
     s = (w * H).sum(axis=1) + r
@@ -341,6 +350,96 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
     return idx
 
 
+_KERNELS = {"alt": _scalar_update, "uwb": _scalar_update,
+            "cam": _vector_update, "lidar": _vector_update}
+
+
+def _terms(sensor, Hr, scale, R, rmin) -> tuple:
+    """A sensor's kernel arguments after idx for updates whose Jacobians
+    have position blocks Hr and whose noise scales are scale: (H, r) for a
+    scalar sensor, (Hr, R_eff, scale * rmin) for a vector one."""
+    if _KERNELS[sensor] is _vector_update:
+        return Hr, scale[:, None, None] * R[sensor], scale * rmin[sensor]
+    H = np.zeros((len(Hr), 6))
+    H[:, 3:] = Hr
+    return H, scale * R[sensor]
+
+
+def _take(a, rows):
+    """The rows of a per-update array; None and floats stand for all rows."""
+    return a[rows] if isinstance(a, np.ndarray) else a
+
+
+@dataclass
+class _Updates:
+    """One sensor's update list over a block of sensor ticks.
+
+    It holds the (tick, member) pairs that have an update, tick-major: the
+    pairs of the block's tick t are off[t]:off[t + 1], and member holds
+    each pair's member. terms holds their kernel arguments after idx (see
+    _terms), or None where replay takes them from the model at the
+    estimate. pos and value hold each pair's nominal position and reading
+    in replay, and are None in planning.
+    """
+
+    off: list
+    member: np.ndarray
+    terms: tuple | None
+    pos: np.ndarray | None = None
+    value: np.ndarray | None = None
+
+
+def _offsets(tick: np.ndarray, nt: int) -> list:
+    """Where each of nt ticks starts in a tick-major pair list, and its end."""
+    return np.searchsorted(tick, np.arange(nt + 1)).tolist()
+
+
+def _planned_updates(t0, t1, tick_pos, fire, gates, models, R, rmin, ticks, skipped) -> dict:
+    """Update lists of ticks t0..t1-1 in planning, by sensor.
+
+    A pair is listed where the sensor fires and its gate sees the member's
+    nominal position; its terms come from the model there. A pair the
+    model's guards refuse is logged in skipped and left out.
+    """
+    nb = len(tick_pos)
+    lists = {}
+    for sensor in SENSOR_ORDER:
+        fires = np.flatnonzero(fire[sensor][t0:t1])
+        tick, member = np.repeat(fires, nb), np.tile(np.arange(nb), len(fires))
+        pos = tick_pos[member, t0 + tick]
+        if sensor in gates:
+            seen = gates[sensor](pos)
+            tick, member, pos = tick[seen], member[seen], pos[seen]
+        m = models[sensor](pos)
+        if m.refused:
+            steps = ticks[t0 + tick]
+            for why, mask in m.refused.items():
+                for b, step in zip(member[mask].tolist(), steps[mask].tolist()):
+                    skipped[b].append((step, sensor, why))
+            keep = m.ok
+            tick, member, m = tick[keep], member[keep], m.take(keep)
+        lists[sensor] = _Updates(_offsets(tick, t1 - t0), member,
+                                 _terms(sensor, m.Hr, m.scale, R, rmin))
+    return lists
+
+
+def _replayed_updates(t0, t1, tick_pos, offered, value, gamma, models, R, rmin) -> dict:
+    """Update lists of ticks t0..t1-1 in replay, by sensor: the pairs with
+    an undropped reading. Only the sensors of _FIXED_AT_ESTIMATE carry
+    their terms; the lidar's noise scale is its reading's gamma."""
+    lists = {}
+    for sensor in SENSOR_ORDER:
+        tick, member = np.divmod(np.flatnonzero(offered[sensor][:, t0:t1].T), len(tick_pos))
+        at = (member, t0 + tick)
+        pos, terms = tick_pos[at], None
+        if sensor in _FIXED_AT_ESTIMATE:
+            m = models[sensor](pos)
+            terms = _terms(sensor, m.Hr, gamma[at] if m.scale is None else m.scale, R, rmin)
+        lists[sensor] = _Updates(_offsets(tick, t1 - t0), member, terms, pos,
+                                 value[sensor][at])
+    return lists
+
+
 def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
               readings=None, P0=None) -> list:
     """Propagate the belief of every member along its trajectory at once.
@@ -365,6 +464,9 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     full step, including that step's updates.
     A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
     in chunks across the usable CPUs (_split_members), with the same bits.
+    Each process builds the update lists of its own members, _LIST_TICKS
+    sensor ticks at a time, and its tick loop does only the covariance and
+    mean algebra.
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
@@ -387,33 +489,17 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     # the last bound at or before each step, and the steps predicted past it
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
     ahead = np.arange(n + 1) - bounds[last]
-    value = vel = hold = None
+    offered = value = gamma = fire = gates = None
     if replay:
         offered, value, gamma = readings.offered, readings.value, readings.gamma
-        vel = np.stack([nm.vel for nm in noms]).reshape(B, n, 3)
-        tick_pos = np.stack([nm.pos[ticks] for nm in noms])
-        # each member's first turn after every bound (n + 1 for none), and
-        # the steps past the bound that its velocity correction lasts
-        hold = np.empty((B, len(bounds)), dtype=int)
-        for b in range(B):
-            turns = np.flatnonzero(np.any(vel[b, 1:] != vel[b, :-1], axis=1)) + 1
-            after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
-            hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
+        # replay's models leave the lidar's noise scale to its readings
+        models = ekf.sensor_models(attitude)
     else:
         if tick_pos.shape != (B, T, 3):
             raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
-        flat = tick_pos.reshape(-1, 3)
-        gamma = ekf.lidar(flat, env.rig.position, noise.lidar_gamma).scale.reshape(B, T)
-        offered = {
-            "alt": np.broadcast_to(table["alt"][ticks], (B, T)),
-            "uwb": np.broadcast_to(table["uwb"][ticks], (B, T)),
-            "cam": table["cam"][ticks] & env.camera_sees_many(flat).reshape(B, T),
-            "lidar": table["lidar"][ticks] & env.lidar_sees_many(flat).reshape(B, T),
-        }
-
-    # the lidar's noise scale comes from gamma: the readings' own in replay,
-    # the rig's range to each nominal position in planning
-    models = ekf.sensor_models(attitude)
+        fire = {sensor: table[sensor][ticks] for sensor in SENSOR_ORDER}
+        gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
+        models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
     R = noise.R
     rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
@@ -426,34 +512,51 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     est = zeros((B, n, 6)) if replay else None
     fired = {"cam": zeros((B, n + 1), dtype=bool), "lidar": zeros((B, n + 1), dtype=bool)}
 
-    def propagate(offered, value, gamma, tick_pos, vel, hold, noms, pec, est, fired):
+    def propagate(tick_pos, noms, offered, value, gamma, pec, est, fired):
         """The per-tick sweep and flushes of the members these inputs hold.
 
         Writes their pec, estimates and fired flags into the given rows and
-        returns their update counts (B, 4) and skip logs.
+        returns their update counts (nb, 4) and skip logs.
         """
-        B = len(tick_pos)
-        P = np.repeat(P0[None], B, axis=0)
-        x = np.zeros((B, 6)) if replay else None
-        members = np.arange(B)
-        # how many members have a reading of each sensor at each tick
-        n_offered = {sensor: offered[sensor].sum(axis=0) for sensor in SENSOR_ORDER}
-        counts = np.zeros((B, 4), dtype=int)
-        skipped: list[list] = [[] for _ in range(B)]
+        nb = len(pec)
+        P = np.repeat(P0[None], nb, axis=0)
+        x = vel = hold = None
+        if replay:
+            x = np.zeros((nb, 6))
+            vel = np.stack([nm.vel for nm in noms]).reshape(nb, n, 3)
+            tick_pos = np.stack([nm.pos[ticks] for nm in noms])
+            # each member's first turn after every bound (n + 1 for none), and
+            # the steps past the bound that its velocity correction lasts
+            hold = np.empty((nb, len(bounds)), dtype=int)
+            for b in range(nb):
+                turns = np.flatnonzero(np.any(vel[b, 1:] != vel[b, :-1], axis=1)) + 1
+                after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
+                hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
+        counts = np.zeros((nb, 4), dtype=int)
+        skipped: list[list] = [[] for _ in range(nb)]
+
+        def updates(t0: int, t1: int) -> dict:
+            if replay:
+                return _replayed_updates(t0, t1, tick_pos, offered, value, gamma,
+                                         models, R, rmin)
+            return _planned_updates(t0, t1, tick_pos, fire, gates, models, R, rmin,
+                                    ticks, skipped)
 
         # The covariance (and mean) after each bound goes to a buffer of a few
         # MB; each flush predicts every step since the previous flush from the
         # bound before it and reduces the whole chunk to pec in one pass.
-        chunk = max(1, _FLUSH_BYTES // (B * 6 * 6 * 8))
-        rec = np.empty((B, chunk + 1, 6, 6))
-        xrec = np.empty((B, chunk + 1, 6)) if replay else None
+        chunk = max(1, _FLUSH_BYTES // (nb * 6 * 6 * 8))
+        rec = np.empty((nb, chunk + 1, 6, 6))
+        xrec = np.empty((nb, chunk + 1, 6)) if replay else None
 
         def flush(j0: int, j1: int) -> None:
+            # the recorded covariances' triangles, read once per bound
+            tri = ekf.packed_triangles(rec[:, :j1 - j0 + 1])
             for s0 in range(bounds[j0] + 1, bounds[j1] + 1, chunk):
                 s1 = min(s0 + chunk, bounds[j1] + 1)
                 slot, k = last[s0:s1] - j0, ahead[s0:s1]
-                blocks = ekf.position_blocks(rec[:, slot], k, noise)
-                pec[:, s0 - 1:s1 - 1] = ekf.sym3_max(blocks.reshape(-1, 3, 3)).reshape(B, -1)
+                blocks = ekf.position_blocks(np.take(tri, slot, axis=2), k, noise)
+                pec[:, s0 - 1:s1 - 1] = ekf.sym3_max(blocks.reshape(-1, 3, 3)).reshape(nb, -1)
                 if replay:
                     xs, held = xrec[:, slot], hold[:, last[s0:s1]]
                     est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
@@ -462,65 +565,75 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                         xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
         spans: dict = {}
+        bound_steps, tick_at = bounds.tolist(), tick_of.tolist()
         rec[:, 0] = P
         if replay:
             xrec[:, 0] = x
-        j0 = 0
+        j0 = t0 = t1 = 0
         for j in range(1, len(bounds)):
-            e = int(bounds[j])
-            span = e - int(bounds[j - 1])
+            e = bound_steps[j]
+            span = e - bound_steps[j - 1]
             if span not in spans:
                 A, Q = ekf.span_transition(noise, span)
                 # a contiguous transpose multiplies faster than the view A.T
                 spans[span] = (A, A.T.copy(), Q)
             A, At, Q = spans[span]
             P = A @ P @ At + Q
-            ti = tick_of[e]
+            ti = tick_at[e]
             if replay:
                 x[:, 3:] += (hold[:, j - 1] * ts)[:, None] * x[:, :3]
                 x[:, :3] = 0.0
+            if ti == t1 < T:
+                t0, t1 = ti, min(ti + _LIST_TICKS, T)
+                lists = updates(t0, t1)
 
             for col, sensor in enumerate(SENSOR_ORDER if ti >= 0 else ()):
-                count = n_offered[sensor][ti]
-                if not count:
+                u = lists[sensor]
+                a, b = u.off[ti - t0:ti - t0 + 2]
+                if a == b:
                     continue
+                rows = slice(a, b)
                 # a view of every member when all take part, else their indices
-                idx = slice(None) if count == B else np.flatnonzero(offered[sensor][:, ti])
-                m = models[sensor](tick_pos[idx, ti] + x[idx, 3:] if replay else tick_pos[idx, ti])
-                if m.refused:
-                    idx = members[idx]
-                    for why, mask in m.refused.items():
-                        _log_skips(skipped, idx[mask], e, sensor, why)
-                    keep = m.ok
-                    idx, m = idx[keep], m.take(keep)
-                    if not len(idx):
-                        continue
-                innov = value[sensor][idx, ti] - m.z if replay else None
-                scale = gamma[idx, ti] if m.scale is None else m.scale
-                if m.z.ndim == 1:
-                    applied = _scalar_update(P, x, idx, m.Hr, scale * R[sensor], innov,
-                                             skipped, e, sensor)
-                else:
-                    applied = _vector_update(P, x, idx, m.Hr, scale[:, None, None] * R[sensor],
-                                             scale * rmin[sensor], innov, skipped, e, sensor)
+                idx = slice(None) if b - a == nb else u.member[rows]
+                innov = None
+                if replay:
+                    m = models[sensor](u.pos[rows] + x[idx, 3:])
+                    if m.refused:
+                        idx = u.member[rows]
+                        for why, mask in m.refused.items():
+                            _log_skips(skipped, idx[mask], e, sensor, why)
+                        keep = np.flatnonzero(m.ok)
+                        if not len(keep):
+                            continue
+                        idx, m, rows = idx[keep], m.take(keep), a + keep
+                    innov = u.value[rows] - m.z
+                terms = (_terms(sensor, m.Hr, m.scale, R, rmin) if u.terms is None
+                         else [_take(term, rows) for term in u.terms])
+                applied = _KERNELS[sensor](P, x, idx, *terms, innov, skipped, e, sensor)
+                if sensor in fired:
                     fired[sensor][applied, e] = True
                 counts[applied, col] += 1
 
             rec[:, j - j0] = P
             if replay:
                 xrec[:, j - j0] = x
-            if e - bounds[j0] >= chunk or j == len(bounds) - 1:
+            if e - bound_steps[j0] >= chunk or j == len(bounds) - 1:
                 flush(j0, j)
                 rec[:, 0] = rec[:, j - j0]
                 if replay:
                     xrec[:, 0] = xrec[:, j - j0]
                 j0 = j
 
+        # planning logs guard refusals when it lists a block, ahead of the
+        # kernels' skips at earlier ticks of that block
+        for log in skipped:
+            if len(log) > 1:
+                log.sort(key=lambda s: (s[0], SENSOR_ORDER.index(s[1])))
         return counts, skipped
 
     def sweep(lo: int, hi: int) -> tuple:
-        return propagate(*(_rows(a, lo, hi) for a in (offered, value, gamma, tick_pos, vel,
-                                                      hold, noms, pec, est, fired)))
+        return propagate(*(_rows(a, lo, hi) for a in (tick_pos, noms, offered, value, gamma,
+                                                      pec, est, fired)))
 
     counts, skipped = _split_members(k, B, sweep)
     t_axis = np.arange(1, n + 1) * ts

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_mapenv import BAD_MAP_IDS, BAD_MAP_VALUES
 from tunnelplan import cli, errors
 
 # small-but-real configuration so full pipeline runs stay fast; seed 3 is
@@ -312,6 +313,20 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "bounds_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, text", BAD_MAP_VALUES, ids=BAD_MAP_IDS)
+    def test_non_finite_or_out_of_range_map_value_exits_3(self, tmp_path, capsys, key, text):
+        mapf = tmp_path / "m.yaml"
+        mapf.write_text(f"bounds_min: [0, -5, -4]\nbounds_max: [20, 5, 0]\n{text}\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(REDUCED + "\n")
+        rc = cli.main(
+            ["plan", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+             "--set", f"map={mapf}"]
+        )
+        assert rc == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "ranking.json").exists()
 
     def test_unbridgeable_roadmap_exits_4(self, tmp_path, capsys):
         # this seed places nodes whose components cannot be joined without

@@ -104,6 +104,18 @@ def test_singular_vector_update_is_skipped():
     assert [s[1:] for s in res.skipped] == [("lidar", "innovation covariance singular")] * 4
 
 
+def test_skip_log_is_in_step_and_sensor_order():
+    # uwb's guard refuses every reading when its block is listed and the
+    # exact lidar's kernel skips each one later, tick by tick
+    noise = ekf.NoiseConfig(q_diag=np.zeros(6), r_lidar=np.zeros((3, 3)))
+    env, rates = open_env(), planner.RateSchedule()
+    assert env.lidar_sees(AT_MIN_RANGE)
+    res = plan_one(hover(AT_MIN_RANGE), rates, noise, env, P0=np.zeros((6, 6)))
+    fires = np.flatnonzero(rates.fire_table(20)["lidar"]).tolist()
+    assert res.skipped == [entry for k in fires for entry in (
+        (k, "uwb", ekf.NEAR_ORIGIN), (k, "lidar", "innovation covariance singular"))]
+
+
 # ---------------------------------------------------------------------------
 # structured Joseph kernels against the dense Joseph form
 
@@ -152,7 +164,7 @@ def test_scalar_kernel_matches_dense_joseph(with_innov, r):
     H[3] = 0.0
     innov = rng.normal(size=len(idx)) if with_innov else None
     skipped = [[] for _ in range(8)]
-    applied = planner._scalar_update(P, x, idx, H[:, 3:], r, innov, skipped, 7, "uwb")
+    applied = planner._scalar_update(P, x, idx, H, r, innov, skipped, 7, "uwb")
     want_skips = [0, 5] if r == 0.0 else []
     assert all(s == [(7, "uwb", "innovation variance not positive")]
                for s in skipped if s)
@@ -367,6 +379,77 @@ def test_replay_batch_equals_each_run_alone():
     for rec in runs:
         alone = montecarlo.run_online_ekf(rec.truth, rec.events, rates, noise, kin.attitude)
         assert_same_result(rec.result, alone)
+
+
+def guard_batch():
+    """Hovers on the uwb and camera guard boundaries beside two that pass
+    every guard: their positions, rates, noise and open map."""
+    points = [AT_MIN_RANGE, np.array([4.0, 1.0, -2.0]), AT_MIN_ELEVATION,
+              np.array([6.0, -1.0, -3.0])]
+    return [hover(p) for p in points], planner.RateSchedule(), ekf.NoiseConfig(), open_env()
+
+
+def test_planning_batch_with_guard_refusals_equals_each_member_alone():
+    noms, rates, noise, env = guard_batch()
+    ticks = planner.sensor_ticks(rates.fire_table(noms[0].steps))
+    tick_pos = np.stack([nom.pos[ticks] for nom in noms])
+    batch = planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(),
+                              tick_pos=tick_pos, env=env)
+    # the boundary members are refused at ticks where the others update
+    assert [sorted({s[1] for s in res.skipped}) for res in batch] == [["uwb"], [], ["cam"], []]
+    assert all(res.uwb_updates and res.cam_updates for res in batch[1::2])
+    for b, res in enumerate(batch):
+        assert_same_result(res, planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(),
+                                                  tick_pos=tick_pos[b:b + 1], env=env)[0])
+
+
+def test_replay_batch_with_guard_refusals_equals_each_member_alone():
+    noms, rates, noise, env = guard_batch()
+    att = ekf.Attitude()
+    truths, events_list = [], []
+    for nom in noms:
+        truth = montecarlo.TruthTrajectory(pos=nom.pos.copy(), commanded=nom)
+        events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                    np.random.default_rng(0), mode="perfect")
+        # a reading of each guarded sensor at one tick, which the guard
+        # refuses at the boundary estimates and passes at the others
+        point = nom.pos[0]
+        d = float(np.linalg.norm(point))
+        events = [ev for ev in events if ev.step != 5 or ev.sensor not in ("uwb", "cam")]
+        events += [montecarlo.MeasurementEvent(step=5, t=0.1, sensor="uwb", value=d),
+                   montecarlo.MeasurementEvent(step=5, t=0.1, sensor="cam", value=point / d)]
+        events.sort(key=lambda ev: (ev.step, planner.SENSOR_ORDER.index(ev.sensor)))
+        truths.append(truth)
+        events_list.append(events)
+    batch = montecarlo.replay_runs(truths, events_list, rates, noise, att)
+    refused = [sorted({s[1] for s in res.skipped if s[0] == 5}) for res in batch]
+    # the camera's range guard also refuses the estimate at AT_MIN_RANGE
+    assert refused == [["cam", "uwb"], [], ["cam"], []]
+    for truth, events, res in zip(truths, events_list, batch):
+        assert_same_result(res, montecarlo.run_online_ekf(truth, events, rates, noise, att))
+
+
+# ---------------------------------------------------------------------------
+# update lists built in blocks of any size
+
+
+@pytest.mark.parametrize("ticks", [1, 7])
+def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
+    """Blocks of one tick and of a few against one block of all ticks, in
+    planning and in replay."""
+    n, tick_pos, _, _, _ = tunnel_candidates(tunnel)
+    runs, kin, rates, noise = near_horizon_runs()
+    truths, events = [rec.truth for rec in runs], [rec.events for rec in runs]
+    all_ticks = max(tick_pos.shape[1], len(planner.sensor_ticks(rates.fire_table(
+        truths[0].commanded.steps))))
+    results = {}
+    for size in (all_ticks, ticks):
+        monkeypatch.setattr(planner, "_LIST_TICKS", size)
+        results[size] = (
+            planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+            + montecarlo.replay_runs(truths, events, rates, noise, kin.attitude))
+    for got, want in zip(results[ticks], results[all_ticks], strict=True):
+        assert_same_result(got, want)
 
 
 # ---------------------------------------------------------------------------

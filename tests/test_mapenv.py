@@ -9,6 +9,18 @@ import pytest
 from tunnelplan import mapenv
 from tunnelplan.errors import MapFormatError
 
+# map values that used to load and then quietly turned the collision check
+# or a sensor's gate off, with the key each sets
+BAD_MAP_VALUES = [
+    ("collision_margin_m", "collision_margin_m: .nan"),
+    ("lidar_max_range_m", "ugv: {lidar_max_range_m: .nan}"),
+    ("lidar_pitch_deg", "ugv: {lidar_pitch_deg: .inf}"),
+    ("lidar_halfangle_deg", "ugv: {lidar_halfangle_deg: -10}"),
+    ("camera_max_range_m", "ugv: {camera_max_range_m: -1}"),
+    ("camera_mount_height_m", "ugv: {camera_mount_height_m: .nan}"),
+]
+BAD_MAP_IDS = [f"{key}={text.rsplit(' ', 1)[-1].rstrip('}')}" for key, text in BAD_MAP_VALUES]
+
 
 # ---------------------------------------------------------------------------
 # independent oracles, written against the documented geometry only
@@ -126,6 +138,13 @@ class TestLoading:
         with pytest.raises(MapFormatError, match="bounds_min"):
             mapenv.load_map(bad)
 
+    @pytest.mark.parametrize("key, text", BAD_MAP_VALUES, ids=BAD_MAP_IDS)
+    def test_non_finite_or_out_of_range_value_rejected(self, tmp_path, key, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"bounds_min: [0, -5, -4]\nbounds_max: [20, 5, 0]\n{text}\n")
+        with pytest.raises(MapFormatError, match=key):
+            mapenv.load_map(bad)
+
     def test_inverted_obstacle_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -142,6 +161,18 @@ class TestLoading:
         bad.write_text("{::not yaml::")
         with pytest.raises(MapFormatError):
             mapenv.load_map(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lidar_pitch", math.nan), ("lidar_halfangle", 0.0), ("lidar_max_range", math.inf),
+        ("camera_mount_height", -0.1), ("camera_max_range", 0.0)])
+    def test_rig_rejects_bad_value(self, field, value):
+        with pytest.raises(MapFormatError, match=field):
+            mapenv.UgvRig(**{field: value})
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -0.1])
+    def test_map_rejects_bad_margin(self, margin):
+        with pytest.raises(MapFormatError, match="collision_margin"):
+            make_env(margin=margin)
 
     def test_rig_defaults_when_block_omitted(self, tmp_path):
         f = tmp_path / "m.yaml"
