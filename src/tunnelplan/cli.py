@@ -391,7 +391,7 @@ def _estimate_svg(env, rec, label: str, mode: str) -> str:
     paths = [
         ("commanded", rec.truth.commanded.pos, "#c4c9d0", 1.0, None),
         ("truth (run 0)", rec.truth.pos, "#111111", 1.4, None),
-        ("estimate (run 0)", rec.result.est[:, 3:], svgplot.WORST_COLOR, 1.2, 0.9),
+        ("estimate (run 0)", rec.result.est, svgplot.WORST_COLOR, 1.2, 0.9),
     ]
     return svgplot.scene_plot(
         env.bounds_min, env.bounds_max,
@@ -409,6 +409,11 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
         )
     g = _load_artifact(out / "graph.json", roadmap.load_graph)
     cands = _load_artifact(out / "circuits.json", circuits.load_circuits)
+    if len(cands) != len(ranking["totals"]):
+        raise MissingArtifactError(
+            f"corrupt artifact circuits.json: {len(cands)} circuits, but ranking.json "
+            f"ranks {len(ranking['totals'])}"
+        )
 
     env = mapenv.load_map(cfg.resolve_map_path())
     kin = cfg.kinematic_profile()
@@ -418,6 +423,14 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
     mode = sim.mode
 
     selected = [(str(sel), _resolve_selection(ranking, sel)) for sel in sim.selections]
+    for _, idx in selected:
+        try:
+            planner._validate_circuit(cands[idx], g)
+        except InvalidCircuitError as exc:
+            raise MissingArtifactError(
+                f"corrupt artifact circuits.json: circuit {idx} does not fit "
+                f"graph.json: {exc}"
+            ) from exc
     trial_sets = montecarlo.run_trial_sets(
         [(cands[idx], idx) for _, idx in selected], g, env, kin, rates, noise,
         cfg.seed, sim.runs,
@@ -434,11 +447,11 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
         for i, rec in enumerate(records):
             res = rec.result
             truth_pos = rec.truth.pos[1:]
-            err3 = np.linalg.norm(res.est[:, 3:] - truth_pos, axis=1)
+            err3 = np.linalg.norm(res.est - truth_pos, axis=1)
             arr = np.column_stack(
                 [
                     np.arange(1, len(res.t) + 1), res.t, truth_pos,
-                    res.est[:, 3:], err3, res.pec,
+                    res.est, err3, res.pec,
                 ]
             )
             _write_table(

@@ -28,11 +28,11 @@ _PAIR_TOL = 1e-5
 
 _I3 = np.eye(3)
 _I6 = np.eye(6)
-# upper triangle of a symmetric 3x3 block, row by row, where its diagonal
-# sits in that packing, and the packed index of every entry of the block
+# upper triangle of a symmetric 3x3 block, row by row, and where its
+# diagonal sits in that packing: a packed row holds a, d, e, b, f, c of
+# [[a, d, e], [d, b, f], [e, f, c]]
 _UPPER = np.triu_indices(3)
 _UPPER_DIAG = np.array([0, 3, 5])
-_MIRROR = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 # flat indices into a 6x6 covariance of the upper triangles of its position
 # block, its two velocity-position cross blocks and its velocity block
 _TRIANGLES = [6 * (r + _UPPER[0]) + c + _UPPER[1] for r, c in ((3, 3), (0, 3), (3, 0), (0, 0))]
@@ -131,8 +131,8 @@ def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     Q = np.zeros((6, 6))
     Q[:3, :3] = np.diag(n * qv)
     Q[:3, 3:] = Q[3:, :3] = np.diag(tau * (n * (n - 1) / 2.0) * qv)
-    s2 = (n - 1.0) * n * (2.0 * n - 1.0) / 6.0
-    Q[3:, 3:] = np.diag(n * cfg.q_diag[3:] + tau * tau * s2 * qv)
+    # the position block n steps after a zero covariance is Q_n's own
+    Q[3:, 3:] = np.diag(position_blocks(np.zeros((3, 6)), n, cfg)[_UPPER_DIAG])
     return A, Q
 
 
@@ -147,12 +147,11 @@ def packed_triangles(P: np.ndarray) -> np.ndarray:
 
 def position_blocks(tri: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
     """Position covariance block k prediction steps after the covariance
-    whose packed_triangles are tri.
+    whose packed_triangles are tri, as its packed upper triangle.
 
     tri has shape (3, ..., 6) and k broadcasts against the leading axes of
-    tri[0]; the result has shape (..., 3, 3). k == 0 returns the position
-    block itself. Only the upper triangle is computed; the lower one
-    mirrors it.
+    tri[0]; the result has shape (..., 6). k == 0 returns the position
+    block itself.
     """
     tau = cfg.ts
     ks = np.asarray(k, dtype=float)[..., None]
@@ -163,14 +162,14 @@ def position_blocks(tri: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndar
     diag = ks * cfg.q_diag[3:] + (tau * tau) * s2 * cfg.q_diag[:3]
     for axis, entry in enumerate(_UPPER_DIAG):
         up[..., entry] += diag[..., axis]
-    return up[..., _MIRROR].reshape(up.shape[:-1] + (3, 3))
+    return up
 
 
 def predict_span(
     b: BeliefState, cfg: NoiseConfig, n: int
 ) -> tuple[BeliefState, np.ndarray]:
-    """n prediction steps in closed form, plus the position covariance block
-    after each intermediate step (shape (n, 3, 3)).
+    """n prediction steps in closed form, plus the packed position
+    covariance block after each intermediate step (shape (n, 6)).
 
     Agrees with n single steps (position integrates velocity, P becomes
     phi P phi' + Q) to rounding error.
@@ -186,13 +185,12 @@ def predict_span(
 # gain and covariance update
 
 
-def _sym3_cubic(blocks: np.ndarray):
+def _sym3_cubic(rows: np.ndarray):
     """Trigonometric solution of the characteristic cubic of symmetric 3x3
-    blocks (n, 3, 3): the largest (k = 0) and smallest (k = 1) eigenvalue are
-    q + 2 p cos(phi + 2 pi k / 3). Also returns r = cos(3 phi) and the mask
-    of blocks anisotropic enough for deflation to matter."""
-    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
-    d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
+    blocks packed as rows (..., 6): the largest (k = 0) and smallest (k = 1)
+    eigenvalue are q + 2 p cos(phi + 2 pi k / 3). Also returns r = cos(3 phi)
+    and the mask of blocks anisotropic enough for deflation to matter."""
+    a, d, e, b, f, c = np.moveaxis(rows, -1, 0)
     q = (a + b + c) / 3.0
     a, b, c = a - q, b - q, c - q
     ff = f * f
@@ -208,28 +206,28 @@ def _sym3_root(q, p, phi, k: int) -> np.ndarray:
     return q + 2.0 * p * np.cos(phi + (2.0 * np.pi / 3.0) * k)
 
 
-def sym3_max(blocks: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric 3x3 blocks (n, 3, 3), closed form.
+def sym3_max(rows: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 blocks given as packed upper
+    triangles rows (..., 6), closed form; the result has shape (...).
 
     The pec route. Near r = -1 the two largest eigenvalues almost coincide
     and the cubic fixes them only to about sqrt(machine epsilon); the
     smallest stays exact, so its eigenvector is deflated and the remaining
     2x2 solved. A near-double smallest pair blurs only the smallest.
     """
-    q, p, phi, r, aniso = _sym3_cubic(blocks)
+    q, p, phi, r, aniso = _sym3_cubic(rows)
     lmax = _sym3_root(q, p, phi, 0)
-    top = np.flatnonzero((r < -1.0 + _PAIR_TOL) & aniso)
-    if len(top):
+    top = (r < -1.0 + _PAIR_TOL) & aniso
+    if top.any():
         lmin = _sym3_root(q[top], p[top], phi[top], 1)
-        lmax[top] = _deflated_max(blocks[top], lmin)
+        lmax[top] = _deflated_max(rows[top], lmin)
     return lmax
 
 
-def _deflated_max(blocks: np.ndarray, lmin: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric 3x3 blocks, given their
-    well-separated smallest eigenvalue lmin."""
-    a, b, c = blocks[:, 0, 0], blocks[:, 1, 1], blocks[:, 2, 2]
-    d, e, f = blocks[:, 0, 1], blocks[:, 0, 2], blocks[:, 1, 2]
+def _deflated_max(rows: np.ndarray, lmin: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of symmetric 3x3 blocks, packed as in sym3_max,
+    given their well-separated smallest eigenvalue lmin."""
+    a, d, e, b, f, c = np.moveaxis(rows, -1, 0)
     (x1, y1, z1), (x2, y2, z2) = _normal_plane(*_null_vector(a - lmin, b - lmin, c - lmin, d, e, f))
     # the block restricted to that plane: [[s11, s12], [s12, s22]]
     bx, by, bz = a * x2 + d * y2 + e * z2, d * x2 + b * y2 + f * z2, e * x2 + f * y2 + c * z2

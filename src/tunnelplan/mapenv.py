@@ -245,8 +245,7 @@ def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 _MAP_KEYS = {"bounds_min", "bounds_max", "collision_margin_m", "obstacles", "ugv"}
 _OBSTACLE_KEYS = {"min", "max"}
-_UGV_KEYS = {"position", "lidar_pitch_deg", "lidar_halfangle_deg", "lidar_max_range_m",
-             "camera_mount_height_m", "camera_max_range_m"}
+_UGV_KEYS = {"position"} | {key for _, key, _ in _RIG_LIMITS}
 
 
 def _check_keys(block, known: set, where: str, path: Path) -> None:
@@ -299,14 +298,13 @@ def load_map(path) -> EnvironmentMap:
     rig_raw = raw.get("ugv") or {}
     _check_keys(rig_raw, _UGV_KEYS, "the ugv block", path)
     try:
-        rig = UgvRig(
-            position=rig_raw.get("position", [0.0, 0.0, 0.0]),
-            lidar_pitch=math.radians(float(rig_raw.get("lidar_pitch_deg", 15.0))),
-            lidar_halfangle=math.radians(float(rig_raw.get("lidar_halfangle_deg", 22.5))),
-            lidar_max_range=float(rig_raw.get("lidar_max_range_m", 50.0)),
-            camera_mount_height=float(rig_raw.get("camera_mount_height_m", 0.8)),
-            camera_max_range=float(rig_raw.get("camera_max_range_m", 6.0)),
-        )
+        # only the fields the file gives; UgvRig holds the defaults
+        given = {"position": rig_raw["position"]} if "position" in rig_raw else {}
+        for name, key, _ in _RIG_LIMITS:
+            if key in rig_raw:
+                value = float(rig_raw[key])
+                given[name] = math.radians(value) if key.endswith("_deg") else value
+        rig = UgvRig(**given)
     except (TypeError, ValueError, MapFormatError) as exc:
         raise MapFormatError(f"ugv block in {path} is malformed: {exc}") from exc
     if np.any(rig.position != 0.0):

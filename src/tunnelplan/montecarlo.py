@@ -290,7 +290,7 @@ def compute_stats(truth: TruthTrajectory, result, events=None,
     est = result.est
     if est is None:
         raise ValueError("result carries no state estimates; run in replay mode")
-    err = est[:, 3:] - truth.pos[1:]
+    err = est - truth.pos[1:]
     if len(err):
         sq = err * err
         rms_axis = np.sqrt(sq.mean(axis=0))

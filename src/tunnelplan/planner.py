@@ -244,7 +244,14 @@ _FIXED_AT_ESTIMATE = ("alt", "lidar")
 
 @dataclass
 class EngineResult:
-    """Per-step outputs of one propagation pass."""
+    """Per-step outputs of one member of a propagation pass, for steps 1..n.
+
+    t (n,) holds the step times, pec (n,) the pec after each step and the
+    fired flags (n,) where that sensor's update was applied. est (n, 3) is
+    the estimated position after each step in replay and None in planning.
+    The counts are the updates applied per sensor, and skipped lists
+    (step, sensor, reason) for each update left out.
+    """
 
     t: np.ndarray
     pec: np.ndarray
@@ -262,10 +269,11 @@ class EngineResult:
 class Readings:
     """Replay measurements of a batch on the schedule's tick axis.
 
-    The ticks are the steps where any sensor fires. offered[sensor] (B, T)
-    marks an undropped reading at each tick and value[sensor] holds it,
-    shaped (B, T) for alt and uwb and (B, T, 3) for cam and lidar; gamma
-    (B, T) is the lidar noise scale.
+    The T ticks are the steps where any sensor fires. offered[sensor]
+    (B, T) marks an undropped reading of that sensor at each tick and
+    value[sensor] holds it, shaped (B, T) for alt and uwb and (B, T, 3) for
+    cam and lidar; entries not offered are never read. gamma (B, T) is the
+    lidar reading's noise scale, read where the lidar is offered.
     """
 
     offered: dict
@@ -461,7 +469,8 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
     pec, the position block's largest eigenvalue, is recorded after each
-    full step, including that step's updates.
+    full step, including that step's updates, and in replay so is the
+    estimated position, the commanded one plus the offset.
     A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
     in chunks across the usable CPUs (_split_members), with the same bits.
     Each process builds the update lists of its own members, _LIST_TICKS
@@ -509,27 +518,26 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     # forked workers write them
     zeros = np.zeros if k == 1 else _shared_zeros
     pec = zeros((B, n))
-    est = zeros((B, n, 6)) if replay else None
+    est = zeros((B, n, 3)) if replay else None
     fired = {"cam": zeros((B, n + 1), dtype=bool), "lidar": zeros((B, n + 1), dtype=bool)}
 
     def propagate(tick_pos, noms, offered, value, gamma, pec, est, fired):
         """The per-tick sweep and flushes of the members these inputs hold.
 
-        Writes their pec, estimates and fired flags into the given rows and
-        returns their update counts (nb, 4) and skip logs.
+        Writes their pec, estimated positions and fired flags into the given
+        rows and returns their update counts (nb, 4) and skip logs.
         """
         nb = len(pec)
         P = np.repeat(P0[None], nb, axis=0)
-        x = vel = hold = None
+        x = hold = None
         if replay:
             x = np.zeros((nb, 6))
-            vel = np.stack([nm.vel for nm in noms]).reshape(nb, n, 3)
             tick_pos = np.stack([nm.pos[ticks] for nm in noms])
             # each member's first turn after every bound (n + 1 for none), and
             # the steps past the bound that its velocity correction lasts
             hold = np.empty((nb, len(bounds)), dtype=int)
-            for b in range(nb):
-                turns = np.flatnonzero(np.any(vel[b, 1:] != vel[b, :-1], axis=1)) + 1
+            for b, nm in enumerate(noms):
+                turns = np.flatnonzero(np.any(nm.vel[1:] != nm.vel[:-1], axis=1)) + 1
                 after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
                 hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
         counts = np.zeros((nb, 4), dtype=int)
@@ -555,13 +563,11 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
             for s0 in range(bounds[j0] + 1, bounds[j1] + 1, chunk):
                 s1 = min(s0 + chunk, bounds[j1] + 1)
                 slot, k = last[s0:s1] - j0, ahead[s0:s1]
-                blocks = ekf.position_blocks(np.take(tri, slot, axis=2), k, noise)
-                pec[:, s0 - 1:s1 - 1] = ekf.sym3_max(blocks.reshape(-1, 3, 3)).reshape(nb, -1)
+                pec[:, s0 - 1:s1 - 1] = ekf.sym3_max(
+                    ekf.position_blocks(np.take(tri, slot, axis=2), k, noise))
                 if replay:
                     xs, held = xrec[:, slot], hold[:, last[s0:s1]]
-                    est[:, s0 - 1:s1 - 1, :3] = (vel[:, np.minimum(np.arange(s0, s1), n - 1)]
-                                                 + (k < held)[..., None] * xs[..., :3])
-                    est[:, s0 - 1:s1 - 1, 3:] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
+                    est[:, s0 - 1:s1 - 1] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
                         xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
         spans: dict = {}

@@ -297,6 +297,11 @@ def graph_from_dict(data: dict) -> RoadmapGraph:
         source = int(data.get("source", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"malformed graph data: {exc}") from exc
+    for e in edges:
+        if not (0 <= e.i < len(nodes) and 0 <= e.j < len(nodes)):
+            raise MapFormatError(
+                f"malformed graph data: edge ({e.i}, {e.j}) joins a node outside "
+                f"the {len(nodes)} listed")
     return RoadmapGraph(nodes=nodes, edges=edges, source=source)
 
 

@@ -357,6 +357,23 @@ class TestExitCodes:
         assert rc == 6
         assert "ranking.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, spoil, named", [
+        ("circuits.json", lambda cands: cands[:1], "circuits.json"),
+        ("graph.json", lambda g: {**g, "nodes": g["nodes"][:3]}, "graph.json"),
+        # every circuit flies every edge, so each one uses the dropped edge
+        ("graph.json", lambda g: {**g, "edges": g["edges"][:-1]}, "circuits.json"),
+    ], ids=["truncated_circuits", "graph_edges_past_its_nodes", "circuit_off_its_graph"])
+    def test_stale_plan_artifact_exits_6_naming_file(
+        self, reduced_cfg, plan_out, tmp_path, capsys, name, spoil, named
+    ):
+        work = copy_plan(plan_out, tmp_path)
+        path = work / name
+        path.write_text(json.dumps(spoil(json.loads(path.read_text()))))
+        rc = cli.main(["simulate", "--config", str(reduced_cfg), "--out", str(work)])
+        assert rc == 6
+        assert f"corrupt artifact {named}" in capsys.readouterr().err
+        assert not list(work.glob("run_*.csv"))
+
     def test_corrupt_csv_artifact_exits_6_naming_file(
         self, reduced_cfg, plan_out, tmp_path, capsys
     ):

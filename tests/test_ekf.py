@@ -89,14 +89,14 @@ class TestPredict:
         spanned, pos_blocks = ekf.predict_span(b, cfg, 7)
         assert np.allclose(spanned.P, seq.P, atol=1e-11)
         assert np.allclose(spanned.x, seq.x, atol=1e-11)
-        assert np.allclose(pos_blocks, np.stack(blocks), atol=1e-11)
+        assert np.allclose(pos_blocks, packed(np.stack(blocks)), atol=1e-11)
 
     def test_span_zero_steps(self):
         cfg = ekf.NoiseConfig()
         b = belief()
         spanned, blocks = ekf.predict_span(b, cfg, 0)
         assert np.array_equal(spanned.P, b.P)
-        assert blocks.shape == (0, 3, 3)
+        assert blocks.shape == (0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,12 @@ def blocks_with_eigenvalues(lams, rng):
     Q, _ = np.linalg.qr(rng.normal(size=(len(lams), 3, 3)))
     B = Q @ (lams[:, :, None] * Q.transpose(0, 2, 1))
     return 0.5 * (B + B.transpose(0, 2, 1))
+
+
+def packed(B):
+    """The upper triangles of symmetric 3x3 blocks B (..., 3, 3), row by row,
+    as sym3_max reads them."""
+    return B[(..., *np.triu_indices(3))]
 
 
 class TestSym3Eigenvalues:
@@ -129,17 +135,17 @@ class TestSym3Eigenvalues:
         }[pair]
         B = blocks_with_eigenvalues(np.stack(lams, axis=1), rng)
         want = np.linalg.eigvalsh(B)
-        lmax = ekf.sym3_max(B)
+        lmax = ekf.sym3_max(packed(B))
         assert np.abs(lmax / want[:, -1] - 1.0).max() < 1e-12
 
     def test_rank_one_and_multiples_of_identity(self):
         rng = np.random.default_rng(4)
         s = 10.0 ** rng.uniform(-3.0, 4.0, 50)
         B = blocks_with_eigenvalues(np.stack([0 * s, 0 * s, s], axis=1), rng)
-        assert np.abs(ekf.sym3_max(B) / s - 1.0).max() < 1e-12
+        assert np.abs(ekf.sym3_max(packed(B)) / s - 1.0).max() < 1e-12
         # p == 0 in the cubic: no division by zero, the largest eigenvalue is s
         qI = s[:, None, None] * np.eye(3)
-        assert np.abs(ekf.sym3_max(qI) / s - 1.0).max() < 1e-15
+        assert np.abs(ekf.sym3_max(packed(qI)) / s - 1.0).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,8 @@ def check_vector_kernel(with_innov, identity):
 
 def scalar_replay(truth, events, rates, noise, att):
     """Per-step oracle.predict and oracle.*_update, pinning the commanded velocity
-    at sensor ticks, this run's own turns and the last step."""
+    at sensor ticks, this run's own turns and the last step. Returns the
+    estimated positions, pec, update counts and skips."""
     nom = truth.commanded
     n = nom.steps
     table = rates.fire_table(n)
@@ -251,7 +252,7 @@ def scalar_replay(truth, events, rates, noise, att):
         "lidar": lambda b, ev: oracle.lidar_update(b, ev.value, noise, ev.gamma),
     }
     b = ekf.BeliefState(x=np.concatenate([nom.vel[0], nom.pos[0]]), P=np.eye(6))
-    est, pec = np.empty((n, 6)), np.empty(n)
+    est, pec = np.empty((n, 3)), np.empty(n)
     counts = dict.fromkeys(update, 0)
     skipped = []
     for k in range(1, n + 1):
@@ -267,7 +268,7 @@ def scalar_replay(truth, events, rates, noise, att):
                     counts[sensor] += 1
                 except FilterSingularityError:
                     skipped.append((k, sensor))
-        est[k - 1] = b.x
+        est[k - 1] = b.x[3:]
         pec[k - 1] = np.linalg.eigvalsh(b.P[3:, 3:])[-1]
     return est, pec, counts, skipped
 

@@ -175,12 +175,22 @@ class TestLoading:
             make_env(margin=margin)
 
     def test_rig_defaults_when_block_omitted(self, tmp_path):
-        f = tmp_path / "m.yaml"
-        f.write_text("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\n")
-        env = mapenv.load_map(f)
-        assert env.obstacles == []
-        assert env.rig.camera_max_range == pytest.approx(6.0)
-        assert env.collision_margin == pytest.approx(0.3)
+        # no ugv block, then a partial one: every field it omits is UgvRig's
+        default = mapenv.UgvRig()
+        for ugv, given in [
+            ("", {}),
+            ("ugv:\n  lidar_pitch_deg: 30.0\n  camera_max_range_m: 4.5\n",
+             {"lidar_pitch": math.radians(30.0), "camera_max_range": 4.5}),
+        ]:
+            f = tmp_path / "m.yaml"
+            f.write_text("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\n" + ugv)
+            env = mapenv.load_map(f)
+            assert env.obstacles == []
+            assert env.collision_margin == pytest.approx(0.3)
+            for name in ("position", "lidar_pitch", "lidar_halfangle", "lidar_max_range",
+                         "camera_mount_height", "camera_max_range"):
+                want = given.get(name, getattr(default, name))
+                assert np.array_equal(getattr(env.rig, name), want), (ugv, name)
 
     @pytest.mark.parametrize("text, where", [
         ("rig:\n  position: [0, 0, 0]\n", "top level"),

@@ -347,7 +347,7 @@ class TestReplay:
         result = montecarlo.run_online_ekf(truth, events, rates, noise, kin.attitude)
         assert len(result.pec) == len(plan.pec)
         assert np.abs(result.pec - plan.pec).max() < 1e-6
-        assert np.abs(result.est[:, 3:] - truth.pos[1:]).max() < 1e-6
+        assert np.abs(result.est - truth.pos[1:]).max() < 1e-6
         assert np.array_equal(result.cam_fired, plan.cam_fired)
         assert np.array_equal(result.lidar_fired, plan.lidar_fired)
 
@@ -381,19 +381,6 @@ class TestReplay:
                                            ekf.NoiseConfig(), ekf.Attitude())
         assert abs(result.t[-1] - c.length / 0.5) < 0.02
 
-    def test_velocity_pinned_to_commanded(self, tunnel):
-        g, c = tunnel_fixture(tunnel)
-        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
-        truth = montecarlo.simulate_truth(nom, np.random.default_rng(34),
-                                          cross_track_sigma=0.0, speed_sigma=0.0)
-        events = montecarlo.synthesize_measurements(
-            truth, tunnel, planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude(),
-            np.random.default_rng(35), mode="perfect")
-        result = montecarlo.run_online_ekf(truth, events, planner.RateSchedule(),
-                                           ekf.NoiseConfig(), ekf.Attitude())
-        speeds = np.linalg.norm(result.est[:, :3], axis=1)
-        assert speeds.max() < 0.5 + 1e-6
-
     def test_all_dropped_equals_pure_prediction(self, tunnel):
         g, c = tunnel_fixture(tunnel)
         noise = ekf.NoiseConfig()
@@ -422,7 +409,7 @@ class TestReplay:
             np.random.default_rng(39), mode="noisy", dropout=0.1)
         result = montecarlo.run_online_ekf(truth, events, planner.RateSchedule(),
                                            noise, ekf.Attitude())
-        err = np.linalg.norm(result.est[:, 3:] - truth.pos[1:], axis=1)
+        err = np.linalg.norm(result.est - truth.pos[1:], axis=1)
         assert np.isfinite(err).all()
         assert err.mean() < 50.0
 
@@ -438,8 +425,7 @@ def toy_run(err_rows, ts=0.02):
     nom = planner.NominalTrajectory(pos=pos, vel=np.zeros((n, 3)), ts=ts, length=0.0)
     truth = montecarlo.TruthTrajectory(pos=pos, commanded=nom,
                                        circuit_index=0, run_index=0)
-    est = np.zeros((n, 6))
-    est[:, 3:] = pos[1:] + np.asarray(err_rows, dtype=float)
+    est = pos[1:] + np.asarray(err_rows, dtype=float)
     result = planner.EngineResult(
         t=np.arange(1, n + 1) * ts, pec=np.full(n, 2.0),
         cam_fired=np.zeros(n, bool), lidar_fired=np.zeros(n, bool), est=est,

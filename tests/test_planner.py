@@ -30,7 +30,7 @@ def out_and_back_graph(a, b):
 
 def pec(P):
     """pec of the position block of a full 6x6 covariance."""
-    return float(ekf.sym3_max(np.asarray(P, dtype=float)[3:, 3:][None])[0])
+    return float(ekf.sym3_max(np.asarray(P, dtype=float)[3:, 3:][np.triu_indices(3)][None])[0])
 
 
 def propagate_path(circuit, graph, env, kin, rates, noise):
