@@ -8,6 +8,7 @@ fully determines all artifacts.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -24,6 +25,10 @@ STREAM_CANDIDATES = 1
 STREAM_MONTECARLO = 2
 
 SELECTION_NAMES = ("best", "worst", "second_best", "second_worst")
+
+# a decimal number with an exponent, which YAML 1.1 reads as a string unless
+# it has a dot and a signed exponent ("1e-4", "1.5e3", "2E-2")
+_EXPONENT_NUMBER = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 def is_candidate_index(label) -> bool:
@@ -158,8 +163,7 @@ def _section_from_dict(cls, data, prefix):
             raise ConfigError(f"unknown config key {prefix}.{key}")
     if cls is planner.RateSchedule:
         # the schedule checks its rates' signs and order as it is built
-        for key, value in data.items():
-            _require_num(value, f"{prefix}.{key}")
+        data = {key: _require_num(value, f"{prefix}.{key}") for key, value in data.items()}
     try:
         return cls(**data)
     except ValueError as exc:
@@ -205,6 +209,10 @@ def _require_int(value, path, minimum=None):
 
 
 def _require_num(value, path, minimum=None, maximum=None, above=None):
+    """The number value holds; a string written with an exponent reads as
+    the float it spells."""
+    if isinstance(value, str) and _EXPONENT_NUMBER.fullmatch(value):
+        value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     # NaN, the infinities and integers past the float range
@@ -217,6 +225,11 @@ def _require_num(value, path, minimum=None, maximum=None, above=None):
     if above is not None and not value > above:
         raise ConfigError(f"{path}: must be > {above}, got {value}")
     return value
+
+
+def _require_field(section, prefix, name, **bounds):
+    """_require_num on a section's field, which then holds the number read."""
+    setattr(section, name, _require_num(getattr(section, name), f"{prefix}.{name}", **bounds))
 
 
 def _require_str(value, path, choices=None):
@@ -237,22 +250,22 @@ def _validate(cfg: RunConfig):
     _require_int(p.nodes, "plan.nodes", 2)
     _require_int(p.knn, "plan.knn", 1)
     _require_int(p.candidates, "plan.candidates", 1)
-    _require_num(p.forward_bias, "plan.forward_bias", minimum=1.0)
-    _require_num(p.max_flight_time_s, "plan.max_flight_time_s", above=0.0)
-    _require_num(p.pec_threshold_m2, "plan.pec_threshold_m2", above=0.0)
+    _require_field(p, "plan", "forward_bias", minimum=1.0)
+    _require_field(p, "plan", "max_flight_time_s", above=0.0)
+    _require_field(p, "plan", "pec_threshold_m2", above=0.0)
 
-    _require_num(cfg.kinematics.cruise_mps, "kinematics.cruise_mps", above=0.0)
-    _require_num(cfg.kinematics.roll_deg, "kinematics.roll_deg")
-    _require_num(cfg.kinematics.pitch_deg, "kinematics.pitch_deg")
+    _require_field(cfg.kinematics, "kinematics", "cruise_mps", above=0.0)
+    _require_field(cfg.kinematics, "kinematics", "roll_deg")
+    _require_field(cfg.kinematics, "kinematics", "pitch_deg")
 
     n = cfg.noise
     for name in ("q_vel", "q_pos", "r_alt", "r_uwb"):
-        _require_num(getattr(n, name), f"noise.{name}", minimum=0.0)
+        _require_field(n, "noise", name, minimum=0.0)
     # synthesis factors the covariance of a vector reading
     for name in ("r_cam", "r_lidar"):
-        _require_num(getattr(n, name), f"noise.{name}", above=0.0)
-    _require_num(n.lidar_ref_range_m, "noise.lidar_ref_range_m", above=0.0)
-    _require_num(n.lidar_gamma_max, "noise.lidar_gamma_max", minimum=1.0)
+        _require_field(n, "noise", name, above=0.0)
+    _require_field(n, "noise", "lidar_ref_range_m", above=0.0)
+    _require_field(n, "noise", "lidar_gamma_max", minimum=1.0)
 
     s = cfg.simulate
     _require_int(s.runs, "simulate.runs", 1)
@@ -277,12 +290,12 @@ def _validate(cfg: RunConfig):
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"simulate.selections: repeated entries {repeated}")
-    _require_num(s.cross_track_sigma_m, "simulate.cross_track_sigma_m", minimum=0.0)
-    _require_num(s.cross_track_tau_s, "simulate.cross_track_tau_s", above=0.0)
-    _require_num(s.speed_sigma_mps, "simulate.speed_sigma_mps", minimum=0.0)
-    _require_num(s.dropout, "simulate.dropout", minimum=0.0, maximum=1.0)
-    _require_num(s.outlier_prob, "simulate.outlier_prob", minimum=0.0, maximum=1.0)
-    _require_num(s.outlier_scale, "simulate.outlier_scale", minimum=0.0)
+    _require_field(s, "simulate", "cross_track_sigma_m", minimum=0.0)
+    _require_field(s, "simulate", "cross_track_tau_s", above=0.0)
+    _require_field(s, "simulate", "speed_sigma_mps", minimum=0.0)
+    _require_field(s, "simulate", "dropout", minimum=0.0, maximum=1.0)
+    _require_field(s, "simulate", "outlier_prob", minimum=0.0, maximum=1.0)
+    _require_field(s, "simulate", "outlier_scale", minimum=0.0)
 
     # the components check their own parameters too
     try:

@@ -243,7 +243,7 @@ def replay_runs(truths, events_list, rates, noise, attitude) -> list:
     for idxs in planner.step_groups(noms):
         n = noms[idxs[0]].steps
         readings = _readings([events_list[i] for i in idxs], n, rates)
-        batch = planner.run_batch(n, rates, noise, attitude, noms=[noms[i] for i in idxs],
+        batch = planner.run_batch(n, rates, noise, attitude, [noms[i] for i in idxs],
                                   readings=readings)
         for i, res in zip(idxs, batch):
             results[i] = res

@@ -14,10 +14,11 @@ step.
 A large batch is split into contiguous chunks of members, one per usable
 CPU: the calling process sweeps the first and forked workers the others,
 writing their members' outputs into memory shared with the caller. Each
-process builds its own members' update lists (visibility gates, sensor
-models, readings) block by block, so the caller holds no per-member
-set-up. A member's bits do not depend on the others in its batch, so a
-split run returns the same bits as a serial one.
+process samples its own members' paths and builds their update lists
+(visibility gates, sensor models, readings) block by block, so the caller
+holds no per-member set-up and no process holds a whole flight's positions.
+A member's bits do not depend on the others in its batch, so a split run
+returns the same bits as a serial one.
 """
 
 from __future__ import annotations
@@ -402,19 +403,33 @@ def _offsets(tick: np.ndarray, nt: int) -> list:
     return np.searchsorted(tick, np.arange(nt + 1)).tolist()
 
 
-def _planned_updates(t0, t1, tick_pos, fire, gates, models, R, rmin, ticks, skipped) -> dict:
+def _positions(paths, steps: np.ndarray) -> np.ndarray:
+    """Each path's positions at the given steps, (len(paths), len(steps), 3).
+
+    A Polyline is sampled with Polyline.at and a NominalTrajectory gives the
+    rows of its pos, which build_nominal_trajectory samples with
+    Polyline.at too, so a step's position is the same bits either way.
+    """
+    out = np.empty((len(paths), len(steps), 3))
+    for b, path in enumerate(paths):
+        out[b] = path.pos[steps] if isinstance(path, NominalTrajectory) else path.at(steps)[0]
+    return out
+
+
+def _planned_updates(t0, t1, block_pos, fire, gates, models, R, rmin, ticks, skipped) -> dict:
     """Update lists of ticks t0..t1-1 in planning, by sensor.
 
-    A pair is listed where the sensor fires and its gate sees the member's
-    nominal position; its terms come from the model there. A pair the
-    model's guards refuse is logged in skipped and left out.
+    block_pos (nb, t1 - t0, 3) holds the members' nominal positions at
+    those ticks. A pair is listed where the sensor fires and its gate sees
+    the member's nominal position; its terms come from the model there. A
+    pair the model's guards refuse is logged in skipped and left out.
     """
-    nb = len(tick_pos)
+    nb = len(block_pos)
     lists = {}
     for sensor in SENSOR_ORDER:
         fires = np.flatnonzero(fire[sensor][t0:t1])
         tick, member = np.repeat(fires, nb), np.tile(np.arange(nb), len(fires))
-        pos = tick_pos[member, t0 + tick]
+        pos = block_pos[member, tick]
         if sensor in gates:
             seen = gates[sensor](pos)
             tick, member, pos = tick[seen], member[seen], pos[seen]
@@ -431,15 +446,17 @@ def _planned_updates(t0, t1, tick_pos, fire, gates, models, R, rmin, ticks, skip
     return lists
 
 
-def _replayed_updates(t0, t1, tick_pos, offered, value, gamma, models, R, rmin) -> dict:
+def _replayed_updates(t0, t1, block_pos, offered, value, gamma, models, R, rmin) -> dict:
     """Update lists of ticks t0..t1-1 in replay, by sensor: the pairs with
-    an undropped reading. Only the sensors of _FIXED_AT_ESTIMATE carry
-    their terms; the lidar's noise scale is its reading's gamma."""
+    an undropped reading. block_pos (nb, t1 - t0, 3) holds the members'
+    commanded positions at those ticks. Only the sensors of
+    _FIXED_AT_ESTIMATE carry their terms; the lidar's noise scale is its
+    reading's gamma."""
     lists = {}
     for sensor in SENSOR_ORDER:
-        tick, member = np.divmod(np.flatnonzero(offered[sensor][:, t0:t1].T), len(tick_pos))
+        tick, member = np.divmod(np.flatnonzero(offered[sensor][:, t0:t1].T), len(block_pos))
         at = (member, t0 + tick)
-        pos, terms = tick_pos[at], None
+        pos, terms = block_pos[member, tick], None
         if sensor in _FIXED_AT_ESTIMATE:
             m = models[sensor](pos)
             terms = _terms(sensor, m.Hr, gamma[at] if m.scale is None else m.scale, R, rmin)
@@ -448,23 +465,24 @@ def _replayed_updates(t0, t1, tick_pos, offered, value, gamma, models, R, rmin) 
     return lists
 
 
-def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
-              readings=None, P0=None) -> list:
-    """Propagate the belief of every member along its trajectory at once.
+def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
+              P0=None) -> list:
+    """Propagate the belief of every member along its path at once.
 
-    Planning (readings is None) pins the mean to each nominal trajectory,
-    given only where the engine reads it: tick_pos (B, T, 3) holds each
-    member's nominal positions at the T steps of
-    sensor_ticks(rates.fire_table(steps)). It gates camera and lidar on
-    env's field of view there and applies zero-innovation updates. Replay
-    follows the commanded trajectories noms, each of the given steps, and
-    holds the mean as its offset from them: it leaves the position offset
-    free, evaluates Jacobians and guards at the member's estimate and
-    applies its readings. A tick's velocity correction lasts until the
-    member's own next turn, capped at the next tick; the velocity is the
-    commanded one otherwise. Both modes predict between the same bounds,
-    step 0, the sensor ticks and the last step, so a member's bits do not
-    depend on the others in its batch.
+    paths holds each member's path of the given steps, read only at the
+    sensor ticks, sensor_ticks(rates.fire_table(steps)), and only a block
+    of them at a time (see below), so no table of a whole flight's
+    positions is built. Planning (readings is None) takes Polylines or
+    NominalTrajectories and pins the mean to them. It gates camera and
+    lidar on env's field of view at each tick's position and applies
+    zero-innovation updates. Replay takes the commanded
+    NominalTrajectories and holds the mean as its offset from them: it
+    leaves the position offset free, evaluates Jacobians and guards at the
+    member's estimate and applies its readings. A tick's velocity
+    correction lasts until the member's own next turn, capped at the next
+    tick; the velocity is the commanded one otherwise. Both modes predict
+    between the same bounds, step 0, the sensor ticks and the last step, so
+    a member's bits do not depend on the others in its batch.
 
     Sensor updates at one step run in the fixed order alt, uwb, cam, lidar.
     Singular updates are skipped and logged per member, never fatal. The
@@ -473,16 +491,16 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     estimated position, the commanded one plus the offset.
     A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
     in chunks across the usable CPUs (_split_members), with the same bits.
-    Each process builds the update lists of its own members, _LIST_TICKS
-    sensor ticks at a time, and its tick loop does only the covariance and
-    mean algebra.
+    Each process samples the paths and builds the update lists of its own
+    members, _LIST_TICKS sensor ticks at a time, and its tick loop does only
+    the covariance and mean algebra.
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
     n = steps
     replay = readings is not None
-    B = len(noms) if replay else len(tick_pos)
-    if replay and any(nm.steps != n for nm in noms):
+    B = len(paths)
+    if any(path.steps != n for path in paths):
         raise ValueError("batch members must share one step count")
     P0 = np.eye(6) if P0 is None else np.array(P0, dtype=float)
     if P0.shape != (6, 6):
@@ -504,8 +522,6 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         # replay's models leave the lidar's noise scale to its readings
         models = ekf.sensor_models(attitude)
     else:
-        if tick_pos.shape != (B, T, 3):
-            raise ValueError(f"tick_pos must be ({B}, {T}, 3) for {n} steps")
         fire = {sensor: table[sensor][ticks] for sensor in SENSOR_ORDER}
         gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
         models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
@@ -521,7 +537,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
     est = zeros((B, n, 3)) if replay else None
     fired = {"cam": zeros((B, n + 1), dtype=bool), "lidar": zeros((B, n + 1), dtype=bool)}
 
-    def propagate(tick_pos, noms, offered, value, gamma, pec, est, fired):
+    def propagate(paths, offered, value, gamma, pec, est, fired):
         """The per-tick sweep and flushes of the members these inputs hold.
 
         Writes their pec, estimated positions and fired flags into the given
@@ -532,11 +548,10 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         x = hold = None
         if replay:
             x = np.zeros((nb, 6))
-            tick_pos = np.stack([nm.pos[ticks] for nm in noms])
             # each member's first turn after every bound (n + 1 for none), and
             # the steps past the bound that its velocity correction lasts
             hold = np.empty((nb, len(bounds)), dtype=int)
-            for b, nm in enumerate(noms):
+            for b, nm in enumerate(paths):
                 turns = np.flatnonzero(np.any(nm.vel[1:] != nm.vel[:-1], axis=1)) + 1
                 after = np.append(turns, n + 1)[np.searchsorted(turns, bounds, side="right")]
                 hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
@@ -544,10 +559,11 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         skipped: list[list] = [[] for _ in range(nb)]
 
         def updates(t0: int, t1: int) -> dict:
+            block_pos = _positions(paths, ticks[t0:t1])
             if replay:
-                return _replayed_updates(t0, t1, tick_pos, offered, value, gamma,
+                return _replayed_updates(t0, t1, block_pos, offered, value, gamma,
                                          models, R, rmin)
-            return _planned_updates(t0, t1, tick_pos, fire, gates, models, R, rmin,
+            return _planned_updates(t0, t1, block_pos, fire, gates, models, R, rmin,
                                     ticks, skipped)
 
         # The covariance (and mean) after each bound goes to a buffer of a few
@@ -567,7 +583,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
                     ekf.position_blocks(np.take(tri, slot, axis=2), k, noise))
                 if replay:
                     xs, held = xrec[:, slot], hold[:, last[s0:s1]]
-                    est[:, s0 - 1:s1 - 1] = np.stack([nm.pos[s0:s1] for nm in noms]) + (
+                    est[:, s0 - 1:s1 - 1] = np.stack([nm.pos[s0:s1] for nm in paths]) + (
                         xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
         spans: dict = {}
@@ -638,7 +654,7 @@ def run_batch(steps, rates, noise, attitude, tick_pos=None, env=None, noms=None,
         return counts, skipped
 
     def sweep(lo: int, hi: int) -> tuple:
-        return propagate(*(_rows(a, lo, hi) for a in (tick_pos, noms, offered, value, gamma,
+        return propagate(*(_rows(a, lo, hi) for a in (paths, offered, value, gamma,
                                                       pec, est, fired)))
 
     counts, skipped = _split_members(k, B, sweep)
@@ -824,8 +840,9 @@ def _summarize(circuit, line, result) -> PathScore:
 def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
     """Score every candidate circuit, batching those with equal step counts.
 
-    Planning reads the nominal trajectory only at sensor ticks, so only
-    those steps are sampled: memory grows with the ticks, not the steps.
+    Each batch gets the candidates' Polylines, which the engine samples at
+    sensor ticks only, a block of ticks at a time: memory holds no per-step
+    or whole-flight position of any candidate.
     """
     lines = []
     for circuit in circuit_list:
@@ -833,12 +850,8 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
         lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
     scores: list = [None] * len(lines)
     for idxs in step_groups(lines):
-        n = lines[idxs[0]].steps
-        ticks = sensor_ticks(rates.fire_table(n))
-        tick_pos = np.empty((len(idxs), len(ticks), 3))
-        for b, i in enumerate(idxs):
-            tick_pos[b] = lines[i].at(ticks)[0]
-        results = run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=env)
+        results = run_batch(lines[idxs[0]].steps, rates, noise, kin.attitude,
+                            [lines[i] for i in idxs], env=env)
         for i, res in zip(idxs, results):
             scores[i] = _summarize(circuit_list[i], lines[i], res)
     return scores

@@ -8,8 +8,8 @@ No timestamps, no random ids.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class Canvas:
         self._parts.append(
             f'<text x="{fmt(x)}" y="{fmt(y)}" font-family="{_FONT}" '
             f'font-size="{fmt(size)}" fill="{fill}" text-anchor="{anchor}">'
-            f"{escape(str(s))}</text>"
+            f"{html.escape(str(s), quote=False)}</text>"
         )
 
     def render(self) -> str:

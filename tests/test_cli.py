@@ -1,13 +1,17 @@
 """End-to-end tests for the command-line pipeline and its artifacts."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_mapenv import BAD_MAP_IDS, BAD_MAP_VALUES
+import tunnelplan
 from tunnelplan import cli, errors
 
 # small-but-real configuration so full pipeline runs stay fast; seed 3 is
@@ -482,3 +486,18 @@ class TestTableWriter:
             np.savetxt(tmp_path / "savetxt.csv", arr, fmt=fmt, delimiter=",",
                        header=header, comments="")
             assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_import_loads_no_network_stack():
+    # the planner may run on a small onboard computer: a fresh interpreter
+    # that imports the CLI loads none of these (xml.sax.saxutils pulls in
+    # urllib.request and with it http.client, ssl and email)
+    heavy = ("ssl", "http.client", "urllib.request", "email.parser")
+    code = (f"import sys, tunnelplan.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = str(Path(tunnelplan.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -116,6 +116,20 @@ class TestYamlLoading:
         with pytest.raises(ConfigError, match="plan.nodez"):
             config.load_config(p)
 
+    def test_numbers_written_with_an_exponent(self, tmp_path):
+        # YAML 1.1 reads these as strings: its floats need a dot and a
+        # signed exponent
+        p = tmp_path / "c.yaml"
+        p.write_text("noise:\n  r_cam: 1e-4\n  q_pos: 1.5e3\n"
+                     "simulate:\n  dropout: 2E-2\nrates:\n  cam_hz: 1e1\n")
+        assert yaml.safe_load(p.read_text())["noise"]["r_cam"] == "1e-4"
+        cfg = config.load_config(p)
+        assert (cfg.noise.r_cam, cfg.noise.q_pos, cfg.simulate.dropout) == (1e-4, 1500.0, 0.02)
+        assert cfg.rates.cam_hz == 10.0
+        assert config.load_config(p) == config.load_config(overrides=[
+            "noise.r_cam=0.0001", "noise.q_pos=1500.0", "simulate.dropout=0.02",
+            "rates.cam_hz=10.0"])
+
 
 class TestOverrides:
     def test_set_overrides_apply_with_yaml_types(self):
@@ -129,6 +143,14 @@ class TestOverrides:
     def test_set_list_value(self):
         cfg = config.load_config(overrides=["simulate.selections=[best]"])
         assert cfg.simulate.selections == ["best"]
+
+    def test_set_number_written_with_an_exponent(self):
+        cfg = config.load_config(overrides=["noise.r_cam=1e-4", "kinematics.cruise_mps=+5E-1",
+                                            "plan.max_flight_time_s=.9e3"])
+        assert cfg.noise.r_cam == 1e-4
+        assert np.array_equal(cfg.noise_config().r_cam, 1e-4 * np.eye(3))
+        assert cfg.kinematics.cruise_mps == 0.5
+        assert cfg.plan.max_flight_time_s == 900.0
 
     def test_set_top_level_scalar(self):
         cfg = config.load_config(overrides=["out_dir=elsewhere"])
@@ -222,6 +244,32 @@ class TestValidation:
         argv = ["all", "--select", "\u00b2", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override, message", [
+        ("noise.r_cam=1e400", "expected a finite number"),
+        ("rates.cam_hz=-1e400", "expected a finite number"),
+        # strings float() reads but that are not decimal exponent numbers
+        ("noise.r_cam=nan", "expected a number"),
+        ("noise.r_cam=inf", "expected a number"),
+        ("noise.r_cam=-Infinity", "expected a number"),
+        ("noise.r_cam=1_0e-4", "expected a number"),
+        ("noise.r_cam=' 1e-4'", "expected a number"),
+        ("noise.r_cam='\uff11e-4'", "expected a number"),
+        # and ones it does not
+        ("noise.r_cam=1e", "expected a number"),
+        ("noise.r_cam=e-4", "expected a number"),
+        ("noise.r_cam=1e-4m", "expected a number"),
+        # integer fields take integers only
+        ("plan.nodes=1e1", "expected an integer"),
+        ("simulate.runs=2E0", "expected an integer"),
+        ("seed=6e0", "expected an integer"),
+        # a number read from an exponent is checked like any other
+        ("noise.r_cam=-1e-4", "must be > 0"),
+        ("rates.cam_hz=1e3", "exceeds predict_hz"),
+    ])
+    def test_exponent_numbers_are_checked(self, override, message):
+        with pytest.raises(ConfigError, match=message):
+            config.load_config(overrides=[override])
 
     def test_rate_error_names_its_key(self):
         with pytest.raises(ConfigError, match=r"rates\.cam_hz exceeds predict_hz"):

@@ -33,10 +33,9 @@ def hover(point, steps=20, ts=0.02):
 
 
 def plan_one(nom, rates, noise, env, **options):
-    """Planning pass of a batch of one along nom, given at its sensor ticks."""
-    ticks = planner.sensor_ticks(rates.fire_table(nom.steps))
-    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(),
-                             tick_pos=nom.pos[ticks][None], env=env, **options)[0]
+    """Planning pass of a batch of one along nom."""
+    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(), [nom], env=env,
+                             **options)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +342,8 @@ def offered_shares(offered):
 
 
 def tunnel_candidates(tunnel):
-    """Six candidates over one small roadmap of the shipped tunnel, given at
-    their sensor ticks: their step count, tick positions and models."""
+    """Six candidates over one small roadmap of the shipped tunnel: their
+    step count, polylines and models."""
     pts = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(5))
     g = roadmap.eulerize(roadmap.connect_knn(pts, 4, tunnel), tunnel)
     cands = circuits.generate_candidates(g, 6, np.random.default_rng(6), 0.5)
@@ -353,20 +352,19 @@ def tunnel_candidates(tunnel):
     n = lines[0].steps
     assert all(line.steps == n for line in lines)
     ticks = planner.sensor_ticks(rates.fire_table(n))
-    tick_pos = np.stack([line.at(ticks)[0] for line in lines])
     # the camera's gate splits the candidates at some ticks
     cam = rates.fire_table(n)["cam"][ticks] & tunnel.camera_sees_many(
-        tick_pos.reshape(-1, 3)).reshape(len(cands), -1)
+        planner._positions(lines, ticks).reshape(-1, 3)).reshape(len(cands), -1)
     assert offered_shares({"cam": cam}) == (True, True)
-    return n, tick_pos, kin, rates, noise
+    return n, lines, kin, rates, noise
 
 
 def test_planning_batch_equals_each_candidate_alone(tunnel):
-    n, tick_pos, kin, rates, noise = tunnel_candidates(tunnel)
-    batch = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
-    for b in range(len(tick_pos)):
-        alone = planner.run_batch(n, rates, noise, kin.attitude,
-                                  tick_pos=tick_pos[b:b + 1], env=tunnel)[0]
+    n, lines, kin, rates, noise = tunnel_candidates(tunnel)
+    batch = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
+    for b in range(len(lines)):
+        alone = planner.run_batch(n, rates, noise, kin.attitude, lines[b:b + 1],
+                                  env=tunnel)[0]
         assert_same_result(batch[b], alone)
 
 
@@ -392,16 +390,13 @@ def guard_batch():
 
 def test_planning_batch_with_guard_refusals_equals_each_member_alone():
     noms, rates, noise, env = guard_batch()
-    ticks = planner.sensor_ticks(rates.fire_table(noms[0].steps))
-    tick_pos = np.stack([nom.pos[ticks] for nom in noms])
-    batch = planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(),
-                              tick_pos=tick_pos, env=env)
+    batch = planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(), noms, env=env)
     # the boundary members are refused at ticks where the others update
     assert [sorted({s[1] for s in res.skipped}) for res in batch] == [["uwb"], [], ["cam"], []]
     assert all(res.uwb_updates and res.cam_updates for res in batch[1::2])
     for b, res in enumerate(batch):
         assert_same_result(res, planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(),
-                                                  tick_pos=tick_pos[b:b + 1], env=env)[0])
+                                                  noms[b:b + 1], env=env)[0])
 
 
 def test_replay_batch_with_guard_refusals_equals_each_member_alone():
@@ -438,16 +433,16 @@ def test_replay_batch_with_guard_refusals_equals_each_member_alone():
 def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
     """Blocks of one tick and of a few against one block of all ticks, in
     planning and in replay."""
-    n, tick_pos, _, _, _ = tunnel_candidates(tunnel)
+    n, lines, _, _, _ = tunnel_candidates(tunnel)
     runs, kin, rates, noise = near_horizon_runs()
     truths, events = [rec.truth for rec in runs], [rec.events for rec in runs]
-    all_ticks = max(tick_pos.shape[1], len(planner.sensor_ticks(rates.fire_table(
-        truths[0].commanded.steps))))
+    all_ticks = max(len(planner.sensor_ticks(rates.fire_table(steps)))
+                    for steps in (n, truths[0].commanded.steps))
     results = {}
     for size in (all_ticks, ticks):
         monkeypatch.setattr(planner, "_LIST_TICKS", size)
         results[size] = (
-            planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+            planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
             + montecarlo.replay_runs(truths, events, rates, noise, kin.attitude))
     for got, want in zip(results[ticks], results[all_ticks], strict=True):
         assert_same_result(got, want)
@@ -474,13 +469,13 @@ def split(monkeypatch):
 
 
 def test_split_planning_equals_serial(tunnel, split):
-    n, tick_pos, kin, rates, noise = tunnel_candidates(tunnel)
-    got = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+    n, lines, kin, rates, noise = tunnel_candidates(tunnel)
+    got = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
     assert split == [3] and not multiprocessing.active_children()
     split.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
-        want = planner.run_batch(n, rates, noise, kin.attitude, tick_pos=tick_pos, env=tunnel)
+        want = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
     assert split == [1]
     for g, w in zip(got, want, strict=True):
         assert_same_result(g, w)

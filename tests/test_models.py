@@ -1,22 +1,28 @@
-"""Property test of the sensor models the belief engine, measurement
-synthesis and the reference filter share (ekf.sensor_models).
+"""Property tests of what the belief engine rests on.
 
-Positions are drawn at random, with many within 1e-9 of the range guard
-and of the elevation guard, and attitudes likewise near the altimeter's
-tilt guard. Each guard mask must equal its threshold on
+The sensor models the engine, measurement synthesis and the reference filter
+share (ekf.sensor_models): positions are drawn at random, with many within
+1e-9 of the range guard and of the elevation guard, and attitudes likewise
+near the altimeter's tilt guard. Each guard mask must equal its threshold on
 ekf.sight_geometry, no row may raise a numpy warning, and wherever every
 guard passes the Jacobian must match central differences to the bound of
 acceptance criterion 03.
+
+The path sampler (planner.Polyline.at): the engine samples members' paths
+one block of sensor ticks at a time, so any split of the ticks into blocks
+must give the same bits as one sample of them all and as
+build_nominal_trajectory.
 """
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tunnelplan import ekf
+from tunnelplan import ekf, planner
 
 HAIR = st.floats(-1e-9, 1e-9)
 COORD = st.floats(-30.0, 30.0)
@@ -86,3 +92,45 @@ def test_models_guard_warn_nowhere_and_differentiate(r, roll, pitch):
                 J = central_differences(model, r[i])
                 rel = np.abs(J - H).max() / max(np.abs(H).max(), 1.0)
                 assert rel < 1e-5, (sensor, r[i], rel)
+
+
+# ---------------------------------------------------------------------------
+# path sampling in blocks
+
+
+def no_repeated_waypoint(wp):
+    # a segment of subnormal coordinates has zero length as well
+    return all(np.linalg.norm(a - b) > 1e-6 for a, b in zip(wp, wp[1:]))
+
+
+WAYPOINTS = st.lists(point(), min_size=2, max_size=6).filter(no_repeated_waypoint)
+
+
+@st.composite
+def polylines(draw):
+    """A circuit over random waypoints, its graph, cruise speed and step."""
+    wp = np.stack(draw(WAYPOINTS))
+    graph = SimpleNamespace(nodes=wp)
+    circuit = SimpleNamespace(nodes=list(range(len(wp))))
+    return circuit, graph, draw(st.floats(0.2, 3.0)), draw(st.floats(0.01, 0.1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(path=polylines(), data=st.data())
+def test_block_samples_equal_whole_and_nominal_positions(path, data):
+    circuit, graph, cruise, ts = path
+    line = planner.Polyline.of(circuit, graph, cruise, ts)
+    nom = planner.build_nominal_trajectory(circuit, graph, cruise, ts)
+    n = line.steps
+    assert nom.steps == n
+    # the ticks of a random schedule, and a random split of them into blocks
+    hz = data.draw(st.floats(0.5, 1.0 / ts), label="hz")
+    ticks = np.flatnonzero(planner.RateSchedule(predict_hz=1.0 / ts).fire_steps(hz, n))
+    ticks = np.concatenate(([0], ticks, [n]))
+    cuts = data.draw(st.lists(st.integers(0, len(ticks)), max_size=8).map(sorted), label="cuts")
+    edges = [0, *cuts, len(ticks)]
+    whole = line.at(ticks)[0]
+    blocks = [line.at(ticks[a:b])[0] for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert np.array_equal(nom.pos[ticks], whole)
+    assert np.array_equal(planner._positions([line, nom], ticks), np.stack([whole, whole]))

@@ -334,6 +334,36 @@ class TestPlanningMemory:
         assert scores[0].lidar_updates > 0
         assert peak < full_rate_bytes
 
+    def test_peak_grows_by_outputs_and_one_list_block_per_candidate(self, monkeypatch):
+        # every sensor at the prediction rate: each of the 2,000 steps of a
+        # 20 m out-and-back flight is a sensor tick, so a table of every
+        # candidate's tick positions would add 24 B per candidate-step
+        monkeypatch.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        env = empty_env()
+        g, c = out_and_back_graph([3.0, 1.0, -2.0], [13.0, 1.0, -2.0])
+        kin, noise = planner.KinematicProfile(), ekf.NoiseConfig()
+        rates = planner.RateSchedule(alt_hz=50.0, uwb_hz=50.0, cam_hz=50.0, lidar_hz=50.0)
+        steps = planner.Polyline.of(c, g, kin.cruise, noise.ts).steps
+        # lazy imports and caches of a first pass are not per candidate
+        planner.propagate_paths([c], g, env, kin, planner.RateSchedule(), noise)
+        peaks = {}
+        for count in (4, 16):
+            tracemalloc.start()
+            try:
+                scores = planner.propagate_paths([c] * count, g, env, kin, rates, noise)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(scores[0].pec) == steps == 2000
+        assert scores[0].cam_updates > 0 and scores[0].lidar_updates == steps
+        # a pair's kernel terms take at most 160 B (a camera pair's Jacobian
+        # block, noise and bound) and its member index 8 B, so one block of
+        # four sensors' update lists stays under 512 B per member and tick
+        list_block = planner._LIST_TICKS * 512
+        # the pec row and the camera and lidar fired rows
+        outputs = steps * 8 + 2 * (steps + 1)
+        assert (peaks[16] - peaks[4]) / 12 <= outputs + list_block
+
 
 # ---------------------------------------------------------------------------
 # ranking and threshold

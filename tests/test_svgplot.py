@@ -72,6 +72,10 @@ class TestCanvas:
         out = c.render()
         assert "a&lt;b &amp; c" in out
         assert "a<b" not in out
+        # text content needs no quote escapes, so quotes stay as written
+        c = svgplot.Canvas(100.0, 50.0)
+        c.text(1.0, 2.0, "x&<>\"'y")
+        assert ">x&amp;&lt;&gt;\"'y</text>" in c.render()
 
     def test_polyline_points(self):
         c = svgplot.Canvas(100.0, 50.0)
