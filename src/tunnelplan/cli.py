@@ -11,7 +11,8 @@ Artifact layout (all inside --out):
             estimate_<sel>_<mode>.svg
   report    report.json, report.txt
 
-plan deletes the simulate and report artifacts of an earlier plan in --out.
+plan deletes the simulate and report artifacts of an earlier plan in --out,
+and simulate those of an earlier simulate in its mode, with the report.
 Every artifact is byte-deterministic for a fixed config and seed.
 """
 
@@ -25,6 +26,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import circuits, config, mapenv, montecarlo, planner, roadmap, svgplot
 from .errors import (
@@ -68,6 +70,11 @@ SELECTION_COLORS = {
 # they are never read beside a new plan
 _STALE_AFTER_PLAN = ("run_*_*.csv", "summary_*.csv", "aggregate_*.csv", "truths_*.svg",
                      "estimate_*.svg", "report.json", "report.txt")
+# an earlier simulate's artifacts of one mode and the report read from them;
+# simulate deletes them so that selections it no longer makes leave none
+_STALE_AFTER_SIMULATE = ("run_*_{mode}_*.csv", "summary_*_{mode}.csv",
+                         "truths_*_{mode}.svg", "estimate_*_{mode}.svg", "report.json",
+                         "report.txt")
 
 
 def _f(v) -> str:
@@ -77,6 +84,13 @@ def _f(v) -> str:
 
 def _b(v) -> str:
     return "true" if v else "false"
+
+
+def _delete(out: Path, patterns) -> None:
+    """Delete the files in out that match any of the glob patterns."""
+    for pattern in patterns:
+        for path in out.glob(pattern):
+            path.unlink()
 
 
 def _write_json(path: Path, obj):
@@ -274,7 +288,10 @@ def _route_svg(env, g, cand, label: str) -> str:
 
 
 def cmd_plan(cfg: config.RunConfig, out: Path):
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the artifact directory {out}: {exc}") from exc
     env = mapenv.load_map(cfg.resolve_map_path())
     pts = roadmap.sample_nodes(
         env, cfg.plan.nodes, cfg.rng(config.STREAM_SAMPLING), cfg.plan.forward_bias
@@ -294,9 +311,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         planner.check_uncertainty_threshold(s, cfg.plan.pec_threshold_m2)
     report = planner.score_and_select(scores)
 
-    for pattern in _STALE_AFTER_PLAN:
-        for path in out.glob(pattern):
-            path.unlink()
+    _delete(out, _STALE_AFTER_PLAN)
     roadmap.save_graph(g, out / "graph.json")
     circuits.save_circuits(cands, out / "circuits.json")
 
@@ -442,6 +457,7 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
         outlier_prob=sim.outlier_prob,
         outlier_scale=sim.outlier_scale,
     )
+    _delete(out, [pattern.format(mode=mode) for pattern in _STALE_AFTER_SIMULATE])
     agg_rows = []
     for (label, idx), records in zip(selected, trial_sets):
         for i, rec in enumerate(records):
@@ -657,7 +673,10 @@ def _config_from_args(args) -> config.RunConfig:
     if args.mode is not None:
         overrides.append(f"simulate.mode={args.mode}")
     if args.select:
-        overrides.append("simulate.selections=[" + ", ".join(args.select) + "]")
+        # quoted where YAML would read a label as something else, so "010"
+        # stays a string that the config then rejects
+        overrides.append("simulate.selections="
+                         + yaml.safe_dump(args.select, default_flow_style=True))
     return config.load_config(args.config, overrides, args.seed)
 
 

@@ -8,7 +8,6 @@ fully determines all artifacts.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import ekf, planner
+from . import ekf, mapenv, planner
 from .errors import ConfigError
 
 # spawn keys for the per-stage random streams derived from the master seed
@@ -26,18 +25,16 @@ STREAM_MONTECARLO = 2
 
 SELECTION_NAMES = ("best", "worst", "second_best", "second_worst")
 
-# a decimal number with an exponent, which YAML 1.1 reads as a string unless
-# it has a dot and a signed exponent ("1e-4", "1.5e3", "2E-2")
-_EXPONENT_NUMBER = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
-
 
 def is_candidate_index(label) -> bool:
     """True for a selection label that names a candidate by its index.
 
-    Only ASCII decimal digits count: int() also reads other scripts'
-    digits, which would give one candidate a second label.
+    Only ASCII decimal digits with no leading zero count: int() also reads
+    other scripts' digits and "07", either of which would give one
+    candidate a second label.
     """
-    return isinstance(label, str) and label.isascii() and label.isdigit()
+    return (isinstance(label, str) and label.isascii() and label.isdigit()
+            and (label == "0" or not label.startswith("0")))
 
 
 @dataclass
@@ -97,8 +94,6 @@ class RunConfig:
         """Map file location; `builtin:NAME` points into the shipped data dir."""
         if self.map.startswith("builtin:"):
             name = self.map[len("builtin:"):]
-            from . import mapenv
-
             return mapenv.default_map_path().parent / f"{name}.yaml"
         return Path(self.map)
 
@@ -209,12 +204,11 @@ def _require_int(value, path, minimum=None):
 
 
 def _require_num(value, path, minimum=None, maximum=None, above=None):
-    """The number value holds; a string written with an exponent reads as
-    the float it spells."""
-    if isinstance(value, str) and _EXPONENT_NUMBER.fullmatch(value):
-        value = float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    """The number value holds, by mapenv.as_number's rule."""
+    try:
+        value = mapenv.as_number(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     # NaN, the infinities and integers past the float range
     if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path}: expected a finite number, got {value}")

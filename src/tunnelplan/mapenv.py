@@ -8,6 +8,7 @@ sight-line queries test the raw boxes.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -19,14 +20,26 @@ from .errors import MapFormatError
 
 DEFAULT_COLLISION_MARGIN = 0.3
 SEGMENT_SAMPLE_STEP = 0.1
-# points a visibility gate evaluates at once; each (N, 3) temporary of a
-# block is 768 kB however many points one call gates
-_GATE_BLOCK = 32768
+# a decimal number with an exponent, which YAML 1.1 reads as a string unless
+# it has a dot and a signed exponent ("1e-4", "1.5e3", "2E-2")
+_EXPONENT_NUMBER = re.compile(r"[-+]?([0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 def default_map_path() -> Path:
     """Path of the tunnel map shipped with the package."""
     return Path(str(resources.files(__package__) / "data" / "tunnel_default.yaml"))
+
+
+def as_number(value):
+    """The number a YAML value holds: an int or a float, or a string written
+    with an exponent, read as the float it spells. Raises ValueError for
+    anything else, a bool included; the config and the map loader share
+    this rule."""
+    if isinstance(value, str) and _EXPONENT_NUMBER.fullmatch(value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
 
 
 def as_point(p) -> np.ndarray:
@@ -153,16 +166,13 @@ class EnvironmentMap:
 
     # -- sight lines --------------------------------------------------------
 
-    def sight_clear(self, a, b) -> bool:
-        """True if the open segment a..b intersects no obstacle box.
+    def sight_clear_many(self, origin, pts: np.ndarray) -> np.ndarray:
+        """True for each row of pts whose open segment from origin intersects
+        no obstacle box.
 
         Exact slab-interval test against the raw boxes; the collision margin
         does not block sight.
         """
-        return bool(self.sight_clear_many(a, as_point(b)[None, :])[0])
-
-    def sight_clear_many(self, origin, pts: np.ndarray) -> np.ndarray:
-        """Vectorized sight_clear from one origin to each row of pts."""
         origin = as_point(origin)
         pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         d = pts - origin
@@ -173,15 +183,10 @@ class EnvironmentMap:
 
     # -- sensor visibility --------------------------------------------------
 
-    def camera_sees(self, uav) -> bool:
-        """Upward camera gate: above the mount plane, in range, unoccluded."""
-        return bool(self.camera_sees_many(as_point(uav)[None, :])[0])
-
     def camera_sees_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized camera_sees over an (N, 3) array of UAV positions."""
-        return _in_blocks(self._camera_block, pts)
-
-    def _camera_block(self, pts: np.ndarray) -> np.ndarray:
+        """Upward camera gate over an (N, 3) array of UAV positions: above
+        the mount plane, in range, unoccluded."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         rig = self.rig
         ok = (rig.position[2] - pts[:, 2]) > rig.camera_mount_height
         cam = rig.camera_position
@@ -192,15 +197,10 @@ class EnvironmentMap:
             ok[idx] = self.sight_clear_many(cam, pts[idx])
         return ok
 
-    def lidar_sees(self, uav) -> bool:
-        """Lidar gate: inside the pitched vertical band, in range, unoccluded."""
-        return bool(self.lidar_sees_many(as_point(uav)[None, :])[0])
-
     def lidar_sees_many(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized lidar_sees over an (N, 3) array of UAV positions."""
-        return _in_blocks(self._lidar_block, pts)
-
-    def _lidar_block(self, pts: np.ndarray) -> np.ndarray:
+        """Lidar gate over an (N, 3) array of UAV positions: inside the
+        pitched vertical band, in range, unoccluded."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 3)
         rig = self.rig
         rel = pts - rig.position
         rng = np.sqrt((rel * rel).sum(axis=1))
@@ -211,15 +211,6 @@ class EnvironmentMap:
         if len(idx):
             ok[idx] = self.sight_clear_many(rig.position, pts[idx])
         return ok
-
-
-def _in_blocks(gate, pts) -> np.ndarray:
-    """A per-point gate over the rows of pts, _GATE_BLOCK rows at a time."""
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    out = np.empty(len(pts), dtype=bool)
-    for s in range(0, len(pts), _GATE_BLOCK):
-        out[s:s + _GATE_BLOCK] = gate(pts[s:s + _GATE_BLOCK])
-    return out
 
 
 def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -260,6 +251,22 @@ def _check_keys(block, known: set, where: str, path: Path) -> None:
         )
 
 
+def _map_number(value, key: str, path: Path) -> float:
+    """A number of a map file, by as_number's rule."""
+    try:
+        return float(as_number(value))
+    except (ValueError, OverflowError) as exc:
+        raise MapFormatError(f"{key} in {path} is malformed: {exc}") from exc
+
+
+def _map_point(value, key: str, path: Path) -> np.ndarray:
+    """A 3-vector of a map file: a list of three numbers."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise MapFormatError(
+            f"{key} in {path} is malformed: expected a list of 3 numbers, got {value!r}")
+    return np.array([_map_number(v, key, path) for v in value])
+
+
 def load_map(path) -> EnvironmentMap:
     """Parse a YAML map file and validate it into an EnvironmentMap.
 
@@ -278,10 +285,7 @@ def load_map(path) -> EnvironmentMap:
     for key in ("bounds_min", "bounds_max"):
         if key not in raw:
             raise MapFormatError(f"map file {path} is missing {key!r}")
-        try:
-            point = as_point(raw[key])
-        except (TypeError, ValueError) as exc:
-            raise MapFormatError(f"{key} in {path} is malformed: {exc}") from exc
+        point = _map_point(raw[key], key, path)
         # node sampling draws uniformly between the bounds
         if not np.isfinite(point).all():
             raise MapFormatError(f"{key} in {path} is not finite: {point.tolist()}")
@@ -290,22 +294,22 @@ def load_map(path) -> EnvironmentMap:
     obstacles = []
     for i, entry in enumerate(raw.get("obstacles") or []):
         _check_keys(entry, _OBSTACLE_KEYS, f"obstacle {i}", path)
-        try:
-            obstacles.append(BoxObstacle(entry["min"], entry["max"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MapFormatError(f"obstacle {i} in {path} is malformed: {exc}") from exc
+        lo, hi = (_map_point(entry.get(k), f"obstacle {i} {k}", path) for k in ("min", "max"))
+        obstacles.append(BoxObstacle(lo, hi))
 
     rig_raw = raw.get("ugv") or {}
     _check_keys(rig_raw, _UGV_KEYS, "the ugv block", path)
+    # only the fields the file gives; UgvRig holds the defaults
+    given = {}
+    if "position" in rig_raw:
+        given["position"] = _map_point(rig_raw["position"], "ugv position", path)
+    for name, key, _ in _RIG_LIMITS:
+        if key in rig_raw:
+            value = _map_number(rig_raw[key], f"ugv {key}", path)
+            given[name] = math.radians(value) if key.endswith("_deg") else value
     try:
-        # only the fields the file gives; UgvRig holds the defaults
-        given = {"position": rig_raw["position"]} if "position" in rig_raw else {}
-        for name, key, _ in _RIG_LIMITS:
-            if key in rig_raw:
-                value = float(rig_raw[key])
-                given[name] = math.radians(value) if key.endswith("_deg") else value
         rig = UgvRig(**given)
-    except (TypeError, ValueError, MapFormatError) as exc:
+    except MapFormatError as exc:
         raise MapFormatError(f"ugv block in {path} is malformed: {exc}") from exc
     if np.any(rig.position != 0.0):
         raise MapFormatError(
@@ -313,10 +317,8 @@ def load_map(path) -> EnvironmentMap:
             "at the frame origin [0, 0, 0]"
         )
 
-    try:
-        margin = float(raw.get("collision_margin_m", DEFAULT_COLLISION_MARGIN))
-    except (TypeError, ValueError) as exc:
-        raise MapFormatError(f"collision_margin_m in {path} is malformed: {exc}") from exc
+    margin = _map_number(raw.get("collision_margin_m", DEFAULT_COLLISION_MARGIN),
+                         "collision_margin_m", path)
 
     try:
         return EnvironmentMap(

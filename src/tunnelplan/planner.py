@@ -70,10 +70,6 @@ class RateSchedule:
             if getattr(self, name) > self.predict_hz:
                 raise ValueError(f"{name} exceeds predict_hz")
 
-    @property
-    def ts(self) -> float:
-        return 1.0 / self.predict_hz
-
     def fire_steps(self, hz: float, n_steps: int) -> np.ndarray:
         """Boolean array over steps 0..n_steps; True where the sensor fires.
 
@@ -465,9 +461,9 @@ def _replayed_updates(t0, t1, block_pos, offered, value, gamma, models, R, rmin)
     return lists
 
 
-def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
-              P0=None) -> list:
-    """Propagate the belief of every member along its path at once.
+def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None) -> list:
+    """Propagate the belief of every member along its path at once, each
+    from the identity covariance at step 0.
 
     paths holds each member's path of the given steps, read only at the
     sensor ticks, sensor_ticks(rates.fire_table(steps)), and only a block
@@ -502,16 +498,12 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
     B = len(paths)
     if any(path.steps != n for path in paths):
         raise ValueError("batch members must share one step count")
-    P0 = np.eye(6) if P0 is None else np.array(P0, dtype=float)
-    if P0.shape != (6, 6):
-        raise ValueError("P0 must be 6x6")
     ts = noise.ts
 
     table = rates.fire_table(n)
     ticks = sensor_ticks(table)
     T = len(ticks)
-    tick_of = np.full(n + 1, -1)
-    tick_of[ticks] = np.arange(T)
+    # step 0 never fires, so bound j >= 1 is sensor tick j - 1 while j <= T
     bounds = np.unique(np.concatenate([[0, n], ticks]))
     # the last bound at or before each step, and the steps predicted past it
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
@@ -544,7 +536,7 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
         rows and returns their update counts (nb, 4) and skip logs.
         """
         nb = len(pec)
-        P = np.repeat(P0[None], nb, axis=0)
+        P = np.repeat(np.eye(6)[None], nb, axis=0)
         x = hold = None
         if replay:
             x = np.zeros((nb, 6))
@@ -587,7 +579,7 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
                         xs[..., 3:] + (np.minimum(k, held) * ts)[..., None] * xs[..., :3])
 
         spans: dict = {}
-        bound_steps, tick_at = bounds.tolist(), tick_of.tolist()
+        bound_steps = bounds.tolist()
         rec[:, 0] = P
         if replay:
             xrec[:, 0] = x
@@ -601,7 +593,7 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None,
                 spans[span] = (A, A.T.copy(), Q)
             A, At, Q = spans[span]
             P = A @ P @ At + Q
-            ti = tick_at[e]
+            ti = j - 1 if j <= T else -1
             if replay:
                 x[:, 3:] += (hold[:, j - 1] * ts)[:, None] * x[:, :3]
                 x[:, :3] = 0.0

@@ -192,10 +192,7 @@ def _bridge_components(graph: RoadmapGraph, dist: np.ndarray, env: EnvironmentMa
 
 def _shortest_path(graph: RoadmapGraph, a: int, b: int) -> tuple[float, list[int]]:
     """Dijkstra over unique edges; returns (length, edge index path)."""
-    adj: dict[int, list[tuple[int, float, int]]] = {}
-    for k, e in enumerate(graph.edges):
-        adj.setdefault(e.i, []).append((e.j, e.length, k))
-        adj.setdefault(e.j, []).append((e.i, e.length, k))
+    adj = graph.adjacency()
     best = {a: 0.0}
     back: dict[int, tuple[int, int]] = {}
     heap = [(0.0, a)]
@@ -205,8 +202,8 @@ def _shortest_path(graph: RoadmapGraph, a: int, b: int) -> tuple[float, list[int
             break
         if d > best.get(u, math.inf):
             continue
-        for v, w, k in adj.get(u, []):
-            nd = d + w
+        for v, k in adj[u]:
+            nd = d + graph.edges[k].length
             if nd < best.get(v, math.inf):
                 best[v] = nd
                 back[v] = (u, k)
@@ -268,11 +265,6 @@ def eulerize(graph: RoadmapGraph, env: EnvironmentMap) -> RoadmapGraph:
         remaining.discard(a)
         remaining.discard(b)
     return out
-
-
-def degree_profile(graph: RoadmapGraph) -> list[tuple[int, int]]:
-    """(node, degree) pairs in node order, multiplicities included."""
-    return [(i, int(d)) for i, d in enumerate(graph.degrees())]
 
 
 # ---------------------------------------------------------------------------

@@ -92,14 +92,11 @@ class Canvas:
             a += f' fill-opacity="{fmt(opacity)}"'
         self._parts.append(a + "/>")
 
-    def line(self, x1, y1, x2, y2, stroke, width=1.0, dash=None):
-        a = (
+    def line(self, x1, y1, x2, y2, stroke, width=1.0):
+        self._parts.append(
             f'<line x1="{fmt(x1)}" y1="{fmt(y1)}" x2="{fmt(x2)}" y2="{fmt(y2)}" '
-            f'stroke="{stroke}" stroke-width="{fmt(width)}"'
+            f'stroke="{stroke}" stroke-width="{fmt(width)}"/>'
         )
-        if dash is not None:
-            a += f' stroke-dasharray="{dash}"'
-        self._parts.append(a + "/>")
 
     def polyline(self, points, stroke, width=1.5, opacity=None):
         pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in points)
@@ -180,13 +177,13 @@ def _legend(c: Canvas, view: DataView, entries):
         y += 14
 
 
-def bar_chart(values, title, ylabel, highlights, width=960.0, height=420.0) -> str:
+def bar_chart(values, title, ylabel, highlights) -> str:
     """One bar per value; `highlights` maps index -> (color, legend label)."""
     values = [float(v) for v in values]
     n = len(values)
     vmax = max(values) if values and max(values) > 0 else 1.0
-    c = Canvas(width, height)
-    view = DataView(70, 30, width - 95, height - 80, -0.5, n - 0.5, 0.0, 1.05 * vmax)
+    c = Canvas(960.0, 420.0)
+    view = DataView(70, 30, c.width - 95, c.height - 80, -0.5, n - 0.5, 0.0, 1.05 * vmax)
     _frame(c, view, title, "candidate", ylabel, int_x=True)
     for i, v in enumerate(values):
         color = highlights.get(i, (NEUTRAL_COLOR, ""))[0]
@@ -197,16 +194,16 @@ def bar_chart(values, title, ylabel, highlights, width=960.0, height=420.0) -> s
     return c.render()
 
 
-def line_chart(series, title, xlabel, ylabel, width=900.0, height=420.0) -> str:
+def line_chart(series, title, xlabel, ylabel) -> str:
     """Overlaid polylines; series entries are (label, xs, ys, color)."""
     for label, xs, ys, _ in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: x and y lengths differ")
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    c = Canvas(width, height)
+    c = Canvas(900.0, 420.0)
     view = DataView(
-        70, 30, width - 95, height - 80,
+        70, 30, c.width - 95, c.height - 80,
         float(xs_all.min()), float(xs_all.max()),
         min(0.0, float(ys_all.min())), float(ys_all.max()),
     )
@@ -218,7 +215,7 @@ def line_chart(series, title, xlabel, ylabel, width=900.0, height=420.0) -> str:
     return c.render()
 
 
-def scene_plot(bounds_min, bounds_max, boxes, paths, markers, title, width=900.0) -> str:
+def scene_plot(bounds_min, bounds_max, boxes, paths, markers, title) -> str:
     """Top-down (n east-west on screen) view of obstacles, paths, markers.
 
     paths entries: (label, points (k,>=2) array, color, stroke width, opacity).
@@ -226,6 +223,7 @@ def scene_plot(bounds_min, bounds_max, boxes, paths, markers, title, width=900.0
     """
     nspan = float(bounds_max[0] - bounds_min[0])
     espan = float(bounds_max[1] - bounds_min[1])
+    width = 900.0
     pw = width - 95
     ph = min(640.0, max(160.0, pw * espan / max(nspan, 1e-9)))
     c = Canvas(width, ph + 80)

@@ -4,8 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tunnelplan import circuits, mapenv, roadmap
+from test_roadmap import connected_graphs, empty_env
+from tunnelplan import circuits, mapenv, planner, roadmap
 from tunnelplan.errors import NotEulerianError
 
 
@@ -195,3 +198,14 @@ class TestSerialization:
             assert x.length == y.length
             assert x.flight_time == y.flight_time
             assert x.duplicate == y.duplicate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_every_random_circuit_covers_each_edge_instance_once(g, seed):
+    graph = roadmap.eulerize(g, empty_env())
+    c = circuits.random_euler_circuit(graph, np.random.default_rng(seed))
+    verify_circuit(c, graph)
+    assert sorted(c.edge_refs) == [(k, copy) for k, e in enumerate(graph.edges)
+                                   for copy in range(e.multiplicity)]
+    planner._validate_circuit(c, graph)

@@ -223,6 +223,43 @@ class TestStageChaining:
         assert rc == 0
         assert (work / "run_0_noisy_0.csv").exists()
 
+    def test_select_takes_plain_indices_only(self, reduced_cfg, plan_out, tmp_path, capsys):
+        # YAML 1.1 reads these as 8, 31, 10 and 5; each would give a
+        # candidate a second label
+        for sel in ("010", "0x1f", "1_0", "+5"):
+            out = tmp_path / sel
+            rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(out),
+                           "--select", sel])
+            assert rc == 2, sel
+            assert repr(sel) in capsys.readouterr().err
+            assert not out.exists()
+        work = copy_plan(plan_out, tmp_path)
+        rc = cli.main(["simulate", "--config", str(reduced_cfg), "--out", str(work),
+                       "--select", "7", "--select", "0", "--runs", "1"])
+        assert rc == 0
+        agg = (work / "aggregate_noisy.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in agg[1:]] == [["7", "7"], ["0", "0"]]
+
+    def test_simulate_removes_its_earlier_artifacts(self, reduced_cfg, pipeline_out, tmp_path):
+        work = copy_plan(pipeline_out, tmp_path)
+        # the other mode's artifacts stay
+        others = ["run_best_perfect_0.csv", "summary_best_perfect.csv",
+                  "aggregate_perfect.csv", "truths_best_perfect.svg",
+                  "estimate_best_perfect.svg"]
+        for name in others:
+            (work / name).write_text("kept\n")
+        rc = cli.main(["simulate", "--config", str(reduced_cfg), "--out", str(work),
+                       "--runs", "1", "--select", "2"])
+        assert rc == 0
+        for name in SIM_FILES + REPORT_FILES:
+            assert (work / name).exists() == (name == "aggregate_noisy.csv"), name
+        for name in ("run_2_noisy_0.csv", "summary_2_noisy.csv", "truths_2_noisy.svg",
+                     "estimate_2_noisy.svg"):
+            assert (work / name).exists(), name
+        assert not (work / "run_2_noisy_1.csv").exists()
+        for name in others:
+            assert (work / name).read_text() == "kept\n", name
+
     def test_mode_and_runs_flags(self, reduced_cfg, plan_out, tmp_path):
         work = copy_plan(plan_out, tmp_path)
         rc = cli.main(
@@ -278,6 +315,14 @@ class TestExitCodes:
              "--select", "bogus"]
         )
         assert rc == 2
+
+    def test_out_that_is_a_file_exits_2(self, reduced_cfg, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     def test_missing_map_exits_3(self, tmp_path, capsys):
         cfgp = tmp_path / "c.yaml"

@@ -32,10 +32,9 @@ def hover(point, steps=20, ts=0.02):
                                      vel=np.zeros((steps, 3)), ts=ts, length=0.0)
 
 
-def plan_one(nom, rates, noise, env, **options):
+def plan_one(nom, rates, noise, env):
     """Planning pass of a batch of one along nom."""
-    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(), [nom], env=env,
-                             **options)[0]
+    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(), [nom], env=env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def test_scalar_models_reject_the_boundary():
 def test_planning_rejects_the_boundary(point, sensor):
     env, rates = open_env(), planner.RateSchedule()
     nom = hover(point)
-    assert sensor != "cam" or env.camera_sees(point)
+    assert sensor != "cam" or env.camera_sees_many([point])[0]
     res = plan_one(nom, rates, ekf.NoiseConfig(), env)
     fires = np.flatnonzero(rates.fire_table(nom.steps)[sensor]).tolist()
     assert getattr(res, f"{sensor}_updates") == 0
@@ -92,24 +91,31 @@ def test_synthesis_and_replay_reject_the_boundary(point, sensor):
     assert (5, sensor) in [s[:2] for s in res.skipped]
 
 
+# an exact lidar and process noise on the east position alone, 1e15 m^2 per
+# step: at every lidar tick S is worse conditioned than ekf.CONDITION_LIMIT.
+# alt reads d only, and uwb at these points n and d only, so neither bounds
+# the east variance.
+EAST_UNBOUNDED = ekf.NoiseConfig(q_diag=[0.0, 0.0, 0.0, 0.0, 1e15, 0.0],
+                                 r_lidar=np.zeros((3, 3)))
+
+
 def test_singular_vector_update_is_skipped():
-    # no process noise, no prior uncertainty and an exact lidar: S == 0
-    noise = ekf.NoiseConfig(q_diag=np.zeros(6), r_lidar=np.zeros((3, 3)))
     point = np.array([10.0, 0.0, -2.0])
-    env = open_env()
-    assert env.lidar_sees(point)
-    res = plan_one(hover(point), planner.RateSchedule(), noise, env, P0=np.zeros((6, 6)))
+    # the shipped rig's camera does not reach the point, so no camera update
+    # reads the east axis either
+    env = open_env(mapenv.UgvRig())
+    assert env.lidar_sees_many([point])[0] and not env.camera_sees_many([point])[0]
+    res = plan_one(hover(point), planner.RateSchedule(), EAST_UNBOUNDED, env)
     assert res.lidar_updates == 0
     assert [s[1:] for s in res.skipped] == [("lidar", "innovation covariance singular")] * 4
 
 
 def test_skip_log_is_in_step_and_sensor_order():
     # uwb's guard refuses every reading when its block is listed and the
-    # exact lidar's kernel skips each one later, tick by tick
-    noise = ekf.NoiseConfig(q_diag=np.zeros(6), r_lidar=np.zeros((3, 3)))
+    # lidar's kernel skips each one later, tick by tick
     env, rates = open_env(), planner.RateSchedule()
-    assert env.lidar_sees(AT_MIN_RANGE)
-    res = plan_one(hover(AT_MIN_RANGE), rates, noise, env, P0=np.zeros((6, 6)))
+    assert env.lidar_sees_many([AT_MIN_RANGE])[0]
+    res = plan_one(hover(AT_MIN_RANGE), rates, EAST_UNBOUNDED, env)
     fires = np.flatnonzero(rates.fire_table(20)["lidar"]).tolist()
     assert res.skipped == [entry for k in fires for entry in (
         (k, "uwb", ekf.NEAR_ORIGIN), (k, "lidar", "innovation covariance singular"))]

@@ -145,6 +145,36 @@ class TestLoading:
         with pytest.raises(MapFormatError, match=key):
             mapenv.load_map(bad)
 
+    # YAML 1.1 reads true, yes and on as booleans; a number of a map file
+    # is an int or a float, or a string written with an exponent
+    @pytest.mark.parametrize("text, key", [
+        ("bounds_min: [0, 0, -2]\nbounds_max: [true, 4, 0]\n", "bounds_max"),
+        ("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\n"
+         "obstacles:\n  - {min: [1, 1, -1], max: [2, yes, 0]}\n", "obstacle 0 max"),
+        ("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\ncollision_margin_m: true\n",
+         "collision_margin_m"),
+        ("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\nugv: {lidar_max_range_m: on}\n",
+         "lidar_max_range_m"),
+        ("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\nugv: {camera_max_range_m: \"6\"}\n",
+         "camera_max_range_m"),
+        ("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\nugv: {position: [false, 0, 0]}\n",
+         "ugv position"),
+    ], ids=["bounds", "obstacle", "margin", "rig_bool", "rig_string", "rig_position"])
+    def test_booleans_and_strings_are_not_numbers(self, tmp_path, text, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        with pytest.raises(MapFormatError, match=f"{key} in .* expected a number"):
+            mapenv.load_map(bad)
+
+    def test_numbers_written_with_an_exponent(self, tmp_path):
+        f = tmp_path / "m.yaml"
+        f.write_text("bounds_min: [0, 0, -2e0]\nbounds_max: [4, 4, 0]\n"
+                     "collision_margin_m: 3e-1\nugv: {camera_max_range_m: 6E0}\n")
+        env = mapenv.load_map(f)
+        assert env.bounds_min.tolist() == [0.0, 0.0, -2.0]
+        assert env.collision_margin == 0.3
+        assert env.rig.camera_max_range == 6.0
+
     def test_inverted_obstacle_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -340,21 +370,21 @@ class TestSegmentQueries:
 
 class TestCameraVisibility:
     def test_below_mount_height_invisible(self, tunnel):
-        assert not tunnel.camera_sees([1.0, 0.0, -0.5])
+        assert not tunnel.camera_sees_many([[1.0, 0.0, -0.5]])[0]
 
     def test_close_and_high_visible(self, tunnel):
         # 2 m above the camera, 3 m horizontal offset: range sqrt(13) < 6
-        assert tunnel.camera_sees([3.0, 0.0, -2.8])
+        assert tunnel.camera_sees_many([[3.0, 0.0, -2.8]])[0]
 
     def test_out_of_range_invisible(self, tunnel):
-        assert not tunnel.camera_sees([10.0, 0.0, -3.0])
+        assert not tunnel.camera_sees_many([[10.0, 0.0, -3.0]])[0]
 
     def test_occluded_invisible(self):
         blocked = make_env(obstacles=[([1.5, -0.5, -3.0], [2.5, 0.5, 0.0])])
         clear = make_env(obstacles=())
         uav = [4.0, 0.0, -2.0]
-        assert clear.camera_sees(uav)
-        assert not blocked.camera_sees(uav)
+        assert clear.camera_sees_many([uav])[0]
+        assert not blocked.camera_sees_many([uav])[0]
 
     def test_matches_geometry_oracle(self, tunnel):
         rig = tunnel.rig
@@ -368,7 +398,7 @@ class TestCameraVisibility:
                 and np.linalg.norm(p - cam) <= rig.camera_max_range
                 and sight_oracle(tunnel, cam, p)
             )
-            assert tunnel.camera_sees(p) == want
+            assert tunnel.camera_sees_many([p])[0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -379,21 +409,21 @@ class TestLidarVisibility:
     def test_on_boresight_visible(self, tunnel):
         r = 10.0
         p = [r * math.cos(math.radians(15.0)), 0.0, -r * math.sin(math.radians(15.0))]
-        assert tunnel.lidar_sees(p)
+        assert tunnel.lidar_sees_many([p])[0]
 
     def test_directly_below_invisible(self):
         env = make_env(rig=mapenv.UgvRig(position=[0.0, 0.0, -4.0]))
-        assert not env.lidar_sees([0.0, 0.0, -1.0])
+        assert not env.lidar_sees_many([[0.0, 0.0, -1.0]])[0]
 
     def test_overhead_blind_cone(self, tunnel):
         # straight up is far outside the 15 +/- 22.5 degree band
-        assert not tunnel.lidar_sees([0.0, 0.0, -7.0])
+        assert not tunnel.lidar_sees_many([[0.0, 0.0, -7.0]])[0]
 
     def test_beyond_max_range_invisible(self):
         rig = mapenv.UgvRig(lidar_max_range=12.0)
         env = make_env(rig=rig)
         p = [15.0, 0.0, -15.0 * math.tan(math.radians(15.0))]
-        assert not env.lidar_sees(p)
+        assert not env.lidar_sees_many([p])[0]
 
     def test_band_edges(self, tunnel):
         horiz = 10.0
@@ -401,7 +431,7 @@ class TestLidarVisibility:
             p = [horiz, 0.0, -horiz * math.tan(math.radians(elev))]
             if abs(p[2]) > 7.9:
                 continue
-            assert tunnel.lidar_sees(p) == want, elev
+            assert tunnel.lidar_sees_many([p])[0] == want, elev
 
     def test_azimuth_unrestricted(self, tunnel):
         r = 6.0
@@ -412,7 +442,7 @@ class TestLidarVisibility:
                 r * math.sin(az) * math.cos(math.radians(15.0)),
                 -r * math.sin(math.radians(15.0)),
             ]
-            assert tunnel.lidar_sees(p), az_deg
+            assert tunnel.lidar_sees_many([p])[0], az_deg
 
     def test_matches_geometry_oracle(self, tunnel):
         rig = tunnel.rig
@@ -428,35 +458,34 @@ class TestLidarVisibility:
                 and np.linalg.norm(rel) <= rig.lidar_max_range
                 and sight_oracle(tunnel, rig.position, p)
             )
-            assert tunnel.lidar_sees(p) == want
+            assert tunnel.lidar_sees_many([p])[0] == want
 
     def test_queries_are_pure(self, tunnel):
         p = [8.0, 2.0, -3.0]
-        first = (tunnel.lidar_sees(p), tunnel.camera_sees(p), tunnel.is_free(p))
+        def query():
+            return (tunnel.lidar_sees_many([p])[0], tunnel.camera_sees_many([p])[0],
+                    tunnel.is_free(p))
+
+        first = query()
         for _ in range(3):
-            assert (tunnel.lidar_sees(p), tunnel.camera_sees(p), tunnel.is_free(p)) == first
+            assert query() == first
 
 
 # ---------------------------------------------------------------------------
 # gates over many points
 
 
-def test_blocked_gates_match_per_point_gates(monkeypatch):
+def test_blocked_gates_match_per_point_gates():
     # a bar above the rig occludes the camera from x = 7.3 m on and the
-    # lidar from x = 5 m to 8.75 m along the sweep; the first block boundary
-    # falls at x = 8 m, where both are occluded
-    block = 64
-    monkeypatch.setattr(mapenv, "_GATE_BLOCK", block)
+    # lidar from x = 5 m to 8.75 m along the sweep; a point's gate does not
+    # depend on the other points of its call
     env = make_env(obstacles=[([3.0, -0.5, -1.5], [3.5, 0.5, -1.0])],
                    rig=mapenv.UgvRig(camera_max_range=30.0))
     x = np.linspace(1.0, 19.0, 166)
     pts = np.column_stack([x, np.zeros_like(x), np.full_like(x, -2.5)])
-    assert len(pts) > 2 * block
-    for many, one in ((env.camera_sees_many, env.camera_sees),
-                      (env.lidar_sees_many, env.lidar_sees)):
+    for many in (env.camera_sees_many, env.lidar_sees_many):
         got = many(pts)
-        want = np.array([one(p) for p in pts])
+        want = np.array([many(p[None])[0] for p in pts])
         assert np.array_equal(got, want)
         assert got.any()
-        assert not got[block - 2:block + 2].any()
     assert not make_env().lidar_sees_many(np.zeros((0, 3))).size

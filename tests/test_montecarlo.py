@@ -226,7 +226,7 @@ class TestSynthesis:
         for k in range(1, nom.steps + 1, 97):
             if not fire[k]:
                 continue
-            assert (k in lidar_steps) == tunnel.lidar_sees(truth.pos[k]), k
+            assert (k in lidar_steps) == tunnel.lidar_sees_many([truth.pos[k]])[0], k
 
     def test_gamma_from_truth_range(self, tunnel):
         g, c = tunnel_fixture(tunnel)

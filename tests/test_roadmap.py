@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tunnelplan import mapenv, roadmap
 from tunnelplan.errors import DisconnectedGraphError, SamplingExhaustedError
@@ -254,7 +256,7 @@ class TestEulerize:
         assert pairs[(0, 2)].length == pytest.approx(
             float(np.linalg.norm(g.nodes[0] - g.nodes[2]))
         )
-        assert all(d % 2 == 0 for _, d in roadmap.degree_profile(out))
+        assert all(d % 2 == 0 for d in out.degrees())
 
     def test_blocked_path_doubles_edges(self):
         env, g = build_path_graph(blocked=True)
@@ -275,8 +277,7 @@ class TestEulerize:
             nodes = roadmap.sample_nodes(tunnel, 12, np.random.default_rng(seed))
             g = roadmap.connect_knn(nodes, 5, tunnel)
             out = roadmap.eulerize(g, tunnel)
-            degs = [d for _, d in roadmap.degree_profile(out)]
-            assert all(d % 2 == 0 for d in degs)
+            assert all(d % 2 == 0 for d in out.degrees())
             assert connected_oracle(out)
             assert out.total_length() >= g.total_length() - 1e-9
             assert len(out.nodes) == len(g.nodes)
@@ -294,18 +295,47 @@ class TestEulerize:
         assert len(g.edges) == count
 
 
+@st.composite
+def connected_graphs(draw):
+    """A connected graph of 2-8 nodes inside empty_env's bounds: a random
+    spanning tree, random further edges and multiplicities 1-3, node 0 the
+    source."""
+    n = draw(st.integers(2, 8))
+    corner = st.tuples(st.floats(-19.0, 19.0), st.floats(-4.5, 4.5), st.floats(-7.5, -0.5))
+    nodes = np.array(draw(st.lists(corner, min_size=n, max_size=n)))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                               max_size=2 * n)))
+    edges = [roadmap.Edge(i, j, float(np.linalg.norm(nodes[i] - nodes[j])),
+                          draw(st.integers(1, 3)))
+             for i, j in sorted(pairs)]
+    return roadmap.RoadmapGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs())
+def test_eulerize_evens_degrees_and_keeps_the_graph(g):
+    out = roadmap.eulerize(g, empty_env())
+    assert all(d % 2 == 0 for d in out.degrees())
+    assert np.array_equal(out.nodes, g.nodes) and out.source == g.source
+    assert len(out.edges) >= len(g.edges)
+    for e, kept in zip(g.edges, out.edges):
+        assert (kept.i, kept.j, kept.length) == (e.i, e.j, e.length)
+        assert kept.multiplicity >= e.multiplicity
+
+
 # ---------------------------------------------------------------------------
-# profile and serialization
+# degrees and serialization
 
 
 class TestGraphBasics:
-    def test_degree_profile_counts_multiplicity(self):
+    def test_degrees_count_multiplicity(self):
         nodes = np.zeros((3, 3))
         nodes[1, 0] = 1.0
         nodes[2, 0] = 2.0
         edges = [roadmap.Edge(0, 1, 1.0, multiplicity=2), roadmap.Edge(1, 2, 1.0)]
         g = roadmap.RoadmapGraph(nodes=nodes, edges=edges)
-        assert roadmap.degree_profile(g) == [(0, 2), (1, 3), (2, 1)]
+        assert g.degrees().tolist() == [2, 3, 1]
 
     def test_total_length_counts_multiplicity(self):
         nodes = np.zeros((2, 3))
