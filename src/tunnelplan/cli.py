@@ -173,33 +173,32 @@ def _read_ranking(path: Path) -> dict:
     return ranking
 
 
-def _read_path_scores(path: Path) -> dict:
-    """path_scores.csv as {circuit: the numbers and flags report reads}."""
+def _read_rows(path: Path, header) -> list:
+    """A CSV artifact's rows as dicts, checked for every column of header."""
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
-    missing = [c for c in _PATH_SCORE_HEADER if c not in (reader.fieldnames or ())]
+    missing = [c for c in header if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"missing columns {', '.join(missing)}")
+    return rows
+
+
+def _read_path_scores(path: Path) -> dict:
+    """path_scores.csv as {circuit: the numbers and flags report reads}."""
     return {
         int(r["circuit"]): {**{c: float(r[c]) for c in _PATH_SCORE_FLOATS},
                             **{c: r[c] == "true" for c in _PATH_SCORE_FLAGS}}
-        for r in rows
+        for r in _read_rows(path, _PATH_SCORE_HEADER)
     }
 
 
 def _read_aggregate(path: Path) -> dict:
     """aggregate_<mode>.csv as {selection: its row}, numbers parsed."""
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    missing = [c for c in _AGGREGATE_HEADER if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"missing columns {', '.join(missing)}")
     return {
         r["selection"]: {c: r[c] if c in ("selection", "mode") else float(r[c])
                          for c in _AGGREGATE_HEADER}
-        for r in rows
+        for r in _read_rows(path, _AGGREGATE_HEADER)
     }
 
 
@@ -266,6 +265,13 @@ def _selection_color(label: str, i: int) -> str:
     )
 
 
+def _scene(env, paths, markers, title: str) -> str:
+    """A top-down plot of the map's bounds and boxes under paths and markers."""
+    return svgplot.scene_plot(env.bounds_min, env.bounds_max,
+                              [(b.lo, b.hi) for b in env.obstacles], paths, markers,
+                              title=title)
+
+
 def _route_svg(env, g, cand, label: str) -> str:
     edges = [
         ("", np.stack([g.nodes[e.i], g.nodes[e.j]]), "#d0d4da", 1.0, None)
@@ -277,14 +283,7 @@ def _route_svg(env, g, cand, label: str) -> str:
         (env.rig.position, "#111111", "ugv"),
         (roadmap.deployment_point(env), svgplot.BEST_COLOR, "start"),
     ]
-    return svgplot.scene_plot(
-        env.bounds_min,
-        env.bounds_max,
-        [(b.lo, b.hi) for b in env.obstacles],
-        paths,
-        markers,
-        title=f"coverage route: {label}",
-    )
+    return _scene(env, paths, markers, f"coverage route: {label}")
 
 
 def cmd_plan(cfg: config.RunConfig, out: Path):
@@ -395,11 +394,7 @@ def _truths_svg(env, records, label: str, mode: str) -> str:
         name = "flown runs" if i == 0 else ""
         color = svgplot.SERIES_COLORS[i % len(svgplot.SERIES_COLORS)]
         paths.append((name, rec.truth.pos, color, 1.0, 0.55))
-    return svgplot.scene_plot(
-        env.bounds_min, env.bounds_max,
-        [(b.lo, b.hi) for b in env.obstacles], paths, [],
-        title=f"flown trajectories: {label} [{mode}], {len(records)} runs",
-    )
+    return _scene(env, paths, [], f"flown trajectories: {label} [{mode}], {len(records)} runs")
 
 
 def _estimate_svg(env, rec, label: str, mode: str) -> str:
@@ -408,11 +403,7 @@ def _estimate_svg(env, rec, label: str, mode: str) -> str:
         ("truth (run 0)", rec.truth.pos, "#111111", 1.4, None),
         ("estimate (run 0)", rec.result.est, svgplot.WORST_COLOR, 1.2, 0.9),
     ]
-    return svgplot.scene_plot(
-        env.bounds_min, env.bounds_max,
-        [(b.lo, b.hi) for b in env.obstacles], paths, [],
-        title=f"truth vs estimate: {label} [{mode}]",
-    )
+    return _scene(env, paths, [], f"truth vs estimate: {label} [{mode}]")
 
 
 def cmd_simulate(cfg: config.RunConfig, out: Path):
@@ -689,6 +680,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         out = Path(args.out) if args.out is not None else Path(cfg.out_dir)
+        # else simulate and report would blame a missing plan
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"the artifact directory {out} is not a directory")
         if args.command in ("plan", "all"):
             cmd_plan(cfg, out)
         if args.command in ("simulate", "all"):

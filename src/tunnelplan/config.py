@@ -8,7 +8,6 @@ fully determines all artifacts.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -209,9 +208,6 @@ def _require_num(value, path, minimum=None, maximum=None, above=None):
         value = mapenv.as_number(value)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    # NaN, the infinities and integers past the float range
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:

@@ -104,6 +104,12 @@ class NoiseConfig:
             raise ValueError("prediction step must be positive")
         if np.any(self.q_diag < 0.0) or self.r_alt < 0.0 or self.r_uwb < 0.0:
             raise ValueError("noise variances must be non-negative")
+        # covariances (zero for an exact sensor); the engine reads their lmin
+        for name in ("r_cam", "r_lidar"):
+            R = getattr(self, name)
+            if not (np.isfinite(R).all() and np.array_equal(R, R.T)
+                    and np.linalg.eigvalsh(R)[0] >= 0.0):
+                raise ValueError(f"{name} must be symmetric positive semi-definite")
         self.Q = np.diag(self.q_diag)
         self.phi = np.eye(6)
         self.phi[3, 0] = self.phi[4, 1] = self.phi[5, 2] = self.ts

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,14 +32,16 @@ def default_map_path() -> Path:
 
 
 def as_number(value):
-    """The number a YAML value holds: an int or a float, or a string written
-    with an exponent, read as the float it spells. Raises ValueError for
-    anything else, a bool included; the config and the map loader share
-    this rule."""
+    """The finite number a YAML value holds: an int or a float, or a string
+    written with an exponent, read as the float it spells. Raises ValueError
+    for anything else, a bool, NaN, the infinities and integers past the
+    float range included; the config and the map loader share this rule."""
     if isinstance(value, str) and _EXPONENT_NUMBER.fullmatch(value):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = float(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value}")
     return value
 
 
@@ -74,9 +77,14 @@ _RIG_LIMITS = (("lidar_pitch", "lidar_pitch_deg", "finite"),
 
 def _check_limit(value: float, name: str, key: str, accepts: str) -> None:
     """Raise MapFormatError naming the field and its map key unless value is
-    finite and, where accepts says so, positive or non-negative."""
-    ok = math.isfinite(value) and {"finite": True, "positive": value > 0.0,
-                                   "non-negative": value >= 0.0}[accepts]
+    a number by as_number's rule and, where accepts says so, positive or
+    non-negative."""
+    try:
+        number = as_number(value)
+    except ValueError:
+        ok = False
+    else:
+        ok = {"finite": True, "positive": number > 0.0, "non-negative": number >= 0.0}[accepts]
     if not ok:
         what = "finite" if accepts == "finite" else f"finite and {accepts}"
         raise MapFormatError(f"{name} (map key {key}) must be {what}, got {value}")
@@ -219,7 +227,8 @@ def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarr
     Axes where a direction component vanishes constrain nothing when the
     shared origin sits inside that slab and exclude the segment otherwise.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero or subnormal component gives inf or NaN; degenerate axes replace it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ta = (lo - a) / d
         tb = (hi - a) / d
     lo_t = np.minimum(ta, tb)
@@ -255,7 +264,7 @@ def _map_number(value, key: str, path: Path) -> float:
     """A number of a map file, by as_number's rule."""
     try:
         return float(as_number(value))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise MapFormatError(f"{key} in {path} is malformed: {exc}") from exc
 
 
@@ -285,11 +294,7 @@ def load_map(path) -> EnvironmentMap:
     for key in ("bounds_min", "bounds_max"):
         if key not in raw:
             raise MapFormatError(f"map file {path} is missing {key!r}")
-        point = _map_point(raw[key], key, path)
-        # node sampling draws uniformly between the bounds
-        if not np.isfinite(point).all():
-            raise MapFormatError(f"{key} in {path} is not finite: {point.tolist()}")
-        bounds.append(point)
+        bounds.append(_map_point(raw[key], key, path))
 
     obstacles = []
     for i, entry in enumerate(raw.get("obstacles") or []):

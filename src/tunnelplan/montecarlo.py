@@ -117,19 +117,15 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
     fire table's sensor order, and takes the draws from rng in that order,
     sensor by sensor (see synthesize_measurements).
     """
-    pos = truth.pos
-    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
-    gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
+    sites = planner.reading_sites(env, attitude, noise)
     readings = {}
     for sensor, fire in rates.fire_table(truth.commanded.steps).items():
         # where the sensor delivers a reading (its schedule, its field-of-view
         # gate and its guards), the exact value there and its noise scale
         steps = np.flatnonzero(fire)
-        if sensor in gates:
-            steps = steps[gates[sensor](pos[steps])]
-        m = models[sensor](pos[steps])
+        rows, m = sites(sensor, truth.pos[steps])
         keep = m.ok
-        steps, m = steps[keep], m.take(keep)
+        steps, m = steps[rows][keep], m.take(keep)
         z, n = m.z, len(steps)
         outlier = np.zeros(n, dtype=bool)
         if noisy:
@@ -243,7 +239,7 @@ def replay_runs(truths, events_list, rates, noise, attitude) -> list:
     for idxs in planner.step_groups(noms):
         n = noms[idxs[0]].steps
         readings = _readings([events_list[i] for i in idxs], n, rates)
-        batch = planner.run_batch(n, rates, noise, attitude, [noms[i] for i in idxs],
+        batch = planner.run_batch(rates, noise, attitude, [noms[i] for i in idxs],
                                   readings=readings)
         for i, res in zip(idxs, batch):
             results[i] = res

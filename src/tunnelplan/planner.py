@@ -63,10 +63,9 @@ class RateSchedule:
     lidar_hz: float = 10.0
 
     def __post_init__(self):
-        for name in ("predict_hz", "alt_hz", "uwb_hz", "cam_hz", "lidar_hz"):
+        for name in ["predict_hz"] + [f"{sensor}_hz" for sensor in SENSOR_ORDER]:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("alt_hz", "uwb_hz", "cam_hz", "lidar_hz"):
             if getattr(self, name) > self.predict_hz:
                 raise ValueError(f"{name} exceeds predict_hz")
 
@@ -84,17 +83,14 @@ class RateSchedule:
         return fired
 
     def fire_table(self, n_steps: int) -> dict[str, np.ndarray]:
-        return {
-            "alt": self.fire_steps(self.alt_hz, n_steps),
-            "uwb": self.fire_steps(self.uwb_hz, n_steps),
-            "cam": self.fire_steps(self.cam_hz, n_steps),
-            "lidar": self.fire_steps(self.lidar_hz, n_steps),
-        }
+        """Each sensor's fire_steps, by name in SENSOR_ORDER."""
+        return {sensor: self.fire_steps(getattr(self, f"{sensor}_hz"), n_steps)
+                for sensor in SENSOR_ORDER}
 
 
 def sensor_ticks(table: dict) -> np.ndarray:
     """Steps of a fire table at which any sensor fires."""
-    return np.flatnonzero(table["alt"] | table["uwb"] | table["cam"] | table["lidar"])
+    return np.flatnonzero(np.logical_or.reduce([table[sensor] for sensor in SENSOR_ORDER]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +408,40 @@ def _positions(paths, steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _planned_updates(t0, t1, block_pos, fire, gates, models, R, rmin, ticks, skipped) -> dict:
+def reading_sites(env, attitude, noise):
+    """Where each sensor delivers a reading: sites(sensor, pos) -> (rows, m).
+
+    rows are the rows of pos (n, 3) that the sensor's gate on env sees, an
+    index array, or slice(None) for the ungated alt and uwb; m is the model
+    there, guards' refusals attached. Planning asks at nominal positions and
+    logs the refusals; synthesis asks at the truth and drops them.
+    """
+    gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
+    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+
+    def sites(sensor: str, pos: np.ndarray) -> tuple:
+        rows = np.flatnonzero(gates[sensor](pos)) if sensor in gates else slice(None)
+        return rows, models[sensor](pos[rows])
+
+    return sites
+
+
+def _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped) -> dict:
     """Update lists of ticks t0..t1-1 in planning, by sensor.
 
     block_pos (nb, t1 - t0, 3) holds the members' nominal positions at
-    those ticks. A pair is listed where the sensor fires and its gate sees
-    the member's nominal position; its terms come from the model there. A
-    pair the model's guards refuse is logged in skipped and left out.
+    those ticks. A pair is listed where the sensor fires and reading_sites
+    has a reading at the member's nominal position; its terms come from the
+    model there. A pair the model's guards refuse is logged in skipped and
+    left out.
     """
     nb = len(block_pos)
     lists = {}
     for sensor in SENSOR_ORDER:
         fires = np.flatnonzero(fire[sensor][t0:t1])
         tick, member = np.repeat(fires, nb), np.tile(np.arange(nb), len(fires))
-        pos = block_pos[member, tick]
-        if sensor in gates:
-            seen = gates[sensor](pos)
-            tick, member, pos = tick[seen], member[seen], pos[seen]
-        m = models[sensor](pos)
+        rows, m = sites(sensor, block_pos[member, tick])
+        tick, member = tick[rows], member[rows]
         if m.refused:
             steps = ticks[t0 + tick]
             for why, mask in m.refused.items():
@@ -461,17 +473,17 @@ def _replayed_updates(t0, t1, block_pos, offered, value, gamma, models, R, rmin)
     return lists
 
 
-def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None) -> list:
+def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
     """Propagate the belief of every member along its path at once, each
     from the identity covariance at step 0.
 
-    paths holds each member's path of the given steps, read only at the
-    sensor ticks, sensor_ticks(rates.fire_table(steps)), and only a block
+    The members' paths share one step count n. Each is read only at the
+    sensor ticks, sensor_ticks(rates.fire_table(n)), and only a block
     of them at a time (see below), so no table of a whole flight's
     positions is built. Planning (readings is None) takes Polylines or
-    NominalTrajectories and pins the mean to them. It gates camera and
-    lidar on env's field of view at each tick's position and applies
-    zero-innovation updates. Replay takes the commanded
+    NominalTrajectories and pins the mean to them. It updates where a
+    sensor delivers a reading on env (reading_sites) at each tick's
+    position and applies zero-innovation updates. Replay takes the commanded
     NominalTrajectories and holds the mean as its offset from them: it
     leaves the position offset free, evaluates Jacobians and guards at the
     member's estimate and applies its readings. A tick's velocity
@@ -493,7 +505,7 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None) -> 
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
-    n = steps
+    n = paths[0].steps
     replay = readings is not None
     B = len(paths)
     if any(path.steps != n for path in paths):
@@ -508,15 +520,14 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None) -> 
     # the last bound at or before each step, and the steps predicted past it
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
     ahead = np.arange(n + 1) - bounds[last]
-    offered = value = gamma = fire = gates = None
+    offered = value = gamma = fire = models = sites = None
     if replay:
         offered, value, gamma = readings.offered, readings.value, readings.gamma
         # replay's models leave the lidar's noise scale to its readings
         models = ekf.sensor_models(attitude)
     else:
         fire = {sensor: table[sensor][ticks] for sensor in SENSOR_ORDER}
-        gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
-        models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+        sites = reading_sites(env, attitude, noise)
     R = noise.R
     rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
@@ -555,8 +566,7 @@ def run_batch(steps, rates, noise, attitude, paths, env=None, readings=None) -> 
             if replay:
                 return _replayed_updates(t0, t1, block_pos, offered, value, gamma,
                                          models, R, rmin)
-            return _planned_updates(t0, t1, block_pos, fire, gates, models, R, rmin,
-                                    ticks, skipped)
+            return _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped)
 
         # The covariance (and mean) after each bound goes to a buffer of a few
         # MB; each flush predicts every step since the previous flush from the
@@ -777,27 +787,21 @@ def step_groups(paths) -> list:
 
 
 @dataclass
-class PathScore:
-    """Per-step pec series and summary statistics for one circuit."""
+class PathScore(EngineResult):
+    """A circuit's planning result (est is None) and the summary statistics
+    of its pec series."""
 
     circuit_index: int
-    t: np.ndarray
-    pec: np.ndarray
-    cam_fired: np.ndarray
-    lidar_fired: np.ndarray
     total: float
     max_pec: float
     mean: float
     median: float
     sigma: float
     rms: float
-    cam_updates: int
-    lidar_updates: int
     flight_time: float
     length: float
     duplicate: bool = False
     threshold_ok: bool | None = None
-    skipped: list = field(default_factory=list)
 
 
 def _summarize(circuit, line, result) -> PathScore:
@@ -808,24 +812,19 @@ def _summarize(circuit, line, result) -> PathScore:
                  float(np.sqrt(np.mean(series * series))))
     else:
         stats = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # vars, not asdict, which would deep-copy the per-step arrays
     return PathScore(
+        **vars(result),
         circuit_index=circuit.run,
-        t=result.t,
-        pec=series,
-        cam_fired=result.cam_fired,
-        lidar_fired=result.lidar_fired,
         total=stats[0],
         max_pec=stats[1],
         mean=stats[2],
         median=stats[3],
         sigma=stats[4],
         rms=stats[5],
-        cam_updates=result.cam_updates,
-        lidar_updates=result.lidar_updates,
         flight_time=line.flight_time,
         length=line.length,
         duplicate=circuit.duplicate,
-        skipped=result.skipped,
     )
 
 
@@ -842,8 +841,7 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
         lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
     scores: list = [None] * len(lines)
     for idxs in step_groups(lines):
-        results = run_batch(lines[idxs[0]].steps, rates, noise, kin.attitude,
-                            [lines[i] for i in idxs], env=env)
+        results = run_batch(rates, noise, kin.attitude, [lines[i] for i in idxs], env=env)
         for i, res in zip(idxs, results):
             scores[i] = _summarize(circuit_list[i], lines[i], res)
     return scores

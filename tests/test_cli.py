@@ -324,6 +324,15 @@ class TestExitCodes:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("stage", ["simulate", "report"])
+    def test_later_stage_with_out_that_is_a_file_exits_2(self, reduced_cfg, tmp_path, capsys,
+                                                          stage):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = cli.main([stage, "--config", str(reduced_cfg), "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+
     def test_missing_map_exits_3(self, tmp_path, capsys):
         cfgp = tmp_path / "c.yaml"
         cfgp.write_text(REDUCED + "\n")

@@ -44,6 +44,27 @@ def belief(x=None, P=None, t=0.0):
 
 
 # ---------------------------------------------------------------------------
+# noise
+
+
+class TestNoiseConfig:
+    @pytest.mark.parametrize("name, R", [
+        ("r_lidar", -np.eye(3)),
+        ("r_cam", [[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ("r_cam", np.diag([1.0, -1e-9, 1.0])),
+        ("r_lidar", np.diag([np.inf, 1.0, 1.0])),
+        ("r_lidar", np.full((3, 3), np.nan)),
+    ], ids=["negative", "not_symmetric", "indefinite", "infinite", "nan"])
+    def test_vector_noise_must_be_a_covariance(self, name, R):
+        with pytest.raises(ValueError, match=name):
+            ekf.NoiseConfig(**{name: R})
+
+    def test_exact_vector_sensors_are_allowed(self):
+        cfg = ekf.NoiseConfig(r_cam=np.zeros((3, 3)), r_lidar=np.diag([0.0, 1.0, 2.0]))
+        assert np.array_equal(cfg.R["cam"], np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
 # prediction
 
 

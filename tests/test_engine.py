@@ -5,9 +5,12 @@ import errno
 import math
 import multiprocessing
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracle
 from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
@@ -34,7 +37,7 @@ def hover(point, steps=20, ts=0.02):
 
 def plan_one(nom, rates, noise, env):
     """Planning pass of a batch of one along nom."""
-    return planner.run_batch(nom.steps, rates, noise, ekf.Attitude(), [nom], env=env)[0]
+    return planner.run_batch(rates, noise, ekf.Attitude(), [nom], env=env)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +369,10 @@ def tunnel_candidates(tunnel):
 
 
 def test_planning_batch_equals_each_candidate_alone(tunnel):
-    n, lines, kin, rates, noise = tunnel_candidates(tunnel)
-    batch = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
+    _, lines, kin, rates, noise = tunnel_candidates(tunnel)
+    batch = planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
     for b in range(len(lines)):
-        alone = planner.run_batch(n, rates, noise, kin.attitude, lines[b:b + 1],
-                                  env=tunnel)[0]
+        alone = planner.run_batch(rates, noise, kin.attitude, lines[b:b + 1], env=tunnel)[0]
         assert_same_result(batch[b], alone)
 
 
@@ -396,13 +398,13 @@ def guard_batch():
 
 def test_planning_batch_with_guard_refusals_equals_each_member_alone():
     noms, rates, noise, env = guard_batch()
-    batch = planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(), noms, env=env)
+    batch = planner.run_batch(rates, noise, ekf.Attitude(), noms, env=env)
     # the boundary members are refused at ticks where the others update
     assert [sorted({s[1] for s in res.skipped}) for res in batch] == [["uwb"], [], ["cam"], []]
     assert all(res.uwb_updates and res.cam_updates for res in batch[1::2])
     for b, res in enumerate(batch):
-        assert_same_result(res, planner.run_batch(noms[0].steps, rates, noise, ekf.Attitude(),
-                                                  noms[b:b + 1], env=env)[0])
+        assert_same_result(res, planner.run_batch(rates, noise, ekf.Attitude(), noms[b:b + 1],
+                                                  env=env)[0])
 
 
 def test_replay_batch_with_guard_refusals_equals_each_member_alone():
@@ -448,7 +450,7 @@ def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
     for size in (all_ticks, ticks):
         monkeypatch.setattr(planner, "_LIST_TICKS", size)
         results[size] = (
-            planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
+            planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
             + montecarlo.replay_runs(truths, events, rates, noise, kin.attitude))
     for got, want in zip(results[ticks], results[all_ticks], strict=True):
         assert_same_result(got, want)
@@ -475,13 +477,13 @@ def split(monkeypatch):
 
 
 def test_split_planning_equals_serial(tunnel, split):
-    n, lines, kin, rates, noise = tunnel_candidates(tunnel)
-    got = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
+    _, lines, kin, rates, noise = tunnel_candidates(tunnel)
+    got = planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
     assert split == [3] and not multiprocessing.active_children()
     split.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
-        want = planner.run_batch(n, rates, noise, kin.attitude, lines, env=tunnel)
+        want = planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
     assert split == [1]
     for g, w in zip(got, want, strict=True):
         assert_same_result(g, w)
@@ -561,3 +563,46 @@ def test_one_cpu_starts_no_process(split, monkeypatch):
     assert split == [1]
     for g, rec in zip(got, runs, strict=True):
         assert_same_result(g, rec.result)
+
+
+# ---------------------------------------------------------------------------
+# planning against zero-jitter perfect replay on random maps
+
+
+@st.composite
+def random_flights(draw):
+    """An open map with up to three random boxes, a rig with a random lidar
+    pitch and half-angle, and a closed flight through 2-3 random waypoints."""
+    corner = st.tuples(st.floats(-12.0, 10.0), st.floats(-5.0, 4.0), st.floats(-7.5, -1.0))
+    size = st.tuples(*[st.floats(0.2, 3.0)] * 3)
+    boxes = [mapenv.BoxObstacle(lo, np.add(lo, extent))
+             for lo, extent in draw(st.lists(st.tuples(corner, size), max_size=3))]
+    rig = mapenv.UgvRig(lidar_pitch=math.radians(draw(st.floats(0.0, 60.0))),
+                        lidar_halfangle=math.radians(draw(st.floats(5.0, 40.0))))
+    env = mapenv.EnvironmentMap(bounds_min=[-15.0, -6.0, -8.0], bounds_max=[15.0, 6.0, 0.0],
+                                obstacles=boxes, rig=rig)
+    waypoint = st.tuples(st.floats(-10.0, 10.0), st.floats(-5.0, 5.0), st.floats(-6.0, -0.3))
+    wp = np.array(draw(st.lists(waypoint, min_size=2, max_size=3)))
+    assume(np.linalg.norm(np.diff(wp, axis=0, append=wp[:1]), axis=1).min() > 0.5)
+    circuit = SimpleNamespace(nodes=list(range(len(wp))) + [0])
+    return env, planner.build_nominal_trajectory(circuit, SimpleNamespace(nodes=wp), 2.0, 0.02)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(flight=random_flights())
+def test_planning_predicts_the_readings_a_flight_delivers(flight):
+    """Planning and synthesis share one rule for where a sensor reads, so a
+    zero-jitter flight replays exactly the updates planning predicted."""
+    env, nom = flight
+    rates, noise, att = planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude()
+    planned = planner.run_batch(rates, noise, att, [nom], env=env)[0]
+    truth = montecarlo.simulate_truth(nom, np.random.default_rng(0), cross_track_sigma=0.0,
+                                      speed_sigma=0.0)
+    events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                np.random.default_rng(1), mode="perfect")
+    replayed = montecarlo.run_online_ekf(truth, events, rates, noise, att)
+    assert np.array_equal(planned.cam_fired, replayed.cam_fired)
+    assert np.array_equal(planned.lidar_fired, replayed.lidar_fired)
+    for sensor in planner.SENSOR_ORDER:
+        assert getattr(planned, f"{sensor}_updates") == getattr(replayed, f"{sensor}_updates")
+    assert np.abs(planned.pec - replayed.pec).max() <= 1e-6

@@ -175,6 +175,15 @@ class TestLoading:
         assert env.collision_margin == 0.3
         assert env.rig.camera_max_range == 6.0
 
+    # every number of a map file is finite, an obstacle's corners included
+    @pytest.mark.parametrize("corner", [".inf", ".nan"])
+    def test_non_finite_obstacle_corner_rejected(self, tmp_path, corner):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("bounds_min: [0, -5, -4]\nbounds_max: [20, 5, 0]\n"
+                       f"obstacles:\n  - {{min: [1, -1, -3], max: [{corner}, 1, -1]}}\n")
+        with pytest.raises(MapFormatError, match="obstacle 0 max in .* expected a finite number"):
+            mapenv.load_map(bad)
+
     def test_inverted_obstacle_rejected(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
@@ -489,3 +498,12 @@ def test_blocked_gates_match_per_point_gates():
         assert np.array_equal(got, want)
         assert got.any()
     assert not make_env().lidar_sees_many(np.zeros((0, 3))).size
+
+
+def test_subnormal_sight_line_component_is_degenerate():
+    # a direction component of 5e-324 overflows the slab quotients; the axis
+    # counts as degenerate, so the box beside the line does not block it and
+    # no warning is raised
+    env = make_env(obstacles=[([0.0, 1.0, -1.0], [1.0, 2.0, 0.0])])
+    pts = np.array([[0.0, 5e-324, -2.0], [0.5, 3.0, -1.0]])
+    assert env.sight_clear_many(np.zeros(3), pts).tolist() == [True, False]

@@ -372,9 +372,9 @@ class TestPlanningMemory:
 def make_score(idx, total):
     return planner.PathScore(
         circuit_index=idx, t=np.zeros(0), pec=np.zeros(0), cam_fired=np.zeros(0, bool),
-        lidar_fired=np.zeros(0, bool), total=total, max_pec=total, mean=0.0,
-        median=0.0, sigma=0.0, rms=0.0, cam_updates=0, lidar_updates=0,
-        flight_time=0.0, length=0.0,
+        lidar_fired=np.zeros(0, bool), est=None, total=total, max_pec=total, mean=0.0,
+        median=0.0, sigma=0.0, rms=0.0, alt_updates=0, uwb_updates=0, cam_updates=0,
+        lidar_updates=0, skipped=[], flight_time=0.0, length=0.0,
     )
 
 
