@@ -438,16 +438,7 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
                 f"graph.json: {exc}"
             ) from exc
     trial_sets = montecarlo.run_trial_sets(
-        [(cands[idx], idx) for _, idx in selected], g, env, kin, rates, noise,
-        cfg.seed, sim.runs,
-        mode=mode,
-        cross_track_sigma=sim.cross_track_sigma_m,
-        cross_track_tau=sim.cross_track_tau_s,
-        speed_sigma=sim.speed_sigma_mps,
-        dropout=sim.dropout if mode == "noisy" else 0.0,
-        outlier_prob=sim.outlier_prob,
-        outlier_scale=sim.outlier_scale,
-    )
+        [(cands[idx], idx) for _, idx in selected], g, env, kin, rates, noise, cfg.seed, sim)
     _delete(out, [pattern.format(mode=mode) for pattern in _STALE_AFTER_SIMULATE])
     agg_rows = []
     for (label, idx), records in zip(selected, trial_sets):

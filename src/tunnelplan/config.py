@@ -36,58 +36,72 @@ def is_candidate_index(label) -> bool:
             and (label == "0" or not label.startswith("0")))
 
 
-@dataclass
-class PlanSection:
-    nodes: int = 12
-    knn: int = 5
-    candidates: int = 80
-    forward_bias: float = 3.0
-    max_flight_time_s: float = 900.0
-    pec_threshold_m2: float = 25.0
+class _Section:
+    """A config section. Each numeric field declares the values it accepts
+    beside its default (mapenv.bounded), and the section checks them as it
+    is built."""
+
+    def __post_init__(self):
+        mapenv.check_fields(self)
 
 
 @dataclass
-class KinematicsSection:
-    cruise_mps: float = 0.5
-    roll_deg: float = 0.0
-    pitch_deg: float = 0.0
+class PlanSection(_Section):
+    # a one-node roadmap has no edge to fly
+    nodes: int = mapenv.bounded(12, integer=True, minimum=2)
+    knn: int = mapenv.bounded(5, integer=True, minimum=1)
+    candidates: int = mapenv.bounded(80, integer=True, minimum=1)
+    forward_bias: float = mapenv.bounded(3.0, minimum=1.0)
+    max_flight_time_s: float = mapenv.bounded(900.0, above=0.0)
+    pec_threshold_m2: float = mapenv.bounded(25.0, above=0.0)
 
 
 @dataclass
-class NoiseSection:
-    q_vel: float = 0.01
-    q_pos: float = 1.0
-    r_alt: float = 0.01
-    r_uwb: float = 0.01
-    r_cam: float = 1e-4
-    r_lidar: float = 0.0225
-    lidar_ref_range_m: float = 5.0
-    lidar_gamma_max: float = 100.0
+class KinematicsSection(_Section):
+    cruise_mps: float = mapenv.bounded(0.5, above=0.0)
+    roll_deg: float = mapenv.bounded(0.0)
+    pitch_deg: float = mapenv.bounded(0.0)
 
 
 @dataclass
-class SimulateSection:
-    runs: int = 10
+class NoiseSection(_Section):
+    q_vel: float = mapenv.bounded(0.01, minimum=0.0)
+    q_pos: float = mapenv.bounded(1.0, minimum=0.0)
+    r_alt: float = mapenv.bounded(0.01, minimum=0.0)
+    r_uwb: float = mapenv.bounded(0.01, minimum=0.0)
+    # a vector reading's noise keeps its innovation covariance invertible
+    r_cam: float = mapenv.bounded(1e-4, above=0.0)
+    r_lidar: float = mapenv.bounded(0.0225, above=0.0)
+    lidar_ref_range_m: float = mapenv.bounded(5.0, above=0.0)
+    lidar_gamma_max: float = mapenv.bounded(100.0, minimum=1.0)
+
+
+@dataclass
+class SimulateSection(_Section):
+    runs: int = mapenv.bounded(10, integer=True, minimum=1)
     mode: str = "noisy"
     selections: list = field(default_factory=lambda: ["best", "worst"])
-    cross_track_sigma_m: float = 0.3
-    cross_track_tau_s: float = 2.0
-    speed_sigma_mps: float = 0.05
-    dropout: float = 0.1
-    outlier_prob: float = 0.0
-    outlier_scale: float = 10.0
+    cross_track_sigma_m: float = mapenv.bounded(0.3, minimum=0.0)
+    cross_track_tau_s: float = mapenv.bounded(2.0, above=0.0)
+    speed_sigma_mps: float = mapenv.bounded(0.05, minimum=0.0)
+    dropout: float = mapenv.bounded(0.1, minimum=0.0, maximum=1.0)
+    outlier_prob: float = mapenv.bounded(0.0, minimum=0.0, maximum=1.0)
+    outlier_scale: float = mapenv.bounded(10.0, minimum=0.0)
 
 
 @dataclass
 class RunConfig:
     map: str = "builtin:tunnel_default"
-    seed: int = 6
+    seed: int = mapenv.bounded(6, integer=True, minimum=0)
     out_dir: str = "out"
     plan: PlanSection = field(default_factory=PlanSection)
     kinematics: KinematicsSection = field(default_factory=KinematicsSection)
     rates: planner.RateSchedule = field(default_factory=planner.RateSchedule)
     noise: NoiseSection = field(default_factory=NoiseSection)
     simulate: SimulateSection = field(default_factory=SimulateSection)
+
+    def __post_init__(self):
+        mapenv.check_fields(self, ConfigError)
 
     def resolve_map_path(self) -> Path:
         """Map file location; `builtin:NAME` points into the shipped data dir."""
@@ -155,9 +169,6 @@ def _section_from_dict(cls, data, prefix):
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {prefix}.{key}")
-    if cls is planner.RateSchedule:
-        # the schedule checks its rates' signs and order as it is built
-        data = {key: _require_num(value, f"{prefix}.{key}") for key, value in data.items()}
     try:
         return cls(**data)
     except ValueError as exc:
@@ -194,34 +205,6 @@ def _apply_override(data: dict, expr: str):
     node[parts[-1]] = value
 
 
-def _require_int(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_num(value, path, minimum=None, maximum=None, above=None):
-    """The number value holds, by mapenv.as_number's rule."""
-    try:
-        value = mapenv.as_number(value)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
-    if above is not None and not value > above:
-        raise ConfigError(f"{path}: must be > {above}, got {value}")
-    return value
-
-
-def _require_field(section, prefix, name, **bounds):
-    """_require_num on a section's field, which then holds the number read."""
-    setattr(section, name, _require_num(getattr(section, name), f"{prefix}.{name}", **bounds))
-
-
 def _require_str(value, path, choices=None):
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
@@ -232,33 +215,9 @@ def _require_str(value, path, choices=None):
 
 def _validate(cfg: RunConfig):
     _require_str(cfg.map, "map")
-    _require_int(cfg.seed, "seed", 0)
     _require_str(cfg.out_dir, "out_dir")
 
-    p = cfg.plan
-    # a one-node roadmap has no edge to fly
-    _require_int(p.nodes, "plan.nodes", 2)
-    _require_int(p.knn, "plan.knn", 1)
-    _require_int(p.candidates, "plan.candidates", 1)
-    _require_field(p, "plan", "forward_bias", minimum=1.0)
-    _require_field(p, "plan", "max_flight_time_s", above=0.0)
-    _require_field(p, "plan", "pec_threshold_m2", above=0.0)
-
-    _require_field(cfg.kinematics, "kinematics", "cruise_mps", above=0.0)
-    _require_field(cfg.kinematics, "kinematics", "roll_deg")
-    _require_field(cfg.kinematics, "kinematics", "pitch_deg")
-
-    n = cfg.noise
-    for name in ("q_vel", "q_pos", "r_alt", "r_uwb"):
-        _require_field(n, "noise", name, minimum=0.0)
-    # synthesis factors the covariance of a vector reading
-    for name in ("r_cam", "r_lidar"):
-        _require_field(n, "noise", name, above=0.0)
-    _require_field(n, "noise", "lidar_ref_range_m", above=0.0)
-    _require_field(n, "noise", "lidar_gamma_max", minimum=1.0)
-
     s = cfg.simulate
-    _require_int(s.runs, "simulate.runs", 1)
     _require_str(s.mode, "simulate.mode", choices=("noisy", "perfect"))
     if not isinstance(s.selections, list) or not s.selections:
         raise ConfigError("simulate.selections: expected a non-empty list")
@@ -280,12 +239,6 @@ def _validate(cfg: RunConfig):
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"simulate.selections: repeated entries {repeated}")
-    _require_field(s, "simulate", "cross_track_sigma_m", minimum=0.0)
-    _require_field(s, "simulate", "cross_track_tau_s", above=0.0)
-    _require_field(s, "simulate", "speed_sigma_mps", minimum=0.0)
-    _require_field(s, "simulate", "dropout", minimum=0.0, maximum=1.0)
-    _require_field(s, "simulate", "outlier_prob", minimum=0.0, maximum=1.0)
-    _require_field(s, "simulate", "outlier_scale", minimum=0.0)
 
     # the components check their own parameters too
     try:

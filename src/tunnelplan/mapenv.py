@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -45,6 +45,42 @@ def as_number(value):
     return value
 
 
+def bounded(default, key=None, integer=False, minimum=None, maximum=None, above=None):
+    """A dataclass field holding a number, with the values it accepts declared
+    beside its default; check_fields enforces them. key is the setting's
+    map-file key where it differs from the field name."""
+    return field(default=default, metadata={"bounds": dict(
+        key=key, integer=integer, minimum=minimum, maximum=maximum, above=above)})
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Check every bounded field of a dataclass instance and store the number
+    it holds (by as_number's rule, or a strict int where integer is declared).
+    Raises error with a message that starts with the field's name, and its
+    map key where it has one."""
+    for f in fields(obj):
+        if "bounds" not in f.metadata:
+            continue
+        b = f.metadata["bounds"]
+        label = f.name if b["key"] is None else f"{f.name} (map key {b['key']})"
+        value = getattr(obj, f.name)
+        if b["integer"]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise error(f"{label}: expected an integer, got {value!r}")
+        else:
+            try:
+                value = as_number(value)
+            except ValueError as exc:
+                raise error(f"{label}: {exc}") from exc
+        if b["minimum"] is not None and value < b["minimum"]:
+            raise error(f"{label}: must be >= {b['minimum']}, got {value}")
+        if b["maximum"] is not None and value > b["maximum"]:
+            raise error(f"{label}: must be <= {b['maximum']}, got {value}")
+        if b["above"] is not None and not value > b["above"]:
+            raise error(f"{label}: must be > {b['above']}, got {value}")
+        setattr(obj, f.name, value)
+
+
 def as_point(p) -> np.ndarray:
     """Coerce a point-like (sequence, array) to a float array of shape (3,)."""
     a = np.asarray(p, dtype=float)
@@ -67,29 +103,6 @@ class BoxObstacle:
             raise MapFormatError(f"obstacle has min > max: {self.lo} vs {self.hi}")
 
 
-# each rig quantity, its key in a map file and the values it accepts
-_RIG_LIMITS = (("lidar_pitch", "lidar_pitch_deg", "finite"),
-               ("lidar_halfangle", "lidar_halfangle_deg", "positive"),
-               ("lidar_max_range", "lidar_max_range_m", "positive"),
-               ("camera_mount_height", "camera_mount_height_m", "non-negative"),
-               ("camera_max_range", "camera_max_range_m", "positive"))
-
-
-def _check_limit(value: float, name: str, key: str, accepts: str) -> None:
-    """Raise MapFormatError naming the field and its map key unless value is
-    a number by as_number's rule and, where accepts says so, positive or
-    non-negative."""
-    try:
-        number = as_number(value)
-    except ValueError:
-        ok = False
-    else:
-        ok = {"finite": True, "positive": number > 0.0, "non-negative": number >= 0.0}[accepts]
-    if not ok:
-        what = "finite" if accepts == "finite" else f"finite and {accepts}"
-        raise MapFormatError(f"{name} (map key {key}) must be {what}, got {value}")
-
-
 @dataclass
 class UgvRig:
     """Ground-vehicle sensor head: an upward-pitched lidar and a tracking camera.
@@ -101,18 +114,17 @@ class UgvRig:
     """
 
     position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    lidar_pitch: float = math.radians(15.0)
-    lidar_halfangle: float = math.radians(22.5)
-    lidar_max_range: float = 50.0
-    camera_mount_height: float = 0.8
-    camera_max_range: float = 6.0
+    lidar_pitch: float = bounded(math.radians(15.0), key="lidar_pitch_deg")
+    lidar_halfangle: float = bounded(math.radians(22.5), key="lidar_halfangle_deg", above=0.0)
+    lidar_max_range: float = bounded(50.0, key="lidar_max_range_m", above=0.0)
+    camera_mount_height: float = bounded(0.8, key="camera_mount_height_m", minimum=0.0)
+    camera_max_range: float = bounded(6.0, key="camera_max_range_m", above=0.0)
 
     def __post_init__(self):
         self.position = as_point(self.position)
         # a NaN or out-of-range value would shut a gate for every point, or
         # open it, without an error
-        for name, key, accepts in _RIG_LIMITS:
-            _check_limit(getattr(self, name), name, key, accepts)
+        check_fields(self, MapFormatError)
 
     @property
     def camera_position(self) -> np.ndarray:
@@ -126,7 +138,8 @@ class EnvironmentMap:
     bounds_min: np.ndarray
     bounds_max: np.ndarray
     obstacles: list[BoxObstacle] = field(default_factory=list)
-    collision_margin: float = DEFAULT_COLLISION_MARGIN
+    collision_margin: float = bounded(DEFAULT_COLLISION_MARGIN, key="collision_margin_m",
+                                      minimum=0.0)
     rig: UgvRig = field(default_factory=UgvRig)
 
     def __post_init__(self):
@@ -137,8 +150,7 @@ class EnvironmentMap:
                 f"bounds_min must be strictly below bounds_max: "
                 f"{self.bounds_min} vs {self.bounds_max}"
             )
-        _check_limit(self.collision_margin, "collision_margin", "collision_margin_m",
-                     "non-negative")
+        check_fields(self, MapFormatError)
         # stacked box corners for vectorized batch checks
         if self.obstacles:
             self._lo = np.stack([b.lo for b in self.obstacles])
@@ -245,7 +257,9 @@ def _segments_hit_box(a: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 _MAP_KEYS = {"bounds_min", "bounds_max", "collision_margin_m", "obstacles", "ugv"}
 _OBSTACLE_KEYS = {"min", "max"}
-_UGV_KEYS = {"position"} | {key for _, key, _ in _RIG_LIMITS}
+# each rig field a map file may set, by its key there
+_RIG_KEYS = {f.metadata["bounds"]["key"]: f.name for f in fields(UgvRig) if "bounds" in f.metadata}
+_UGV_KEYS = {"position"} | set(_RIG_KEYS)
 
 
 def _check_keys(block, known: set, where: str, path: Path) -> None:
@@ -308,7 +322,7 @@ def load_map(path) -> EnvironmentMap:
     given = {}
     if "position" in rig_raw:
         given["position"] = _map_point(rig_raw["position"], "ugv position", path)
-    for name, key, _ in _RIG_LIMITS:
+    for key, name in _RIG_KEYS.items():
         if key in rig_raw:
             value = _map_number(rig_raw[key], f"ugv {key}", path)
             given[name] = math.radians(value) if key.endswith("_deg") else value

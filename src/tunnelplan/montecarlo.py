@@ -109,6 +109,17 @@ class MeasurementEvent:
     outlier: bool = False
 
 
+def _covariance_root(R: np.ndarray) -> np.ndarray:
+    """A matrix L with L @ L.T == R: R's Cholesky factor where R is positive
+    definite, else the square root of its eigendecomposition, which an exact
+    or partly exact sensor's semi-definite R also has."""
+    try:
+        return np.linalg.cholesky(R)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(R)
+        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
 def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, noisy: bool,
                      dropout: float, outlier_prob: float, outlier_scale: float):
     """Each sensor's readings as arrays over the steps where it fires.
@@ -129,12 +140,12 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
         z, n = m.z, len(steps)
         outlier = np.zeros(n, dtype=bool)
         if noisy:
-            # a scalar reading's standard deviation, a factor on the Cholesky
-            # factor of a vector one's covariance
+            # a scalar reading's standard deviation, a factor on a square
+            # root of a vector one's covariance
             R = noise.R[sensor]
             if z.ndim == 2:
                 draws = rng.standard_normal((n, 3))
-                w = np.sqrt(m.scale)[:, None] * (np.linalg.cholesky(R) @ draws[:, :, None])[:, :, 0]
+                w = np.sqrt(m.scale)[:, None] * (_covariance_root(R) @ draws[:, :, None])[:, :, 0]
             else:
                 w = np.sqrt(m.scale * R) * rng.standard_normal(n)
             z = z + w
@@ -172,6 +183,10 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
         raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
     if not 0.0 <= dropout <= 1.0:
         raise ValueError("dropout must be within [0, 1]")
+    if not 0.0 <= outlier_prob <= 1.0:
+        raise ValueError("outlier_prob must be within [0, 1]")
+    if not outlier_scale >= 0.0:
+        raise ValueError("outlier_scale must be non-negative")
     # the arrays are built and dropped before any event exists, so the
     # events do not sit among their freed temporaries
     readings = _sensor_readings(truth, env, rates, noise, attitude, rng, mode == "noisy",
@@ -365,36 +380,35 @@ def run_seed_rngs(master_seed: int, circuit_index: int, run_index: int):
     return np.random.default_rng(truth_ss), np.random.default_rng(meas_ss)
 
 
-def run_trial_sets(selected, graph, env, kin, rates, noise,
-                   master_seed: int, runs: int, mode: str = "noisy",
-                   cross_track_sigma: float = 0.3, cross_track_tau: float = 2.0,
-                   speed_sigma: float = 0.05, dropout: float = 0.0,
-                   outlier_prob: float = 0.0,
-                   outlier_scale: float = 10.0) -> list[list[TrialRecord]]:
+def run_trial_sets(selected, graph, env, kin, rates, noise, master_seed: int,
+                   sim: config.SimulateSection) -> list[list[TrialRecord]]:
     """Monte Carlo replay of several circuits: simulate, measure, filter, score.
 
     selected lists (circuit, circuit_index) pairs; the result holds one list
-    of runs per pair. Every run of every circuit is filtered in one sweep.
+    of runs per pair, sim.runs each, flown and measured as sim sets out.
+    Every run of every circuit is filtered in one sweep.
     """
+    # a perfect run is the exact reference, so it drops no reading either
+    dropout = sim.dropout if sim.mode == "noisy" else 0.0
     truths, events_list = [], []
     for circuit, circuit_index in selected:
         nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
-        for run_index in range(runs):
+        for run_index in range(sim.runs):
             truth_rng, meas_rng = run_seed_rngs(master_seed, circuit_index, run_index)
             truth = simulate_truth(nominal, truth_rng,
-                                   cross_track_sigma=cross_track_sigma,
-                                   cross_track_tau=cross_track_tau,
-                                   speed_sigma=speed_sigma,
+                                   cross_track_sigma=sim.cross_track_sigma_m,
+                                   cross_track_tau=sim.cross_track_tau_s,
+                                   speed_sigma=sim.speed_sigma_mps,
                                    circuit_index=circuit_index, run_index=run_index)
             truths.append(truth)
             events_list.append(synthesize_measurements(
-                truth, env, rates, noise, kin.attitude, meas_rng, mode=mode,
-                dropout=dropout, outlier_prob=outlier_prob,
-                outlier_scale=outlier_scale))
+                truth, env, rates, noise, kin.attitude, meas_rng, mode=sim.mode,
+                dropout=dropout, outlier_prob=sim.outlier_prob,
+                outlier_scale=sim.outlier_scale))
     results = replay_runs(truths, events_list, rates, noise, kin.attitude)
     records = [
         TrialRecord(truth=truth, events=events, result=result,
-                    stats=compute_stats(truth, result, events=events, mode=mode))
+                    stats=compute_stats(truth, result, events=events, mode=sim.mode))
         for truth, events, result in zip(truths, events_list, results)
     ]
-    return [records[i * runs:(i + 1) * runs] for i in range(len(selected))]
+    return [records[i * sim.runs:(i + 1) * sim.runs] for i in range(len(selected))]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ekf
+from . import ekf, mapenv
 from .errors import InvalidCircuitError
 
 SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
@@ -56,18 +56,17 @@ class KinematicProfile:
 class RateSchedule:
     """Update rates in Hz; sensors may not outrun the prediction rate."""
 
-    predict_hz: float = 50.0
-    alt_hz: float = 5.0
-    uwb_hz: float = 10.0
-    cam_hz: float = 10.0
-    lidar_hz: float = 10.0
+    predict_hz: float = mapenv.bounded(50.0, above=0.0)
+    alt_hz: float = mapenv.bounded(5.0, above=0.0)
+    uwb_hz: float = mapenv.bounded(10.0, above=0.0)
+    cam_hz: float = mapenv.bounded(10.0, above=0.0)
+    lidar_hz: float = mapenv.bounded(10.0, above=0.0)
 
     def __post_init__(self):
-        for name in ["predict_hz"] + [f"{sensor}_hz" for sensor in SENSOR_ORDER]:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-            if getattr(self, name) > self.predict_hz:
-                raise ValueError(f"{name} exceeds predict_hz")
+        mapenv.check_fields(self)
+        for sensor in SENSOR_ORDER:
+            if getattr(self, f"{sensor}_hz") > self.predict_hz:
+                raise ValueError(f"{sensor}_hz exceeds predict_hz")
 
     def fire_steps(self, hz: float, n_steps: int) -> np.ndarray:
         """Boolean array over steps 0..n_steps; True where the sensor fires.

@@ -251,8 +251,9 @@ def test_06_planned_and_replayed_pec_series_agree(default_artifacts, check):
     score = planner.propagate_paths([cands[best]], g, env, kin, rates, noise)[0]
     rec = montecarlo.run_trial_sets(
         [(cands[best], best)], g, env, kin, rates, noise,
-        master_seed=ranking["seed"], runs=1, mode="perfect",
-        cross_track_sigma=0.0, speed_sigma=0.0, dropout=0.0,
+        master_seed=ranking["seed"],
+        sim=config.SimulateSection(runs=1, mode="perfect", cross_track_sigma_m=0.0,
+                                   speed_sigma_mps=0.0, dropout=0.0),
     )[0][0]
     same_t = np.array_equal(score.t, rec.result.t)
     dmax = float(np.abs(score.pec - rec.result.pec).max())
@@ -275,7 +276,8 @@ def test_07_ranking_separation_and_error_direction(default_artifacts, check):
     for name, idx in (("best", best), ("worst", worst)):
         recs = montecarlo.run_trial_sets(
             [(cands[idx], idx)], g, env, kin, rates, noise,
-            master_seed=ranking["seed"], runs=10, mode="perfect", dropout=0.0,
+            master_seed=ranking["seed"],
+            sim=config.SimulateSection(runs=10, mode="perfect", dropout=0.0),
         )[0]
         means[name] = float(np.mean([r.stats.rms_3d for r in recs]))
     check(

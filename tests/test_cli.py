@@ -555,3 +555,14 @@ def test_import_loads_no_network_stack():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(example, names)
+    cfg, records = names["cfg"], names["records"]
+    assert len(records) == cfg.simulate.runs
+    assert all(rec.truth.circuit_index == names["ranking"].best for rec in records)

@@ -229,6 +229,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config.load_config(overrides=[override])
 
+    # each inclusive bound accepts its edge, so no ">=" may turn into ">"
+    @pytest.mark.parametrize("override", [
+        "plan.nodes=2", "plan.forward_bias=1", "noise.q_vel=0", "noise.r_uwb=0",
+        "noise.lidar_gamma_max=1", "simulate.dropout=0", "simulate.dropout=1",
+        "simulate.outlier_prob=1", "simulate.outlier_scale=0",
+        "simulate.cross_track_sigma_m=0", "rates.cam_hz=50", "seed=0", "simulate.runs=1",
+    ])
+    def test_inclusive_bounds_accept_their_edge(self, override):
+        key, value = override.split("=")
+        cfg = config.load_config(overrides=[override])
+        *section, name = key.split(".")
+        holder = getattr(cfg, section[0]) if section else cfg
+        assert getattr(holder, name) == yaml.safe_load(value)
+
     def test_numeric_selection_allowed(self):
         cfg = config.load_config(overrides=["simulate.selections=[best, 3]"])
         assert cfg.simulate.selections == ["best", 3]

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
+from tunnelplan import circuits, config, ekf, mapenv, montecarlo, planner, roadmap
 from tunnelplan.errors import FilterSingularityError
 
 # a camera on the ground with a long reach sees down to the horizon, so the
@@ -301,7 +301,7 @@ def near_horizon_runs():
     kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
     records = montecarlo.run_trial_sets(
         [(forward, 0), (backward, 1)], g, env, kin, rates, noise,
-        master_seed=3, runs=2, dropout=0.2, outlier_prob=0.05)
+        master_seed=3, sim=config.SimulateSection(runs=2, dropout=0.2, outlier_prob=0.05))
     return [rec for recs in records for rec in recs], kin, rates, noise
 
 

@@ -166,6 +166,15 @@ class TestLoading:
         with pytest.raises(MapFormatError, match=f"{key} in .* expected a number"):
             mapenv.load_map(bad)
 
+    @pytest.mark.parametrize("text, read", [
+        ("ugv: {camera_mount_height_m: 0}", lambda env: env.rig.camera_mount_height),
+        ("collision_margin_m: 0", lambda env: env.collision_margin),
+    ], ids=["camera_mount_height_m", "collision_margin_m"])
+    def test_inclusive_bounds_accept_their_edge(self, tmp_path, text, read):
+        f = tmp_path / "m.yaml"
+        f.write_text(f"bounds_min: [0, -5, -4]\nbounds_max: [20, 5, 0]\n{text}\n")
+        assert read(mapenv.load_map(f)) == 0.0
+
     def test_numbers_written_with_an_exponent(self, tmp_path):
         f = tmp_path / "m.yaml"
         f.write_text("bounds_min: [0, 0, -2e0]\nbounds_max: [4, 4, 0]\n"

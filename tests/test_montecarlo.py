@@ -179,6 +179,40 @@ class TestSynthesis:
             np.random.default_rng(2), mode="perfect")
         assert {ev.sensor for ev in events} == {"alt", "uwb", "cam", "lidar"}
 
+    @pytest.mark.parametrize("r_lidar, exact_axes", [
+        (np.zeros((3, 3)), [0, 1, 2]),
+        (np.diag([0.0225, 0.0225, 0.0]), [2]),
+    ], ids=["exact", "exact_down"])
+    def test_noisy_mode_reads_exact_axes_exactly(self, r_lidar, exact_axes):
+        # a semi-definite covariance has a square root if not a Cholesky
+        # factor; noise draws leave the axes it does not span at the truth
+        env = empty_env()
+        g, c = out_and_back([3.0, 1.0, -2.0], [12.0, 1.0, -2.0])
+        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
+        truth = montecarlo.simulate_truth(nom, np.random.default_rng(1))
+        noise = ekf.NoiseConfig(r_lidar=r_lidar)
+        lidar = {}
+        for mode in ("perfect", "noisy"):
+            events = montecarlo.synthesize_measurements(
+                truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
+                np.random.default_rng(2), mode=mode)
+            lidar[mode] = np.array([ev.value for ev in events if ev.sensor == "lidar"])
+        assert len(lidar["noisy"]) > 10 and lidar["noisy"].shape == lidar["perfect"].shape
+        residual = lidar["noisy"] - lidar["perfect"]
+        assert np.abs(residual[:, exact_axes]).max() < 1e-12
+        assert np.all(np.delete(residual, exact_axes, axis=1) != 0.0)
+
+    @pytest.mark.parametrize("options, message", [
+        (dict(outlier_prob=1.5), "outlier_prob"),
+        (dict(outlier_prob=-0.1), "outlier_prob"),
+        (dict(outlier_prob=math.nan), "outlier_prob"),
+        (dict(outlier_prob=0.1, outlier_scale=-3.0), "outlier_scale"),
+        (dict(dropout=1.5), "dropout"),
+    ])
+    def test_out_of_range_arguments_rejected(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            straight_run_events(n_len=20.0, **options)
+
     def test_perfect_mode_ignores_outlier_probability(self):
         # no outlier is drawn, so the events and their dropout draws are
         # those of a run without outliers
