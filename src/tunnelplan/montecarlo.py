@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,17 +97,23 @@ def simulate_truth(nominal: planner.NominalTrajectory, rng,
 # measurement synthesis
 
 
-@dataclass
-class MeasurementEvent:
-    """One synthesized sensor reading tagged with its prediction step."""
+class SensorReadings(NamedTuple):
+    """One sensor's readings of one run, in step order.
 
-    step: int
-    t: float
-    sensor: str
-    value: object
-    gamma: float | None = None
-    dropped: bool = False
-    outlier: bool = False
+    steps (n,) are the prediction steps it read at and z the readings, (n,)
+    for a scalar sensor and (n, 3) for a vector one. scale (n,) is the
+    lidar's noise scale at each reading, which replay reads; it is None for
+    the other sensors, whose scale replay takes from the model at the
+    estimate. dropped marks readings lost on the way, which replay skips and
+    statistics still count; outlier marks readings whose noise draw was
+    scaled by outlier_scale.
+    """
+
+    steps: np.ndarray
+    z: np.ndarray
+    scale: np.ndarray | None
+    dropped: np.ndarray
+    outlier: np.ndarray
 
 
 def _covariance_root(R: np.ndarray) -> np.ndarray:
@@ -120,14 +127,32 @@ def _covariance_root(R: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, noisy: bool,
-                     dropout: float, outlier_prob: float, outlier_scale: float):
-    """Each sensor's readings as arrays over the steps where it fires.
+def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, mode: str,
+                     dropout: float, outlier_prob: float,
+                     outlier_scale: float) -> dict[str, SensorReadings]:
+    """Sensor readings a real flight along the truth path would deliver, as
+    {sensor: SensorReadings} in the fire table's sensor order.
 
-    Returns {sensor: (steps, values, noise scale, dropped, outlier)} in the
-    fire table's sensor order, and takes the draws from rng in that order,
-    sensor by sensor (see synthesize_measurements).
+    Field-of-view gating and the lidar noise scale come from the truth
+    positions. In perfect mode values equal the measurement models exactly
+    and no reading is an outlier; noisy mode adds draws matching each
+    sensor's configured covariance, and an outlier scales its draw by
+    outlier_scale. Dropout marks readings as lost without removing them.
+
+    The draws from rng come sensor by sensor in the fire table's order, each
+    sensor's in bulk over its readings in step order: its noise normals
+    (noisy mode; (n,) for a scalar sensor, (n, 3) for a vector one), then
+    its n outlier uniforms (noisy mode, outlier_prob > 0), then its n
+    dropout uniforms (dropout > 0).
     """
+    if mode not in ("noisy", "perfect"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
+    if not 0.0 <= dropout <= 1.0:
+        raise ValueError("dropout must be within [0, 1]")
+    if not 0.0 <= outlier_prob <= 1.0:
+        raise ValueError("outlier_prob must be within [0, 1]")
+    if not outlier_scale >= 0.0:
+        raise ValueError("outlier_scale must be non-negative")
     sites = planner.reading_sites(env, attitude, noise)
     readings = {}
     for sensor, fire in rates.fire_table(truth.commanded.steps).items():
@@ -139,7 +164,7 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
         steps, m = steps[rows][keep], m.take(keep)
         z, n = m.z, len(steps)
         outlier = np.zeros(n, dtype=bool)
-        if noisy:
+        if mode == "noisy":
             # a scalar reading's standard deviation, a factor on a square
             # root of a vector one's covariance
             R = noise.R[sensor]
@@ -155,115 +180,133 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, n
             if sensor == "cam":
                 z = z / ekf.row_norms(z)[:, None]
         dropped = rng.random(n) < dropout if dropout > 0.0 else np.zeros(n, dtype=bool)
-        readings[sensor] = (steps, z, m.scale, dropped, outlier)
+        readings[sensor] = SensorReadings(steps, z, m.scale if sensor == "lidar" else None,
+                                          dropped, outlier)
     return readings
+
+
+# ---------------------------------------------------------------------------
+# the event form of the readings
+
+
+@dataclass
+class MeasurementEvent:
+    """One synthesized sensor reading tagged with its prediction step."""
+
+    step: int
+    t: float
+    sensor: str
+    value: object
+    gamma: float | None = None
+    dropped: bool = False
+    outlier: bool = False
+
+
+def _events(readings: dict, ts: float) -> list[MeasurementEvent]:
+    """A run's readings as events, in step order and, at one step, in the
+    order of readings' sensors."""
+    events: list = []
+    for sensor, r in readings.items():
+        n = len(r.steps)
+        events += map(MeasurementEvent, r.steps.tolist(), (r.steps * ts).tolist(),
+                      [sensor] * n, r.z.tolist() if r.z.ndim == 1 else list(r.z),
+                      [None] * n if r.scale is None else r.scale.tolist(),
+                      r.dropped.tolist(), r.outlier.tolist())
+    # a stable sort keeps the sensor order within a step
+    events.sort(key=lambda ev: ev.step)
+    return events
+
+
+def _arrays(events) -> dict[str, SensorReadings]:
+    """A run's events as {sensor: SensorReadings}, the inverse of _events."""
+    by_sensor: dict = {sensor: [] for sensor in planner.SENSOR_ORDER}
+    for ev in events:
+        by_sensor[ev.sensor].append(ev)
+    return {
+        sensor: SensorReadings(
+            np.array([ev.step for ev in evs], dtype=int),
+            np.array([ev.value for ev in evs], dtype=float).reshape(
+                (-1, 3) if sensor in ("cam", "lidar") else -1),
+            # float() refuses a lidar event without its gamma
+            np.array([float(ev.gamma) for ev in evs]) if sensor == "lidar" else None,
+            np.array([ev.dropped for ev in evs], dtype=bool),
+            np.array([ev.outlier for ev in evs], dtype=bool))
+        for sensor, evs in by_sensor.items()
+    }
 
 
 def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
                             rng, mode: str = "noisy", dropout: float = 0.0,
                             outlier_prob: float = 0.0,
                             outlier_scale: float = 10.0) -> list[MeasurementEvent]:
-    """Sensor readings a real flight along the truth path would deliver.
-
-    Field-of-view gating and the lidar noise scale come from the truth
-    positions. In perfect mode values equal the measurement models exactly
-    and no event is an outlier; noisy mode adds draws matching each
-    sensor's configured covariance, and an outlier scales its draw by
-    outlier_scale. Dropout marks events as lost without removing them, so
-    replay can skip them while statistics still count them.
-
-    Events come in step order and, at one step, in the fire table's sensor
-    order. The draws from rng come sensor by sensor in that order, each
-    sensor's in bulk over its readings in step order: its noise normals
-    (noisy mode; (n,) for a scalar sensor, (n, 3) for a vector one), then
-    its n outlier uniforms (noisy mode, outlier_prob > 0), then its n
-    dropout uniforms (dropout > 0).
-    """
-    if mode not in ("noisy", "perfect"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'noisy' or 'perfect'")
-    if not 0.0 <= dropout <= 1.0:
-        raise ValueError("dropout must be within [0, 1]")
-    if not 0.0 <= outlier_prob <= 1.0:
-        raise ValueError("outlier_prob must be within [0, 1]")
-    if not outlier_scale >= 0.0:
-        raise ValueError("outlier_scale must be non-negative")
+    """_sensor_readings' readings of one run as events, in step order and, at
+    one step, in the fire table's sensor order."""
     # the arrays are built and dropped before any event exists, so the
     # events do not sit among their freed temporaries
-    readings = _sensor_readings(truth, env, rates, noise, attitude, rng, mode == "noisy",
-                                dropout, outlier_prob, outlier_scale)
-    events: list = []
-    for sensor, (steps, z, scale, dropped, outlier) in readings.items():
-        n = len(steps)
-        events += map(MeasurementEvent, steps.tolist(), (steps * truth.commanded.ts).tolist(),
-                      [sensor] * n, z.tolist() if z.ndim == 1 else list(z),
-                      scale.tolist() if sensor == "lidar" else [None] * n,
-                      dropped.tolist(), outlier.tolist())
-    # a stable sort keeps the sensor order within a step
-    events.sort(key=lambda ev: ev.step)
-    return events
+    return _events(_sensor_readings(truth, env, rates, noise, attitude, rng, mode, dropout,
+                                    outlier_prob, outlier_scale), truth.commanded.ts)
 
 
 # ---------------------------------------------------------------------------
 # replay
 
 
-def _readings(events_list, n: int, rates) -> planner.Readings:
-    """Undropped events of each run laid out on the schedule's tick axis."""
+def _readings(runs, n: int, rates) -> planner.Readings:
+    """The undropped readings of each run laid out on the schedule's tick axis.
+
+    runs holds each run's {sensor: SensorReadings}. A reading, dropped or
+    not, at a step that is not a sensor tick of steps 1..n raises
+    ValueError, and so do two undropped readings of one sensor at one step.
+    """
     ticks = planner.sensor_ticks(rates.fire_table(n))
     tick_of = np.full(n + 2, -1)
     tick_of[ticks] = np.arange(len(ticks))
-    shape = (len(events_list), len(ticks))
+    shape = (len(runs), len(ticks))
     offered = {s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER}
     value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
              "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
     gamma = np.ones(shape)
-    for b, events in enumerate(events_list):
-        steps = np.array([ev.step for ev in events], dtype=int)
-        off_tick = tick_of[np.clip(steps, 0, n + 1)] < 0
-        if off_tick.any():
-            raise ValueError(f"measurement event at step {steps[off_tick][0]} is not a "
-                             f"sensor tick of steps 1..{n}")
-        kept: dict = {s: [] for s in planner.SENSOR_ORDER}
-        for ev in events:
-            if not ev.dropped:
-                kept[ev.sensor].append(ev)
-        for sensor, evs in kept.items():
-            if not evs:
-                continue
-            ti = tick_of[np.array([ev.step for ev in evs], dtype=int)]
+    for b, run in enumerate(runs):
+        for sensor, r in run.items():
+            ti = tick_of[np.clip(r.steps, 0, n + 1)]
+            if (ti < 0).any():
+                raise ValueError(f"measurement event at step {r.steps[ti < 0][0]} is not a "
+                                 f"sensor tick of steps 1..{n}")
+            kept = ~r.dropped
+            ti = ti[kept]
             at, count = np.unique(ti, return_counts=True)
             if (count > 1).any():
                 raise ValueError(f"two {sensor} events at step {ticks[at[count > 1][0]]}")
             offered[sensor][b, ti] = True
-            value[sensor][b, ti] = [ev.value for ev in evs]
+            value[sensor][b, ti] = r.z[kept]
             if sensor == "lidar":
-                gamma[b, ti] = [ev.gamma for ev in evs]
+                gamma[b, ti] = r.scale[kept]
     return planner.Readings(offered=offered, value=value, gamma=gamma)
 
 
-def replay_runs(truths, events_list, rates, noise, attitude) -> list:
-    """Replay each run's measurements through the filter along its circuit.
+def replay_runs(truths, readings, rates, noise, attitude) -> list:
+    """Replay each run's readings through the filter along its circuit.
 
-    Runs with equal step counts are filtered together in one batched sweep;
-    a run's result does not depend on the others in its batch. The
-    commanded trajectory is the control input and the filter estimates the
-    offset from it (see planner.run_batch). Dropped events are skipped.
+    readings holds each run's {sensor: SensorReadings}. Runs with equal step
+    counts are filtered together in one batched sweep; a run's result does
+    not depend on the others in its batch. The commanded trajectory is the
+    control input and the filter estimates the offset from it (see
+    planner.run_batch). Dropped readings are skipped.
     """
     noms = [truth.commanded for truth in truths]
     results: list = [None] * len(noms)
     for idxs in planner.step_groups(noms):
         n = noms[idxs[0]].steps
-        readings = _readings([events_list[i] for i in idxs], n, rates)
         batch = planner.run_batch(rates, noise, attitude, [noms[i] for i in idxs],
-                                  readings=readings)
+                                  readings=_readings([readings[i] for i in idxs], n, rates))
         for i, res in zip(idxs, batch):
             results[i] = res
     return results
 
 
 def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude):
-    """Replay one run's synthesized measurements; see replay_runs."""
-    return replay_runs([truth], [events], rates, noise, attitude)[0]
+    """Replay one run's measurement events; see replay_runs."""
+    return replay_runs([truth], [_arrays(events)], rates, noise, attitude)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +338,10 @@ class RunStats:
     dropped_events: int
 
 
-def compute_stats(truth: TruthTrajectory, result, events=None,
+def compute_stats(truth: TruthTrajectory, result, readings=None,
                   mode: str = "") -> RunStats:
-    """Reduce one replay to scalar error statistics against the truth."""
+    """Reduce one replay to scalar error statistics against the truth;
+    readings, the run's {sensor: SensorReadings}, gives the dropped count."""
     est = result.est
     if est is None:
         raise ValueError("result carries no state estimates; run in replay mode")
@@ -334,7 +378,7 @@ def compute_stats(truth: TruthTrajectory, result, events=None,
         uwb_updates=result.uwb_updates,
         cam_updates=result.cam_updates,
         lidar_updates=result.lidar_updates,
-        dropped_events=sum(1 for ev in events if ev.dropped) if events else 0,
+        dropped_events=sum(int(r.dropped.sum()) for r in readings.values()) if readings else 0,
     )
 
 
@@ -366,7 +410,7 @@ class TrialRecord:
     """Everything produced by one Monte Carlo run of one circuit."""
 
     truth: TruthTrajectory
-    events: list
+    readings: dict
     result: object
     stats: RunStats
 
@@ -390,7 +434,7 @@ def run_trial_sets(selected, graph, env, kin, rates, noise, master_seed: int,
     """
     # a perfect run is the exact reference, so it drops no reading either
     dropout = sim.dropout if sim.mode == "noisy" else 0.0
-    truths, events_list = [], []
+    truths, readings = [], []
     for circuit, circuit_index in selected:
         nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
         for run_index in range(sim.runs):
@@ -401,14 +445,13 @@ def run_trial_sets(selected, graph, env, kin, rates, noise, master_seed: int,
                                    speed_sigma=sim.speed_sigma_mps,
                                    circuit_index=circuit_index, run_index=run_index)
             truths.append(truth)
-            events_list.append(synthesize_measurements(
-                truth, env, rates, noise, kin.attitude, meas_rng, mode=sim.mode,
-                dropout=dropout, outlier_prob=sim.outlier_prob,
-                outlier_scale=sim.outlier_scale))
-    results = replay_runs(truths, events_list, rates, noise, kin.attitude)
+            readings.append(_sensor_readings(
+                truth, env, rates, noise, kin.attitude, meas_rng, sim.mode, dropout,
+                sim.outlier_prob, sim.outlier_scale))
+    results = replay_runs(truths, readings, rates, noise, kin.attitude)
     records = [
-        TrialRecord(truth=truth, events=events, result=result,
-                    stats=compute_stats(truth, result, events=events, mode=sim.mode))
-        for truth, events, result in zip(truths, events_list, results)
+        TrialRecord(truth=truth, readings=run, result=result,
+                    stats=compute_stats(truth, result, readings=run, mode=sim.mode))
+        for truth, run, result in zip(truths, readings, results)
     ]
     return [records[i * sim.runs:(i + 1) * sim.runs] for i in range(len(selected))]

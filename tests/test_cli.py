@@ -386,6 +386,22 @@ class TestExitCodes:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "o" / "ranking.json").exists()
 
+    @pytest.mark.parametrize("text", ["ugv: {lidar_halfangle_deg: 0}", None],
+                             ids=["bad_value", "missing"])
+    def test_bad_map_leaves_no_artifact_directory(self, tmp_path, capsys, text):
+        mapf = tmp_path / "m.yaml"
+        if text is not None:
+            mapf.write_text(f"bounds_min: [0, -5, -4]\nbounds_max: [20, 5, 0]\n{text}\n")
+        cfgp = tmp_path / "c.yaml"
+        cfgp.write_text(REDUCED + "\n")
+        out = tmp_path / "o"
+        for stage in ("plan", "all"):
+            rc = cli.main([stage, "--config", str(cfgp), "--out", str(out),
+                           "--set", f"map={mapf}"])
+            assert rc == 3
+            assert not out.exists()
+        capsys.readouterr()
+
     def test_unbridgeable_roadmap_exits_4(self, tmp_path, capsys):
         # this seed places nodes whose components cannot be joined without
         # cutting through an obstacle
@@ -536,7 +552,8 @@ class TestTableWriter:
         arr[picks] = rng.choice(specials, int(picks.sum()))
         for fmt in (["%d", "%.3f"] + ["%.9g"] * 8, ["%d", "%.3f", "%.9g", "%d", "%d"] * 2):
             header = ",".join(f"c{i}" for i in range(10))
-            cli._write_table(tmp_path / "table.csv", header, fmt, arr)
+            cli._write_table(tmp_path / "table.csv", header, fmt,
+                             [arr[:, 0], arr[:, 1:4], arr[:, 4:]])
             np.savetxt(tmp_path / "savetxt.csv", arr, fmt=fmt, delimiter=",",
                        header=header, comments="")
             assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

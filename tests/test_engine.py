@@ -313,8 +313,8 @@ def test_batched_replay_matches_scalar_filter():
 
     horizon_skips = 0
     for rec in runs:
-        est, pec, counts, skipped = scalar_replay(rec.truth, rec.events, rates, noise,
-                                                  kin.attitude)
+        events = montecarlo._events(rec.readings, noise.ts)
+        est, pec, counts, skipped = scalar_replay(rec.truth, events, rates, noise, kin.attitude)
         res = rec.result
         assert np.abs(res.est - est).max() < 1e-8
         assert np.abs(res.pec / pec - 1.0).max() < 1e-9
@@ -380,11 +380,12 @@ def test_replay_batch_equals_each_run_alone():
     # two circuits that turn at different steps, two runs each
     runs, kin, rates, noise = near_horizon_runs()
     n = runs[0].truth.commanded.steps
-    readings = montecarlo._readings([rec.events for rec in runs], n, rates)
+    readings = montecarlo._readings([rec.readings for rec in runs], n, rates)
     assert offered_shares(readings.offered) == (True, True)
     assert any(rec.result.skipped for rec in runs)
     for rec in runs:
-        alone = montecarlo.run_online_ekf(rec.truth, rec.events, rates, noise, kin.attitude)
+        alone = montecarlo.replay_runs([rec.truth], [rec.readings], rates, noise,
+                                       kin.attitude)[0]
         assert_same_result(rec.result, alone)
 
 
@@ -425,7 +426,8 @@ def test_replay_batch_with_guard_refusals_equals_each_member_alone():
         events.sort(key=lambda ev: (ev.step, planner.SENSOR_ORDER.index(ev.sensor)))
         truths.append(truth)
         events_list.append(events)
-    batch = montecarlo.replay_runs(truths, events_list, rates, noise, att)
+    batch = montecarlo.replay_runs(truths, [montecarlo._arrays(events) for events in events_list],
+                                   rates, noise, att)
     refused = [sorted({s[1] for s in res.skipped if s[0] == 5}) for res in batch]
     # the camera's range guard also refuses the estimate at AT_MIN_RANGE
     assert refused == [["cam", "uwb"], [], ["cam"], []]
@@ -443,7 +445,7 @@ def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
     planning and in replay."""
     n, lines, _, _, _ = tunnel_candidates(tunnel)
     runs, kin, rates, noise = near_horizon_runs()
-    truths, events = [rec.truth for rec in runs], [rec.events for rec in runs]
+    truths, readings = [rec.truth for rec in runs], [rec.readings for rec in runs]
     all_ticks = max(len(planner.sensor_ticks(rates.fire_table(steps)))
                     for steps in (n, truths[0].commanded.steps))
     results = {}
@@ -451,7 +453,7 @@ def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
         monkeypatch.setattr(planner, "_LIST_TICKS", size)
         results[size] = (
             planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
-            + montecarlo.replay_runs(truths, events, rates, noise, kin.attitude))
+            + montecarlo.replay_runs(truths, readings, rates, noise, kin.attitude))
     for got, want in zip(results[ticks], results[all_ticks], strict=True):
         assert_same_result(got, want)
 
@@ -495,7 +497,7 @@ def test_split_replay_equals_serial(split):
         mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
         runs, kin, rates, noise = near_horizon_runs()
     split.clear()
-    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.readings for rec in runs],
                                  rates, noise, kin.attitude)
     # four runs on three CPUs: chunks of one, one and two members
     assert split == [3] and not multiprocessing.active_children()
@@ -524,7 +526,7 @@ def test_split_failure_leaves_no_worker(split, monkeypatch, where, error):
     runs, kin, rates, noise = near_horizon_runs()
     monkeypatch.setattr(ekf, "altimeter", failing_altimeter(where))
     with pytest.raises(error, match="altimeter failed|exit code 3"):
-        montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+        montecarlo.replay_runs([rec.truth for rec in runs], [rec.readings for rec in runs],
                                rates, noise, kin.attitude)
     assert split[-1] == 3
     assert not multiprocessing.active_children()
@@ -542,7 +544,7 @@ def test_caller_sweeps_a_chunk_whose_worker_cannot_start(split, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
-    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.readings for rec in runs],
                                  rates, noise, kin.attitude)
     assert forks == [0, 1] and not multiprocessing.active_children()
     for g, rec in zip(got, runs, strict=True):
@@ -558,7 +560,7 @@ def test_one_cpu_starts_no_process(split, monkeypatch):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.events for rec in runs],
+    got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.readings for rec in runs],
                                  rates, noise, kin.attitude)
     assert split == [1]
     for g, rec in zip(got, runs, strict=True):

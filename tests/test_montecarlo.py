@@ -1,12 +1,16 @@
 """Tests for truth synthesis, measurement replay, and run statistics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from tunnelplan import circuits, ekf, mapenv, montecarlo, planner, roadmap
+from test_engine import assert_same_result
+from tunnelplan import circuits, config, ekf, mapenv, montecarlo, planner, roadmap
 
 
 def empty_env(bounds_max=(20.0, 5.0, 0.0), rig=None):
@@ -404,6 +408,13 @@ class TestReplay:
             events[-1].dropped = True
             montecarlo.run_online_ekf(truth, events, rates, noise, ekf.Attitude())
 
+    def test_replay_refuses_a_lidar_event_without_gamma(self):
+        _, truth, events = straight_run_events(mode="perfect", n_len=20.0)
+        next(ev for ev in events if ev.sensor == "lidar").gamma = None
+        with pytest.raises(TypeError):
+            montecarlo.run_online_ekf(truth, events, planner.RateSchedule(), ekf.NoiseConfig(),
+                                      ekf.Attitude())
+
     def test_flight_time_tracks_length(self, tunnel):
         g, c = tunnel_fixture(tunnel, graph_seed=9, circuit_seed=2)
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
@@ -450,6 +461,106 @@ class TestReplay:
 
 # ---------------------------------------------------------------------------
 # statistics
+
+
+# ---------------------------------------------------------------------------
+# the reading arrays against the events
+
+
+class TestTrialSets:
+    def test_records_match_event_replay_without_building_events(self, tunnel, monkeypatch):
+        g, first = tunnel_fixture(tunnel, circuit_seed=6)
+        _, second = tunnel_fixture(tunnel, circuit_seed=9)
+        kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
+        sim = config.SimulateSection(runs=2, dropout=0.2, outlier_prob=0.05)
+
+        def no_event(*args, **kwargs):
+            raise AssertionError("a MeasurementEvent was built")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "MeasurementEvent", no_event)
+            sets = montecarlo.run_trial_sets([(first, 0), (second, 1)], g, tunnel, kin, rates,
+                                             noise, 8, sim)
+        records = [rec for recs in sets for rec in recs]
+        assert len(records) == 4
+        for rec in records:
+            _, meas_rng = montecarlo.run_seed_rngs(8, rec.truth.circuit_index,
+                                                   rec.truth.run_index)
+            events = montecarlo.synthesize_measurements(
+                rec.truth, tunnel, rates, noise, kin.attitude, meas_rng, dropout=sim.dropout,
+                outlier_prob=sim.outlier_prob, outlier_scale=sim.outlier_scale)
+            assert any(ev.dropped for ev in events) and any(ev.outlier for ev in events)
+            for sensor, r in montecarlo._arrays(events).items():
+                for got, want in zip(rec.readings[sensor], r, strict=True):
+                    assert (got is None and want is None) or np.array_equal(got, want)
+            want = montecarlo.run_online_ekf(rec.truth, events, rates, noise, kin.attitude)
+            assert_same_result(rec.result, want)
+            assert rec.stats == dataclasses.replace(
+                montecarlo.compute_stats(rec.truth, want, mode=sim.mode),
+                dropped_events=sum(ev.dropped for ev in events))
+
+
+def events_layout(events, n, rates):
+    """Undropped events on the schedule's tick axis, one event at a time:
+    offered, value and gamma of a one-run planner.Readings."""
+    col = {k: i for i, k in enumerate(planner.sensor_ticks(rates.fire_table(n)).tolist())}
+    shape = (1, len(col))
+    offered = {s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER}
+    value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
+             "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
+    gamma = np.ones(shape)
+    for ev in events:
+        if not ev.dropped:
+            offered[ev.sensor][0, col[ev.step]] = True
+            value[ev.sensor][0, col[ev.step]] = ev.value
+            if ev.sensor == "lidar":
+                gamma[0, col[ev.step]] = ev.gamma
+    return offered, value, gamma
+
+
+def with_uwb(readings, steps):
+    """readings with undropped uwb readings of 1 m added at steps."""
+    r, k = readings["uwb"], len(steps)
+    return {**readings, "uwb": montecarlo.SensorReadings(
+        np.append(r.steps, steps), np.append(r.z, np.ones(k)), None,
+        np.append(r.dropped, np.zeros(k, dtype=bool)),
+        np.append(r.outlier, np.zeros(k, dtype=bool)))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hz=st.tuples(*[st.floats(0.5, 50.0)] * 4), dropout=st.floats(0.0, 1.0),
+       outlier_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_reading_arrays_lay_out_as_their_events(hz, dropout, outlier_prob, seed):
+    env = empty_env()
+    g, c = out_and_back([3.0, 1.0, -2.0], [8.0, 1.0, -2.0])
+    nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
+    truth = montecarlo.simulate_truth(nom, np.random.default_rng(seed))
+    rates = planner.RateSchedule(**dict(zip(("alt_hz", "uwb_hz", "cam_hz", "lidar_hz"), hz)))
+    noise, att = ekf.NoiseConfig(), ekf.Attitude()
+    args = (truth, env, rates, noise, att)
+    options = dict(mode="noisy", dropout=dropout, outlier_prob=outlier_prob, outlier_scale=10.0)
+    readings = montecarlo._sensor_readings(*args, np.random.default_rng(seed), **options)
+    events = montecarlo.synthesize_measurements(*args, np.random.default_rng(seed), **options)
+    n = nom.steps
+    want = events_layout(events, n, rates)
+    for run in (readings, montecarlo._arrays(events)):
+        got = montecarlo._readings([run], n, rates)
+        for sensor in planner.SENSOR_ORDER:
+            assert np.array_equal(got.offered[sensor], want[0][sensor])
+            assert np.array_equal(got.value[sensor], want[1][sensor])
+        assert np.array_equal(got.gamma, want[2])
+
+    # a reading off the sensor ticks and two readings of one sensor at one
+    # tick, as arrays and as events
+    first = int(readings["uwb"].steps[0])
+    for steps, message in (([0], "not a sensor tick"), ([n + 1], "not a sensor tick"),
+                           ([first, first], f"two uwb events at step {first}")):
+        with pytest.raises(ValueError, match=message):
+            montecarlo.replay_runs([truth], [with_uwb(readings, steps)], rates, noise, att)
+        added = [montecarlo.MeasurementEvent(step=k, t=k * nom.ts, sensor="uwb", value=1.0)
+                 for k in steps]
+        with pytest.raises(ValueError, match=message):
+            montecarlo.run_online_ekf(truth, events + added, rates, noise, att)
 
 
 def toy_run(err_rows, ts=0.02):
