@@ -310,13 +310,16 @@ def load_map(path) -> EnvironmentMap:
             raise MapFormatError(f"map file {path} is missing {key!r}")
         bounds.append(_map_point(raw[key], key, path))
 
+    entries = raw.get("obstacles")
+    if not isinstance(entries, (list, type(None))):
+        raise MapFormatError(f"obstacles in {path} is malformed: expected a list, got {entries!r}")
     obstacles = []
-    for i, entry in enumerate(raw.get("obstacles") or []):
+    for i, entry in enumerate(entries or []):
         _check_keys(entry, _OBSTACLE_KEYS, f"obstacle {i}", path)
         lo, hi = (_map_point(entry.get(k), f"obstacle {i} {k}", path) for k in ("min", "max"))
         obstacles.append(BoxObstacle(lo, hi))
 
-    rig_raw = raw.get("ugv") or {}
+    rig_raw = {} if raw.get("ugv") is None else raw["ugv"]
     _check_keys(rig_raw, _UGV_KEYS, "the ugv block", path)
     # only the fields the file gives; UgvRig holds the defaults
     given = {}

@@ -251,57 +251,17 @@ def synthesize_measurements(truth: TruthTrajectory, env, rates, noise, attitude,
 # replay
 
 
-def _readings(runs, n: int, rates) -> planner.Readings:
-    """The undropped readings of each run laid out on the schedule's tick axis.
-
-    runs holds each run's {sensor: SensorReadings}. A reading, dropped or
-    not, at a step that is not a sensor tick of steps 1..n raises
-    ValueError, and so do two undropped readings of one sensor at one step.
-    """
-    ticks = planner.sensor_ticks(rates.fire_table(n))
-    tick_of = np.full(n + 2, -1)
-    tick_of[ticks] = np.arange(len(ticks))
-    shape = (len(runs), len(ticks))
-    offered = {s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER}
-    value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
-             "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
-    gamma = np.ones(shape)
-    for b, run in enumerate(runs):
-        for sensor, r in run.items():
-            ti = tick_of[np.clip(r.steps, 0, n + 1)]
-            if (ti < 0).any():
-                raise ValueError(f"measurement event at step {r.steps[ti < 0][0]} is not a "
-                                 f"sensor tick of steps 1..{n}")
-            kept = ~r.dropped
-            ti = ti[kept]
-            at, count = np.unique(ti, return_counts=True)
-            if (count > 1).any():
-                raise ValueError(f"two {sensor} events at step {ticks[at[count > 1][0]]}")
-            offered[sensor][b, ti] = True
-            value[sensor][b, ti] = r.z[kept]
-            if sensor == "lidar":
-                gamma[b, ti] = r.scale[kept]
-    return planner.Readings(offered=offered, value=value, gamma=gamma)
-
-
 def replay_runs(truths, readings, rates, noise, attitude) -> list:
     """Replay each run's readings through the filter along its circuit.
 
-    readings holds each run's {sensor: SensorReadings}. Runs with equal step
-    counts are filtered together in one batched sweep; a run's result does
-    not depend on the others in its batch. The commanded trajectory is the
-    control input and the filter estimates the offset from it (see
-    planner.run_batch). Dropped readings are skipped.
+    readings holds each run's {sensor: SensorReadings}, which one
+    planner.run_batch call lays out and replays; a run's result does not
+    depend on the others replayed with it. The commanded trajectory is the
+    control input and the filter estimates the offset from it. Dropped
+    readings are skipped.
     """
-    noms = [truth.commanded for truth in truths]
-    results: list = [None] * len(noms)
-    for idxs in planner.step_groups(noms):
-        n = noms[idxs[0]].steps
-        batch = planner.run_batch(rates, noise, attitude, [noms[i] for i in idxs],
-                                  readings=_readings([readings[i] for i in idxs], n, rates))
-        for i, res in zip(idxs, batch):
-            results[i] = res
-    return results
+    return planner.run_batch(rates, noise, attitude, [truth.commanded for truth in truths],
+                             readings=readings)
 
 
 def run_online_ekf(truth: TruthTrajectory, events, rates, noise, attitude):

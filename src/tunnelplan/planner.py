@@ -5,20 +5,22 @@ pushes the navigation covariance along it with rate-scheduled, field-of-view
 gated sensor updates, and summarizes the accumulated position-error
 covariance (pec) so candidate circuits can be ranked.
 
-One batched engine drives both planning (covariance-only, mean pinned to
-the nominal trajectory, batched over candidates) and measurement replay
-(mean free, commanded velocity treated as a control input, batched over
-Monte Carlo runs), so planned and replayed covariance series agree step for
-step.
+One batched engine, run_batch, drives both planning (covariance-only, mean
+pinned to the nominal trajectory, batched over candidates) and measurement
+replay (mean free, commanded velocity treated as a control input, batched
+over Monte Carlo runs), so planned and replayed covariance series agree step
+for step. It takes paths of any step counts and sweeps each step count's
+members as one batch.
 
-A large batch is split into contiguous chunks of members, one per usable
-CPU: the calling process sweeps the first and forked workers the others,
-writing their members' outputs into memory shared with the caller. Each
-process samples its own members' paths and builds their update lists
-(visibility gates, sensor models, readings) block by block, so the caller
-holds no per-member set-up and no process holds a whole flight's positions.
-A member's bits do not depend on the others in its batch, so a split run
-returns the same bits as a serial one.
+A batch of many members is split into contiguous chunks of members, one per
+usable CPU: the calling process sweeps the first and forked workers the
+others, writing their members' outputs into memory shared with the caller.
+Each process samples its own members' paths, lays out their replay readings
+on the tick axis and builds their update lists (visibility gates, sensor
+models, readings) block by block, so the caller holds no per-member set-up
+and no process holds a whole flight's positions. A member's bits do not
+depend on the others in its batch, so a split run returns the same bits as a
+serial one.
 """
 
 from __future__ import annotations
@@ -211,17 +213,17 @@ def _validate_circuit(circuit, graph) -> None:
 # ---------------------------------------------------------------------------
 # batched belief engine
 #
-# Members of one batch share the step count, hence one fire schedule; only
-# their trajectories and readings differ. Planning batches the candidate
-# circuits over one Eulerized graph and replay batches Monte Carlo runs, so
-# each step is a handful of array operations over the member axis.
+# Members of one step count share one fire schedule; only their trajectories
+# and readings differ. Planning batches the candidate circuits over one
+# Eulerized graph and replay batches Monte Carlo runs, so each step is a
+# handful of array operations over the member axis.
 
 # recorded covariances turned into per-step pec at a time, in bytes
 _FLUSH_BYTES = 2 << 20
-# members x sensor ticks from which a batch is split across CPUs. On a
-# 2-vCPU VM two halves lost time at 5,000, saved 4 % at 10,000 and 10-16 %
-# from 20,000; below it sit the many small batches of the unit tests
-_SPLIT_MEMBER_TICKS = 20_000
+# members from which a batch is split across CPUs: each process pays a fixed
+# cost per tick, and a split halves only the work per member. On a 2-vCPU VM
+# two halves planned faster in 7 of 10 pairs at 16 and 32 members, 9+ from 48
+_SPLIT_MEMBERS = 48
 # sensor ticks whose update lists are built at once. A list's arrays take
 # about 330 B per member and tick (a camera pair's Jacobian, noise and bound
 # alone 152 B), so a block holds about 42 kB per member, a fifth of the
@@ -255,22 +257,6 @@ class EngineResult:
     cam_updates: int
     lidar_updates: int
     skipped: list
-
-
-@dataclass
-class Readings:
-    """Replay measurements of a batch on the schedule's tick axis.
-
-    The T ticks are the steps where any sensor fires. offered[sensor]
-    (B, T) marks an undropped reading of that sensor at each tick and
-    value[sensor] holds it, shaped (B, T) for alt and uwb and (B, T, 3) for
-    cam and lidar; entries not offered are never read. gamma (B, T) is the
-    lidar reading's noise scale, read where the lidar is offered.
-    """
-
-    offered: dict
-    value: dict
-    gamma: np.ndarray
 
 
 def _log_skips(skipped, members, step, sensor, reason) -> None:
@@ -453,39 +439,88 @@ def _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped) ->
     return lists
 
 
-def _replayed_updates(t0, t1, block_pos, offered, value, gamma, models, R, rmin) -> dict:
+def _tick_rows(runs, n: int, ticks: np.ndarray) -> list:
+    """Where each run's undropped readings lie on the tick axis.
+
+    runs holds each run's {sensor: SensorReadings} for every sensor. Per run
+    and sensor this returns (ti, rows, r): rows, the rows of r (that
+    sensor's readings) that are not dropped, and ti, their tick indices, in
+    ascending order. A reading, dropped or not, at a step that is not a
+    sensor tick of steps 1..n raises ValueError, and so do two undropped
+    readings of one sensor at one tick.
+    """
+    tick_of = np.full(n + 2, -1)
+    tick_of[ticks] = np.arange(len(ticks))
+    laid = []
+    for run in runs:
+        laid.append({})
+        for sensor in SENSOR_ORDER:
+            r = run[sensor]
+            ti = tick_of[np.clip(r.steps, 0, n + 1)]
+            if (ti < 0).any():
+                raise ValueError(f"measurement event at step {r.steps[ti < 0][0]} is not a "
+                                 f"sensor tick of steps 1..{n}")
+            rows = np.flatnonzero(~r.dropped)
+            rows = rows[np.argsort(ti[rows], kind="stable")]
+            ti = ti[rows]
+            twice = np.flatnonzero(np.diff(ti) == 0)
+            if len(twice):
+                raise ValueError(f"two {sensor} events at step {ticks[ti[twice[0]]]}")
+            laid[-1][sensor] = (ti, rows, r)
+    return laid
+
+
+def _replayed_updates(t0, t1, block_pos, laid, models, R, rmin) -> dict:
     """Update lists of ticks t0..t1-1 in replay, by sensor: the pairs with
-    an undropped reading. block_pos (nb, t1 - t0, 3) holds the members'
+    an undropped reading, taken from the runs' readings where laid
+    (_tick_rows) puts them. block_pos (nb, t1 - t0, 3) holds the members'
     commanded positions at those ticks. Only the sensors of
     _FIXED_AT_ESTIMATE carry their terms; the lidar's noise scale is its
-    reading's gamma."""
+    reading's scale (gamma)."""
     lists = {}
     for sensor in SENSOR_ORDER:
-        tick, member = np.divmod(np.flatnonzero(offered[sensor][:, t0:t1].T), len(block_pos))
-        at = (member, t0 + tick)
+        # each member's pairs, tick by tick; a stable sort on the tick then
+        # makes them tick-major with members ascending within a tick
+        tick, member, z, scale = [], [], [], []
+        for b, at in enumerate(laid):
+            ti, rows, r = at[sensor]
+            lo, hi = np.searchsorted(ti, (t0, t1))
+            tick.append(ti[lo:hi] - t0)
+            member.append(np.full(hi - lo, b))
+            z.append(r.z[rows[lo:hi]])
+            if sensor == "lidar":
+                scale.append(r.scale[rows[lo:hi]])
+        order = np.argsort(np.concatenate(tick), kind="stable")
+        tick, member = np.concatenate(tick)[order], np.concatenate(member)[order]
         pos, terms = block_pos[member, tick], None
         if sensor in _FIXED_AT_ESTIMATE:
             m = models[sensor](pos)
-            terms = _terms(sensor, m.Hr, gamma[at] if m.scale is None else m.scale, R, rmin)
+            terms = _terms(sensor, m.Hr, np.concatenate(scale)[order] if m.scale is None
+                           else m.scale, R, rmin)
         lists[sensor] = _Updates(_offsets(tick, t1 - t0), member, terms, pos,
-                                 value[sensor][at])
+                                 np.concatenate(z)[order])
     return lists
 
 
 def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
-    """Propagate the belief of every member along its path at once, each
-    from the identity covariance at step 0.
+    """Propagate the belief of every member along its path, each from the
+    identity covariance at step 0; returns their EngineResults in the order
+    of paths.
 
-    The members' paths share one step count n. Each is read only at the
-    sensor ticks, sensor_ticks(rates.fire_table(n)), and only a block
+    The paths may have any step counts. The members of one step count n
+    form one batch, swept shortest n first (_sweep_group). Each is read only
+    at the sensor ticks, sensor_ticks(rates.fire_table(n)), and only a block
     of them at a time (see below), so no table of a whole flight's
     positions is built. Planning (readings is None) takes Polylines or
     NominalTrajectories and pins the mean to them. It updates where a
     sensor delivers a reading on env (reading_sites) at each tick's
     position and applies zero-innovation updates. Replay takes the commanded
-    NominalTrajectories and holds the mean as its offset from them: it
-    leaves the position offset free, evaluates Jacobians and guards at the
-    member's estimate and applies its readings. A tick's velocity
+    NominalTrajectories and readings, each run's {sensor: SensorReadings}
+    as synthesis drew them, and holds the mean as its offset from the
+    commanded path: it leaves the position offset free, evaluates Jacobians
+    and guards at the member's estimate and applies its undropped readings.
+    A reading off the sensor ticks, and two undropped readings of one sensor
+    at one tick, raise ValueError (_tick_rows). A tick's velocity
     correction lasts until the member's own next turn, capped at the next
     tick; the velocity is the commanded one otherwise. Both modes predict
     between the same bounds, step 0, the sensor ticks and the last step, so
@@ -496,19 +531,31 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
     pec, the position block's largest eigenvalue, is recorded after each
     full step, including that step's updates, and in replay so is the
     estimated position, the commanded one plus the offset.
-    A batch of at least _SPLIT_MEMBER_TICKS members x sensor ticks is swept
-    in chunks across the usable CPUs (_split_members), with the same bits.
-    Each process samples the paths and builds the update lists of its own
+    A batch of at least _SPLIT_MEMBERS members is swept in chunks across the
+    usable CPUs (_split_members), with the same bits. Each process samples
+    the paths, lays out the readings and builds the update lists of its own
     members, _LIST_TICKS sensor ticks at a time, and its tick loop does only
     the covariance and mean algebra.
     """
     if abs(noise.ts * rates.predict_hz - 1.0) > 1e-9:
         raise ValueError("noise.ts and rates.predict_hz disagree")
-    n = paths[0].steps
-    replay = readings is not None
+    groups: dict[int, list[int]] = {}
+    for i, path in enumerate(paths):
+        groups.setdefault(path.steps, []).append(i)
+    results: list = [None] * len(paths)
+    for n in sorted(groups):
+        idxs = groups[n]
+        runs = None if readings is None else [readings[i] for i in idxs]
+        swept = _sweep_group(rates, noise, attitude, n, [paths[i] for i in idxs], env, runs)
+        for i, res in zip(idxs, swept):
+            results[i] = res
+    return results
+
+
+def _sweep_group(rates, noise, attitude, n: int, paths, env, runs) -> list:
+    """run_batch on paths of n steps each; runs is None in planning."""
+    replay = runs is not None
     B = len(paths)
-    if any(path.steps != n for path in paths):
-        raise ValueError("batch members must share one step count")
     ts = noise.ts
 
     table = rates.fire_table(n)
@@ -519,9 +566,8 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
     # the last bound at or before each step, and the steps predicted past it
     last = np.searchsorted(bounds, np.arange(n + 1), side="right") - 1
     ahead = np.arange(n + 1) - bounds[last]
-    offered = value = gamma = fire = models = sites = None
+    fire = models = sites = None
     if replay:
-        offered, value, gamma = readings.offered, readings.value, readings.gamma
         # replay's models leave the lidar's noise scale to its readings
         models = ekf.sensor_models(attitude)
     else:
@@ -531,7 +577,7 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
     rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
             "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
 
-    k = _process_count(B, T)
+    k = _process_count(B)
     # outputs each process fills for its own members: in shared memory once
     # forked workers write them
     zeros = np.zeros if k == 1 else _shared_zeros
@@ -539,7 +585,7 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
     est = zeros((B, n, 3)) if replay else None
     fired = {"cam": zeros((B, n + 1), dtype=bool), "lidar": zeros((B, n + 1), dtype=bool)}
 
-    def propagate(paths, offered, value, gamma, pec, est, fired):
+    def propagate(paths, runs, pec, est, fired):
         """The per-tick sweep and flushes of the members these inputs hold.
 
         Writes their pec, estimated positions and fired flags into the given
@@ -559,12 +605,12 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
                 hold[b] = np.minimum(after, np.append(bounds[1:], n + 1)) - bounds
         counts = np.zeros((nb, 4), dtype=int)
         skipped: list[list] = [[] for _ in range(nb)]
+        laid = _tick_rows(runs, n, ticks) if replay else None
 
         def updates(t0: int, t1: int) -> dict:
             block_pos = _positions(paths, ticks[t0:t1])
             if replay:
-                return _replayed_updates(t0, t1, block_pos, offered, value, gamma,
-                                         models, R, rmin)
+                return _replayed_updates(t0, t1, block_pos, laid, models, R, rmin)
             return _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped)
 
         # The covariance (and mean) after each bound goes to a buffer of a few
@@ -655,8 +701,7 @@ def run_batch(rates, noise, attitude, paths, env=None, readings=None) -> list:
         return counts, skipped
 
     def sweep(lo: int, hi: int) -> tuple:
-        return propagate(*(_rows(a, lo, hi) for a in (paths, offered, value, gamma,
-                                                      pec, est, fired)))
+        return propagate(*(_rows(a, lo, hi) for a in (paths, runs, pec, est, fired)))
 
     counts, skipped = _split_members(k, B, sweep)
     t_axis = np.arange(1, n + 1) * ts
@@ -679,9 +724,9 @@ def _rows(a, lo: int, hi: int):
     return None if a is None else a[lo:hi]
 
 
-def _process_count(B: int, T: int) -> int:
-    """How many processes share a batch of B members over T sensor ticks."""
-    if B * T < _SPLIT_MEMBER_TICKS or not hasattr(os, "sched_getaffinity"):
+def _process_count(B: int) -> int:
+    """How many processes share a batch of B members."""
+    if B < _SPLIT_MEMBERS or not hasattr(os, "sched_getaffinity"):
         return 1
     cpus = min(len(os.sched_getaffinity(0)), B)
     if cpus < 2:
@@ -772,15 +817,6 @@ def _sweep_part(sweep, lo: int, hi: int, conn) -> None:
     conn.close()
 
 
-def step_groups(paths) -> list:
-    """Indices of trajectories or polylines grouped by step count, shortest
-    first; each group can share one batch."""
-    groups: dict[int, list[int]] = {}
-    for i, path in enumerate(paths):
-        groups.setdefault(path.steps, []).append(i)
-    return [groups[k] for k in sorted(groups)]
-
-
 # ---------------------------------------------------------------------------
 # scoring
 
@@ -828,22 +864,18 @@ def _summarize(circuit, line, result) -> PathScore:
 
 
 def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
-    """Score every candidate circuit, batching those with equal step counts.
+    """Score every candidate circuit in one run_batch call.
 
-    Each batch gets the candidates' Polylines, which the engine samples at
-    sensor ticks only, a block of ticks at a time: memory holds no per-step
-    or whole-flight position of any candidate.
+    The engine gets the candidates' Polylines, which it samples at sensor
+    ticks only, a block of ticks at a time: memory holds no per-step or
+    whole-flight position of any candidate.
     """
     lines = []
     for circuit in circuit_list:
         _validate_circuit(circuit, graph)
         lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
-    scores: list = [None] * len(lines)
-    for idxs in step_groups(lines):
-        results = run_batch(rates, noise, kin.attitude, [lines[i] for i in idxs], env=env)
-        for i, res in zip(idxs, results):
-            scores[i] = _summarize(circuit_list[i], lines[i], res)
-    return scores
+    results = run_batch(rates, noise, kin.attitude, lines, env=env)
+    return [_summarize(*args) for args in zip(circuit_list, lines, results)]
 
 
 def check_uncertainty_threshold(score: PathScore, limit: float) -> bool:

@@ -289,6 +289,8 @@ def graph_from_dict(data: dict) -> RoadmapGraph:
         source = int(data.get("source", 0))
     except (KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"malformed graph data: {exc}") from exc
+    if not np.isfinite(nodes).all():
+        raise MapFormatError("malformed graph data: a node coordinate is not finite")
     for e in edges:
         if not (0 <= e.i < len(nodes) and 0 <= e.j < len(nodes)):
             raise MapFormatError(

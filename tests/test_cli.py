@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline and its artifacts."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -76,6 +77,15 @@ def plan_out(reduced_cfg, tmp_path_factory):
     rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(out)])
     assert rc == 0
     return out
+
+
+def merge_first_edge(g):
+    """graph.json data whose first edge joins two nodes at one place; every
+    circuit flies that edge."""
+    i, j = g["edges"][0][:2]
+    nodes = list(g["nodes"])
+    nodes[j] = nodes[i]
+    return {**g, "nodes": nodes}
 
 
 def copy_plan(plan_out, tmp_path):
@@ -436,7 +446,11 @@ class TestExitCodes:
         ("graph.json", lambda g: {**g, "nodes": g["nodes"][:3]}, "graph.json"),
         # every circuit flies every edge, so each one uses the dropped edge
         ("graph.json", lambda g: {**g, "edges": g["edges"][:-1]}, "circuits.json"),
-    ], ids=["truncated_circuits", "graph_edges_past_its_nodes", "circuit_off_its_graph"])
+        ("graph.json", lambda g: {**g, "nodes": [[math.nan, *g["nodes"][0][1:]],
+                                                 *g["nodes"][1:]]}, "graph.json"),
+        ("graph.json", merge_first_edge, "circuits.json"),
+    ], ids=["truncated_circuits", "graph_edges_past_its_nodes", "circuit_off_its_graph",
+            "graph_node_not_finite", "circuit_repeats_a_waypoint"])
     def test_stale_plan_artifact_exits_6_naming_file(
         self, reduced_cfg, plan_out, tmp_path, capsys, name, spoil, named
     ):

@@ -281,6 +281,10 @@ def scalar_replay(truth, events, rates, noise, att):
     return est, pec, counts, skipped
 
 
+# a triangle with one leg close to the camera's horizon
+TRIANGLE = np.array([[1.5, 0.0, -1.5], [6.0, 2.5, -0.35], [9.0, -2.0, -0.5]])
+
+
 def near_horizon_runs():
     """Two runs each of a triangle flown both ways, replayed in one batch.
 
@@ -288,7 +292,7 @@ def near_horizon_runs():
     on different sides of the elevation guard now and then.
     """
     env = open_env()
-    nodes = np.array([[1.5, 0.0, -1.5], [6.0, 2.5, -0.35], [9.0, -2.0, -0.5]])
+    nodes = TRIANGLE
     lengths = [float(np.linalg.norm(nodes[i] - nodes[j])) for i, j in ((0, 1), (1, 2), (2, 0))]
     g = roadmap.RoadmapGraph(nodes=nodes, source=0, edges=[
         roadmap.Edge(0, 1, lengths[0]), roadmap.Edge(1, 2, lengths[1]),
@@ -380,13 +384,68 @@ def test_replay_batch_equals_each_run_alone():
     # two circuits that turn at different steps, two runs each
     runs, kin, rates, noise = near_horizon_runs()
     n = runs[0].truth.commanded.steps
-    readings = montecarlo._readings([rec.readings for rec in runs], n, rates)
-    assert offered_shares(readings.offered) == (True, True)
+    ticks = planner.sensor_ticks(rates.fire_table(n))
+    laid = planner._tick_rows([rec.readings for rec in runs], n, ticks)
+    offered = {sensor: np.zeros((len(runs), len(ticks)), dtype=bool)
+               for sensor in planner.SENSOR_ORDER}
+    for b, at in enumerate(laid):
+        for sensor, (ti, _, _) in at.items():
+            offered[sensor][b, ti] = True
+    assert offered_shares(offered) == (True, True)
     assert any(rec.result.skipped for rec in runs)
     for rec in runs:
         alone = montecarlo.replay_runs([rec.truth], [rec.readings], rates, noise,
                                        kin.attitude)[0]
         assert_same_result(rec.result, alone)
+
+
+def mixed_length_circuits():
+    """The near-horizon triangle flown both ways and two out-and-backs of
+    other lengths, interleaved: their graph, circuits and open map."""
+    g = roadmap.RoadmapGraph(nodes=TRIANGLE, source=0, edges=[
+        roadmap.Edge(i, j, float(np.linalg.norm(TRIANGLE[i] - TRIANGLE[j])), 2)
+        for i, j in ((0, 1), (1, 2), (2, 0))])
+
+    def circuit(path, refs):
+        length = sum(g.edges[k].length for k, _ in refs)
+        return circuits.Circuit(nodes=path, edge_refs=refs, length=length,
+                                flight_time=length / 0.5)
+
+    return g, [circuit([0, 1, 2, 0], [(0, 0), (1, 0), (2, 0)]),
+               circuit([0, 1, 0], [(0, 0), (0, 1)]),
+               circuit([0, 2, 1, 0], [(2, 0), (1, 0), (0, 0)]),
+               circuit([0, 2, 0], [(2, 0), (2, 1)])], open_env()
+
+
+def test_mixed_length_batch_equals_each_member_alone():
+    g, cands, env = mixed_length_circuits()
+    kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
+    lines = [planner.Polyline.of(c, g, kin.cruise, noise.ts) for c in cands]
+    steps = [line.steps for line in lines]
+    # three step counts, not in ascending order
+    assert len(set(steps)) == 3 and steps != sorted(steps)
+    batch = planner.run_batch(rates, noise, kin.attitude, lines, env=env)
+    for line, res in zip(lines, batch, strict=True):
+        assert len(res.pec) == line.steps
+        assert_same_result(res, planner.run_batch(rates, noise, kin.attitude, [line],
+                                                  env=env)[0])
+
+    # replay: every run of every circuit in one batch (run_trial_sets)
+    sets = montecarlo.run_trial_sets(
+        [(c, i) for i, c in enumerate(cands)], g, env, kin, rates, noise, master_seed=3,
+        sim=config.SimulateSection(runs=2, dropout=0.2, outlier_prob=0.05))
+    records = [rec for recs in sets for rec in recs]
+    assert [len(rec.result.pec) for rec in records] == [k for k in steps for _ in range(2)]
+    for rec in records:
+        alone = montecarlo.replay_runs([rec.truth], [rec.readings], rates, noise,
+                                       kin.attitude)[0]
+        assert_same_result(rec.result, alone)
+
+
+def test_empty_batch_returns_no_results():
+    rates, noise = planner.RateSchedule(), ekf.NoiseConfig()
+    assert planner.run_batch(rates, noise, ekf.Attitude(), [], env=open_env()) == []
+    assert montecarlo.replay_runs([], [], rates, noise, ekf.Attitude()) == []
 
 
 def guard_batch():
@@ -465,13 +524,13 @@ def test_update_list_blocks_do_not_change_the_bits(tunnel, monkeypatch, ticks):
 @pytest.fixture
 def split(monkeypatch):
     """Split every batch across three CPUs; returns the worker counts used."""
-    monkeypatch.setattr(planner, "_SPLIT_MEMBER_TICKS", 0)
+    monkeypatch.setattr(planner, "_SPLIT_MEMBERS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     used = []
     process_count = planner._process_count
 
-    def counted(B, T):
-        used.append(process_count(B, T))
+    def counted(B):
+        used.append(process_count(B))
         return used[-1]
 
     monkeypatch.setattr(planner, "_process_count", counted)
@@ -484,7 +543,7 @@ def test_split_planning_equals_serial(tunnel, split):
     assert split == [3] and not multiprocessing.active_children()
     split.clear()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        mp.setattr(planner, "_SPLIT_MEMBERS", 10**12)
         want = planner.run_batch(rates, noise, kin.attitude, lines, env=tunnel)
     assert split == [1]
     for g, w in zip(got, want, strict=True):
@@ -494,7 +553,7 @@ def test_split_planning_equals_serial(tunnel, split):
 def test_split_replay_equals_serial(split):
     # built serially: near_horizon_runs() replays its runs before the split
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        mp.setattr(planner, "_SPLIT_MEMBERS", 10**12)
         runs, kin, rates, noise = near_horizon_runs()
     split.clear()
     got = montecarlo.replay_runs([rec.truth for rec in runs], [rec.readings for rec in runs],

@@ -249,12 +249,24 @@ class TestLoading:
         # rig, so a moved rig would give the two inconsistent geometry
         ("ugv:\n  position: [1.0, 0.0, 0.0]\n", "frame origin"),
         ("ugv:\n  position: [0, 0, -0.5]\n", "frame origin"),
+        # a block of the wrong kind, even one that reads as false
+        ("obstacles: 5\n", "obstacles in .* expected a list"),
+        ("obstacles: abc\n", "obstacles in .* expected a list"),
+        ("obstacles: {min: [1, 1, -1], max: [2, 2, 0]}\n", "obstacles in .* expected a list"),
+        ("obstacles: 0\n", "obstacles in .* expected a list"),
+        ("ugv: 0\n", "ugv block"),
+        ("ugv: ''\n", "ugv block"),
     ])
     def test_unknown_or_malformed_block_rejected(self, tmp_path, text, where):
         bad = tmp_path / "bad.yaml"
         bad.write_text("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\n" + text)
         with pytest.raises(MapFormatError, match=where):
             mapenv.load_map(bad)
+
+    def test_null_obstacles_are_none(self, tmp_path):
+        f = tmp_path / "m.yaml"
+        f.write_text("bounds_min: [0, 0, -2]\nbounds_max: [4, 4, 0]\nobstacles:\n")
+        assert mapenv.load_map(f).obstacles == []
 
     def test_readme_map_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

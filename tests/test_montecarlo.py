@@ -500,21 +500,40 @@ class TestTrialSets:
                 dropped_events=sum(ev.dropped for ev in events))
 
 
+def empty_layout(n, rates):
+    """One run's tick-axis tables with no reading: per sensor, (1, T) flags
+    offered and values value, and the lidar's gamma."""
+    shape = (1, len(planner.sensor_ticks(rates.fire_table(n))))
+    return ({s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER},
+            {"alt": np.zeros(shape), "uwb": np.zeros(shape),
+             "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))},
+            np.ones(shape))
+
+
 def events_layout(events, n, rates):
-    """Undropped events on the schedule's tick axis, one event at a time:
-    offered, value and gamma of a one-run planner.Readings."""
+    """Undropped events on the schedule's tick axis, one event at a time,
+    in empty_layout's tables."""
     col = {k: i for i, k in enumerate(planner.sensor_ticks(rates.fire_table(n)).tolist())}
-    shape = (1, len(col))
-    offered = {s: np.zeros(shape, dtype=bool) for s in planner.SENSOR_ORDER}
-    value = {"alt": np.zeros(shape), "uwb": np.zeros(shape),
-             "cam": np.zeros(shape + (3,)), "lidar": np.zeros(shape + (3,))}
-    gamma = np.ones(shape)
+    offered, value, gamma = empty_layout(n, rates)
     for ev in events:
         if not ev.dropped:
             offered[ev.sensor][0, col[ev.step]] = True
             value[ev.sensor][0, col[ev.step]] = ev.value
             if ev.sensor == "lidar":
                 gamma[0, col[ev.step]] = ev.gamma
+    return offered, value, gamma
+
+
+def tick_layout(run, n, rates):
+    """A run's undropped readings where planner._tick_rows puts them, in
+    empty_layout's tables."""
+    offered, value, gamma = empty_layout(n, rates)
+    (at,) = planner._tick_rows([run], n, planner.sensor_ticks(rates.fire_table(n)))
+    for sensor, (ti, rows, r) in at.items():
+        offered[sensor][0, ti] = True
+        value[sensor][0, ti] = r.z[rows]
+        if sensor == "lidar":
+            gamma[0, ti] = r.scale[rows]
     return offered, value, gamma
 
 
@@ -544,11 +563,11 @@ def test_reading_arrays_lay_out_as_their_events(hz, dropout, outlier_prob, seed)
     n = nom.steps
     want = events_layout(events, n, rates)
     for run in (readings, montecarlo._arrays(events)):
-        got = montecarlo._readings([run], n, rates)
+        offered, value, gamma = tick_layout(run, n, rates)
         for sensor in planner.SENSOR_ORDER:
-            assert np.array_equal(got.offered[sensor], want[0][sensor])
-            assert np.array_equal(got.value[sensor], want[1][sensor])
-        assert np.array_equal(got.gamma, want[2])
+            assert np.array_equal(offered[sensor], want[0][sensor])
+            assert np.array_equal(value[sensor], want[1][sensor])
+        assert np.array_equal(gamma, want[2])
 
     # a reading off the sensor ticks and two readings of one sensor at one
     # tick, as arrays and as events

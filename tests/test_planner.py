@@ -338,7 +338,7 @@ class TestPlanningMemory:
         # every sensor at the prediction rate: each of the 2,000 steps of a
         # 20 m out-and-back flight is a sensor tick, so a table of every
         # candidate's tick positions would add 24 B per candidate-step
-        monkeypatch.setattr(planner, "_SPLIT_MEMBER_TICKS", 10**12)
+        monkeypatch.setattr(planner, "_SPLIT_MEMBERS", 10**12)
         env = empty_env()
         g, c = out_and_back_graph([3.0, 1.0, -2.0], [13.0, 1.0, -2.0])
         kin, noise = planner.KinematicProfile(), ekf.NoiseConfig()
