@@ -431,8 +431,6 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
     for _, idx in selected:
         try:
             planner._validate_circuit(cands[idx], g)
-            # refuses a circuit whose waypoints repeat a place consecutively
-            planner.Polyline.of(cands[idx], g, kin.cruise, noise.ts)
         except InvalidCircuitError as exc:
             raise MissingArtifactError(
                 f"corrupt artifact circuits.json: circuit {idx} does not fit "

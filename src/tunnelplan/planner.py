@@ -220,10 +220,11 @@ def _validate_circuit(circuit, graph) -> None:
 
 # recorded covariances turned into per-step pec at a time, in bytes
 _FLUSH_BYTES = 2 << 20
-# members from which a batch is split across CPUs: each process pays a fixed
-# cost per tick, and a split halves only the work per member. On a 2-vCPU VM
-# two halves planned faster in 7 of 10 pairs at 16 and 32 members, 9+ from 48
-_SPLIT_MEMBERS = 48
+# members from which a batch is split across CPUs. On a 2-vCPU VM a split
+# planned and replayed faster in most timed pairs from 2 members up, but it
+# costs the caller about 1 MB of peak memory (replay_deep: 10 candidates);
+# from 12 members every count's pooled pairs favoured the split
+_SPLIT_MEMBERS = 12
 # sensor ticks whose update lists are built at once. A list's arrays take
 # about 330 B per member and tick (a camera pair's Jacobian, noise and bound
 # alone 152 B), so a block holds about 42 kB per member, a fifth of the
@@ -439,66 +440,63 @@ def _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped) ->
     return lists
 
 
-def _tick_rows(runs, n: int, ticks: np.ndarray) -> list:
-    """Where each run's undropped readings lie on the tick axis.
+def _tick_rows(runs, n: int, ticks: np.ndarray) -> dict:
+    """Where the runs' undropped readings lie on the tick axis, by sensor.
 
-    runs holds each run's {sensor: SensorReadings} for every sensor. Per run
-    and sensor this returns (ti, rows, r): rows, the rows of r (that
-    sensor's readings) that are not dropped, and ti, their tick indices, in
-    ascending order. A reading, dropped or not, at a step that is not a
-    sensor tick of steps 1..n raises ValueError, and so do two undropped
-    readings of one sensor at one tick.
+    runs holds each member's {sensor: SensorReadings} for every sensor. Per
+    sensor this returns (tick, member, z, scale): each undropped reading's
+    tick index, member, value and, for the lidar, noise scale (None for the
+    others), tick-major with members ascending within a tick. A reading,
+    dropped or not, at a step that is not a sensor tick of steps 1..n raises
+    ValueError, and so do two undropped readings of one sensor at one tick.
     """
-    tick_of = np.full(n + 2, -1)
+    # 4-byte tick indices and members: a sweep has fewer than 2**31 of each
+    tick_of = np.full(n + 2, -1, dtype=np.int32)
     tick_of[ticks] = np.arange(len(ticks))
-    laid = []
-    for run in runs:
-        laid.append({})
-        for sensor in SENSOR_ORDER:
+    laid = {}
+    for sensor in SENSOR_ORDER:
+        tick, member, z, scale = [], [], [], []
+        for b, run in enumerate(runs):
             r = run[sensor]
             ti = tick_of[np.clip(r.steps, 0, n + 1)]
             if (ti < 0).any():
                 raise ValueError(f"measurement event at step {r.steps[ti < 0][0]} is not a "
                                  f"sensor tick of steps 1..{n}")
             rows = np.flatnonzero(~r.dropped)
-            rows = rows[np.argsort(ti[rows], kind="stable")]
-            ti = ti[rows]
-            twice = np.flatnonzero(np.diff(ti) == 0)
-            if len(twice):
-                raise ValueError(f"two {sensor} events at step {ticks[ti[twice[0]]]}")
-            laid[-1][sensor] = (ti, rows, r)
+            tick.append(ti[rows])
+            member.append(np.full(len(rows), b, dtype=np.int32))
+            z.append(r.z[rows])
+            if sensor == "lidar":
+                scale.append(r.scale[rows])
+        # a stable sort on the tick keeps members, and each member's
+        # readings, in order within a tick
+        order = np.argsort(np.concatenate(tick), kind="stable")
+        tick, member = np.concatenate(tick)[order], np.concatenate(member)[order]
+        twice = np.flatnonzero((np.diff(tick) == 0) & (np.diff(member) == 0))
+        if len(twice):
+            raise ValueError(f"two {sensor} events at step {ticks[tick[twice[0]]]}")
+        laid[sensor] = (tick, member, np.concatenate(z)[order],
+                        np.concatenate(scale)[order] if scale else None)
     return laid
 
 
 def _replayed_updates(t0, t1, block_pos, laid, models, R, rmin) -> dict:
     """Update lists of ticks t0..t1-1 in replay, by sensor: the pairs with
-    an undropped reading, taken from the runs' readings where laid
-    (_tick_rows) puts them. block_pos (nb, t1 - t0, 3) holds the members'
-    commanded positions at those ticks. Only the sensors of
-    _FIXED_AT_ESTIMATE carry their terms; the lidar's noise scale is its
-    reading's scale (gamma)."""
+    an undropped reading, a slice of laid (_tick_rows). block_pos
+    (nb, t1 - t0, 3) holds the members' commanded positions at those ticks.
+    Only the sensors of _FIXED_AT_ESTIMATE carry their terms; the lidar's
+    noise scale is its reading's scale (gamma)."""
     lists = {}
     for sensor in SENSOR_ORDER:
-        # each member's pairs, tick by tick; a stable sort on the tick then
-        # makes them tick-major with members ascending within a tick
-        tick, member, z, scale = [], [], [], []
-        for b, at in enumerate(laid):
-            ti, rows, r = at[sensor]
-            lo, hi = np.searchsorted(ti, (t0, t1))
-            tick.append(ti[lo:hi] - t0)
-            member.append(np.full(hi - lo, b))
-            z.append(r.z[rows[lo:hi]])
-            if sensor == "lidar":
-                scale.append(r.scale[rows[lo:hi]])
-        order = np.argsort(np.concatenate(tick), kind="stable")
-        tick, member = np.concatenate(tick)[order], np.concatenate(member)[order]
+        tick, member, z, scale = laid[sensor]
+        lo, hi = np.searchsorted(tick, (t0, t1))
+        tick, member = tick[lo:hi] - t0, member[lo:hi]
         pos, terms = block_pos[member, tick], None
         if sensor in _FIXED_AT_ESTIMATE:
             m = models[sensor](pos)
-            terms = _terms(sensor, m.Hr, np.concatenate(scale)[order] if m.scale is None
-                           else m.scale, R, rmin)
-        lists[sensor] = _Updates(_offsets(tick, t1 - t0), member, terms, pos,
-                                 np.concatenate(z)[order])
+            terms = _terms(sensor, m.Hr, scale[lo:hi] if m.scale is None else m.scale,
+                           R, rmin)
+        lists[sensor] = _Updates(_offsets(tick, t1 - t0), member, terms, pos, z[lo:hi])
     return lists
 
 

@@ -296,6 +296,9 @@ def graph_from_dict(data: dict) -> RoadmapGraph:
             raise MapFormatError(
                 f"malformed graph data: edge ({e.i}, {e.j}) joins a node outside "
                 f"the {len(nodes)} listed")
+        if np.array_equal(nodes[e.i], nodes[e.j]):
+            raise MapFormatError(
+                f"malformed graph data: edge ({e.i}, {e.j}) joins two nodes at one place")
     return RoadmapGraph(nodes=nodes, edges=edges, source=source)
 
 

@@ -80,8 +80,8 @@ def plan_out(reduced_cfg, tmp_path_factory):
 
 
 def merge_first_edge(g):
-    """graph.json data whose first edge joins two nodes at one place; every
-    circuit flies that edge."""
+    """graph.json data whose first edge joins two nodes at one place, which
+    no circuit can fly."""
     i, j = g["edges"][0][:2]
     nodes = list(g["nodes"])
     nodes[j] = nodes[i]
@@ -448,9 +448,9 @@ class TestExitCodes:
         ("graph.json", lambda g: {**g, "edges": g["edges"][:-1]}, "circuits.json"),
         ("graph.json", lambda g: {**g, "nodes": [[math.nan, *g["nodes"][0][1:]],
                                                  *g["nodes"][1:]]}, "graph.json"),
-        ("graph.json", merge_first_edge, "circuits.json"),
+        ("graph.json", merge_first_edge, "graph.json"),
     ], ids=["truncated_circuits", "graph_edges_past_its_nodes", "circuit_off_its_graph",
-            "graph_node_not_finite", "circuit_repeats_a_waypoint"])
+            "graph_node_not_finite", "graph_edge_of_length_zero"])
     def test_stale_plan_artifact_exits_6_naming_file(
         self, reduced_cfg, plan_out, tmp_path, capsys, name, spoil, named
     ):

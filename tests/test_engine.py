@@ -388,9 +388,8 @@ def test_replay_batch_equals_each_run_alone():
     laid = planner._tick_rows([rec.readings for rec in runs], n, ticks)
     offered = {sensor: np.zeros((len(runs), len(ticks)), dtype=bool)
                for sensor in planner.SENSOR_ORDER}
-    for b, at in enumerate(laid):
-        for sensor, (ti, _, _) in at.items():
-            offered[sensor][b, ti] = True
+    for sensor, (tick, member, _, _) in laid.items():
+        offered[sensor][member, tick] = True
     assert offered_shares(offered) == (True, True)
     assert any(rec.result.skipped for rec in runs)
     for rec in runs:

@@ -528,12 +528,12 @@ def tick_layout(run, n, rates):
     """A run's undropped readings where planner._tick_rows puts them, in
     empty_layout's tables."""
     offered, value, gamma = empty_layout(n, rates)
-    (at,) = planner._tick_rows([run], n, planner.sensor_ticks(rates.fire_table(n)))
-    for sensor, (ti, rows, r) in at.items():
-        offered[sensor][0, ti] = True
-        value[sensor][0, ti] = r.z[rows]
+    laid = planner._tick_rows([run], n, planner.sensor_ticks(rates.fire_table(n)))
+    for sensor, (tick, _, z, scale) in laid.items():
+        offered[sensor][0, tick] = True
+        value[sensor][0, tick] = z
         if sensor == "lidar":
-            gamma[0, ti] = r.scale[rows]
+            gamma[0, tick] = scale
     return offered, value, gamma
 
 
