@@ -31,6 +31,7 @@ import yaml
 from . import circuits, config, mapenv, montecarlo, planner, roadmap, svgplot
 from .errors import (
     ConfigError,
+    CovarianceOverflowError,
     DisconnectedGraphError,
     InvalidCircuitError,
     MapFormatError,
@@ -56,6 +57,7 @@ _EXIT_CODES = {
     DisconnectedGraphError: EXIT_PLANNER,
     NotEulerianError: EXIT_PLANNER,
     InvalidCircuitError: EXIT_PLANNER,
+    CovarianceOverflowError: EXIT_PLANNER,
     MissingArtifactError: EXIT_ARTIFACT,
 }
 

@@ -105,14 +105,17 @@ class NoiseConfig:
         if np.any(self.q_diag < 0.0) or self.r_alt < 0.0 or self.r_uwb < 0.0:
             raise ValueError("noise variances must be non-negative")
         # covariances (zero for an exact sensor); the engine reads their lmin
-        for name in ("r_cam", "r_lidar"):
+        # and scales them by up to the sensor's largest noise scale
+        for name, top in (("r_cam", 1.0 / MIN_SIN_ELEVATION),
+                          ("r_lidar", self.lidar_gamma.max_gamma)):
             R = getattr(self, name)
             if not (np.isfinite(R).all() and np.array_equal(R, R.T)
                     and np.linalg.eigvalsh(R)[0] >= 0.0):
                 raise ValueError(f"{name} must be symmetric positive semi-definite")
-        self.Q = np.diag(self.q_diag)
-        self.phi = np.eye(6)
-        self.phi[3, 0] = self.phi[4, 1] = self.phi[5, 2] = self.ts
+            with np.errstate(over="ignore"):
+                if not np.isfinite(top * R).all():
+                    raise ValueError(f"{name} overflows when scaled by its largest noise "
+                                     f"scale, {top:.6g}")
 
     @property
     def R(self) -> dict:
@@ -125,7 +128,9 @@ class NoiseConfig:
 
 
 def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transition A_n = phi^n and accumulated noise Q_n of n prediction steps.
+    """Transition A_n = phi^n and accumulated noise Q_n of n prediction steps,
+    where one step's phi adds ts times the velocity to the position and its
+    noise is Q = diag(q_diag).
 
     n steps map P to A_n P A_n' + Q_n. Closed form, valid because phi is
     block-unipotent and Q is diagonal.
@@ -273,13 +278,16 @@ def _normal_plane(v0, v1, v2):
 
 
 def kalman_gain(P: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """K = P H' inv(H P H' + R), rejecting singular innovation covariance."""
+    """K = P H' inv(H P H' + R), rejecting singular or non-finite innovation
+    covariance."""
     S = H @ P @ H.T + R
     if S.shape == (1, 1):
         s = S[0, 0]
         if not (s > 0.0) or not math.isfinite(s):
             raise SingularInnovationError(f"innovation variance {s} not positive")
         return (P @ H.T) / s
+    if not np.isfinite(S).all():
+        raise SingularInnovationError("innovation covariance not finite")
     eigs = np.linalg.eigvalsh(S)
     lmin, lmax = float(eigs[0]), float(eigs[-1])
     if lmin <= 0.0 or lmax / lmin > CONDITION_LIMIT:

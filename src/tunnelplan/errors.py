@@ -25,6 +25,10 @@ class InvalidCircuitError(TunnelPlanError):
     """Circuit is inconsistent with the graph it claims to traverse."""
 
 
+class CovarianceOverflowError(TunnelPlanError):
+    """A planned covariance left the floating-point range; its pec is not finite."""
+
+
 class FilterSingularityError(TunnelPlanError):
     """Base class for numerically singular filter-update conditions.
 

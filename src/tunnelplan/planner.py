@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ekf, mapenv
-from .errors import InvalidCircuitError
+from .errors import CovarianceOverflowError, InvalidCircuitError
 
 SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
 
@@ -303,7 +303,7 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
     product needs a transposed operand. Hr None stands for the identity,
     whose products are the position rows and columns themselves. rmin
     bounds the smallest eigenvalue of each Reff from below. Members whose
-    innovation covariance is singular or worse conditioned than
+    innovation covariance is not finite, singular or worse conditioned than
     ekf.CONDITION_LIMIT are logged and left as they are; returns the members
     updated.
     """
@@ -315,6 +315,7 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
     ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
     if not ok.all():
         check = np.flatnonzero(~ok)
+        check = check[np.isfinite(S[check]).all(axis=(1, 2))]
         eigs = np.linalg.eigvalsh(S[check])
         lmin, lmax = eigs[:, 0], eigs[:, -1]
         ok[check] = (lmin > 0.0) & (
@@ -862,7 +863,8 @@ def _summarize(circuit, line, result) -> PathScore:
 
 
 def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
-    """Score every candidate circuit in one run_batch call.
+    """Score every candidate circuit in one run_batch call; a candidate whose
+    pec total is not finite raises CovarianceOverflowError.
 
     The engine gets the candidates' Polylines, which it samples at sensor
     ticks only, a block of ticks at a time: memory holds no per-step or
@@ -873,7 +875,13 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
         _validate_circuit(circuit, graph)
         lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
     results = run_batch(rates, noise, kin.attitude, lines, env=env)
-    return [_summarize(*args) for args in zip(circuit_list, lines, results)]
+    scores = [_summarize(*args) for args in zip(circuit_list, lines, results)]
+    for s in scores:
+        if not math.isfinite(s.total):
+            raise CovarianceOverflowError(f"candidate {s.circuit_index}: planned pec total "
+                                          f"{s.total} is not finite; its covariance left "
+                                          "the floating-point range")
+    return scores
 
 
 def check_uncertainty_threshold(score: PathScore, limit: float) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 
 from tunnelplan import ekf, planner
 from tunnelplan.errors import FilterSingularityError
-from tunnelplan.montecarlo import MeasurementEvent
+from tunnelplan.montecarlo import SensorReadings
 
 # ---------------------------------------------------------------------------
 # the scalar reference filter: one belief, one step or reading at a time
@@ -24,7 +24,9 @@ def predict(b: ekf.BeliefState, cfg: ekf.NoiseConfig) -> ekf.BeliefState:
     """One constant-velocity step: position integrates velocity, P inflates."""
     x = b.x.copy()
     x[3:] += cfg.ts * x[:3]
-    P = cfg.phi @ b.P @ cfg.phi.T + cfg.Q
+    phi = np.eye(6)
+    phi[3:, :3] = cfg.ts * np.eye(3)
+    P = phi @ b.P @ phi.T + np.diag(cfg.q_diag)
     return ekf.BeliefState(x=x, P=P, t=b.t + cfg.ts)
 
 
@@ -74,11 +76,9 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
     by sensor in that order, it draws the sensor's arrays from rng, its
     noise normals (noisy mode), its outlier uniforms (noisy mode,
     outlier_prob > 0) and its dropout uniforms (dropout > 0), and builds its
-    readings one at a time from them. Events are listed by step and then
-    sensor.
+    readings one at a time from them into its SensorReadings.
     """
     n = truth.commanded.steps
-    ts = truth.commanded.ts
     table = rates.fire_table(n)
     noisy = mode == "noisy"
     models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
@@ -97,16 +97,16 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
                 if pred.ok[0]:
                     found[sensor].append((k, pred))
 
-    events = []
-    for sensor, readings in found.items():
-        count = len(readings)
+    out = {}
+    for sensor, sites in found.items():
+        count = len(sites)
         shape = (count, 3) if sensor in ("cam", "lidar") else count
         normals = rng.standard_normal(shape) if noisy else None
         outlier_u = rng.random(count) if noisy and outlier_prob > 0.0 else None
         dropout_u = rng.random(count) if dropout > 0.0 else None
-        for i, (k, pred) in enumerate(readings):
+        readings = []
+        for i, (k, pred) in enumerate(sites):
             z = pred.z[0]
-            gamma = float(pred.scale[0]) if sensor == "lidar" else None
             outlier = False
             if noisy:
                 if z.ndim:
@@ -120,6 +120,25 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
                 if sensor == "cam":
                     z = z / np.linalg.norm(z)
             dropped = bool(dropout_u is not None and dropout_u[i] < dropout)
-            events.append(MeasurementEvent(step=k, t=k * ts, sensor=sensor, value=z,
-                                           gamma=gamma, dropped=dropped, outlier=outlier))
-    return sorted(events, key=lambda ev: ev.step)
+            readings.append((k, z, float(pred.scale[0]) if sensor == "lidar" else None,
+                             dropped, outlier))
+        steps, z, scale, dropped, outlier = zip(*readings) if readings else ((),) * 5
+        out[sensor] = SensorReadings(
+            np.array(steps, dtype=int), np.array(z, dtype=float).reshape(shape),
+            np.array(scale, dtype=float) if sensor == "lidar" else None,
+            np.array(dropped, dtype=bool), np.array(outlier, dtype=bool))
+    return out
+
+
+def readings_in_order(readings) -> list:
+    """The undropped readings of a run's {sensor: SensorReadings}, one at a
+    time as (step, sensor, z, scale) in step order and, at one step, in the
+    fire table's sensor order; scale is None for all but the lidar."""
+    out = []
+    for sensor in planner.SENSOR_ORDER:
+        r = readings[sensor]
+        for i in np.flatnonzero(~r.dropped).tolist():
+            out.append((int(r.steps[i]), sensor, r.z[i],
+                        None if r.scale is None else float(r.scale[i])))
+    # a stable sort keeps the sensor order within a step
+    return sorted(out, key=lambda reading: reading[0])

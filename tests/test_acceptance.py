@@ -218,13 +218,16 @@ def test_05_lidar_only_matches_independent_kalman_filter(check):
     b = ekf.BeliefState(x=x0.copy(), P=P0.copy())
     # plain textbook filter coded independently of the package internals
     x, P = x0.copy(), P0.copy()
+    phi = np.eye(6)
+    phi[3:, :3] = cfg.ts * np.eye(3)
+    Q = np.diag(cfg.q_diag)
     H = np.zeros((3, 6))
     H[:, 3:] = np.eye(3)
     worst_x = worst_p = 0.0
     for k in range(1000):
         b = oracle.predict(b, cfg)
-        x = cfg.phi @ x
-        P = cfg.phi @ P @ cfg.phi.T + cfg.Q
+        x = phi @ x
+        P = phi @ P @ phi.T + Q
         z = np.array([5.0 + 0.01 * k, 1.0, -3.0]) + 0.15 * rng.standard_normal(3)
         gamma = cfg.lidar_gamma.gamma(float(np.linalg.norm(z)))
         b = oracle.lidar_update(b, z, cfg, gamma=gamma)
@@ -321,14 +324,11 @@ def test_09_synthesized_uwb_variance_calibrated(check):
     rng = np.random.default_rng(99)
     truth = montecarlo.simulate_truth(nom, rng, cross_track_sigma=0.0,
                                       speed_sigma=0.0)
-    events = montecarlo.synthesize_measurements(
+    uwb = montecarlo.synthesize_measurements(
         truth, env, planner.RateSchedule(), noise, ekf.Attitude(), rng,
         mode="noisy", dropout=0.0,
-    )
-    errs = np.array([
-        ev.value - float(np.linalg.norm(truth.pos[ev.step]))
-        for ev in events if ev.sensor == "uwb"
-    ])
+    )["uwb"]
+    errs = uwb.z - np.linalg.norm(truth.pos[uwb.steps], axis=1)
     var = float(np.var(errs))
     rel = abs(var - noise.r_uwb) / noise.r_uwb
     check(

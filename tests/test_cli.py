@@ -317,6 +317,17 @@ class TestExitCodes:
         assert cli.main(["plan", "--config", str(bad)]) == 2
         assert cli.main(["plan", "--set", "plan.nodes"]) == 2
         assert "error:" in capsys.readouterr().err
+        # a noise covariance that overflows once scaled by the camera's
+        # horizon scale or the lidar's largest gamma
+        for name, overrides in (
+                ("r_cam", ["noise.r_cam=1e308"]),
+                ("r_lidar", ["noise.lidar_ref_range_m=1e-300", "noise.lidar_gamma_max=1e308",
+                             "noise.r_lidar=100"])):
+            out = tmp_path / name
+            args = ["plan", "--seed", "6", "--set", "plan.candidates=2", "--out", str(out)]
+            assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == 2
+            assert not out.exists()
+            assert f"error: {name} overflows" in capsys.readouterr().err
 
     def test_unknown_selection_exits_2(self, reduced_cfg, plan_out, tmp_path):
         work = copy_plan(plan_out, tmp_path)
@@ -418,6 +429,18 @@ class TestExitCodes:
         rc = cli.main(["plan", "--seed", "11", "--out", str(tmp_path / "o")])
         assert rc == 4
         capsys.readouterr()
+
+    @pytest.mark.parametrize("q_pos", ["1e200", "1e308"])
+    def test_covariance_overflow_exits_4_before_any_artifact(self, tmp_path, capsys, q_pos):
+        # 1e200 m^2 per step squares past the float range in the pec's
+        # eigenvalue; 1e308 overflows the covariance itself
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["plan", "--seed", "6", "--set", "plan.candidates=2",
+                           "--set", f"noise.q_pos={q_pos}", "--out", str(out)])
+        assert rc == 4
+        assert list(out.iterdir()) == []
+        assert "pec total nan is not finite" in capsys.readouterr().err
 
     def test_simulate_without_plan_exits_6(self, reduced_cfg, tmp_path, capsys):
         rc = cli.main(
@@ -533,6 +556,7 @@ class TestExitCodes:
         (errors.SingularInnovationError, 5),
         (errors.TunnelPlanError, 5),
         (errors.MissingArtifactError, 6),
+        (errors.CovarianceOverflowError, 4),
     ])
     def test_exit_code_of_each_error_class(self, monkeypatch, tmp_path, capsys,
                                            error, code):

@@ -48,20 +48,31 @@ def belief(x=None, P=None, t=0.0):
 
 
 class TestNoiseConfig:
-    @pytest.mark.parametrize("name, R", [
-        ("r_lidar", -np.eye(3)),
-        ("r_cam", [[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        ("r_cam", np.diag([1.0, -1e-9, 1.0])),
-        ("r_lidar", np.diag([np.inf, 1.0, 1.0])),
-        ("r_lidar", np.full((3, 3), np.nan)),
-    ], ids=["negative", "not_symmetric", "indefinite", "infinite", "nan"])
-    def test_vector_noise_must_be_a_covariance(self, name, R):
+    @pytest.mark.parametrize("name, R, max_gamma", [
+        ("r_lidar", -np.eye(3), 100.0),
+        ("r_cam", [[1.0, 5.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 100.0),
+        ("r_cam", np.diag([1.0, -1e-9, 1.0]), 100.0),
+        ("r_lidar", np.diag([np.inf, 1.0, 1.0]), 100.0),
+        ("r_lidar", np.full((3, 3), np.nan), 100.0),
+        # finite, but not once scaled by the sensor's largest noise scale:
+        # 1 / MIN_SIN_ELEVATION for the camera, max_gamma for the lidar
+        ("r_cam", 1e308 * np.eye(3), 100.0),
+        ("r_lidar", 100.0 * np.eye(3), 1e308),
+    ], ids=["negative", "not_symmetric", "indefinite", "infinite", "nan",
+            "cam_overflows_when_scaled", "lidar_overflows_when_scaled"])
+    def test_vector_noise_must_be_a_covariance(self, name, R, max_gamma):
         with pytest.raises(ValueError, match=name):
-            ekf.NoiseConfig(**{name: R})
+            ekf.NoiseConfig(**{name: R},
+                            lidar_gamma=ekf.LidarGammaModel(max_gamma=max_gamma))
 
     def test_exact_vector_sensors_are_allowed(self):
         cfg = ekf.NoiseConfig(r_cam=np.zeros((3, 3)), r_lidar=np.diag([0.0, 1.0, 2.0]))
         assert np.array_equal(cfg.R["cam"], np.zeros((3, 3)))
+
+    def test_noise_whose_largest_scaled_form_is_finite_is_allowed(self):
+        cfg = ekf.NoiseConfig(r_cam=5e306 * np.eye(3), r_lidar=np.eye(3),
+                              lidar_gamma=ekf.LidarGammaModel(max_gamma=1e308))
+        assert cfg.r_cam[0, 0] == 5e306 and cfg.lidar_gamma.max_gamma == 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +97,7 @@ class TestPredict:
 
     def test_default_process_noise(self):
         cfg = ekf.NoiseConfig()
-        assert np.allclose(np.diag(cfg.Q), [0.01, 0.01, 0.01, 1.0, 1.0, 1.0])
+        assert np.array_equal(cfg.q_diag, [0.01, 0.01, 0.01, 1.0, 1.0, 1.0])
         assert cfg.ts == pytest.approx(0.02)
 
     def test_input_not_mutated(self):
@@ -195,6 +206,16 @@ class TestGainAndJoseph:
         H = np.zeros((1, 6))
         with pytest.raises(SingularInnovationError):
             ekf.kalman_gain(np.eye(6), H, np.array([[0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_innovation_raises(self, bad):
+        H = np.zeros((3, 6))
+        H[:, 3:] = np.eye(3)
+        P = np.eye(6)
+        P[3, 3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(SingularInnovationError,
+                                                          match="not finite"):
+            ekf.kalman_gain(P, H, np.eye(3))
 
     def test_ill_conditioned_raises(self):
         H = np.zeros((2, 6))

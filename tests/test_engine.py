@@ -40,6 +40,17 @@ def plan_one(nom, rates, noise, env):
     return planner.run_batch(rates, noise, ekf.Attitude(), [nom], env=env)[0]
 
 
+def with_readings(readings, sensor, steps, z, dropped=False):
+    """A run's {sensor: SensorReadings} with readings z of sensor added at
+    steps, after its own, each dropped or not as dropped says; an added
+    lidar reading has noise scale 1."""
+    r, k = readings[sensor], len(steps)
+    return {**readings, sensor: montecarlo.SensorReadings(
+        np.append(r.steps, steps), np.concatenate([r.z, np.reshape(z, (k,) + r.z.shape[1:])]),
+        None if r.scale is None else np.append(r.scale, np.ones(k)),
+        np.append(r.dropped, np.full(k, dropped)), np.append(r.outlier, np.zeros(k, dtype=bool)))}
+
+
 # ---------------------------------------------------------------------------
 # guards
 
@@ -82,14 +93,13 @@ def test_synthesis_and_replay_reject_the_boundary(point, sensor):
     env, rates, noise, att = open_env(), planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude()
     nom = hover(point)
     truth = montecarlo.TruthTrajectory(pos=nom.pos.copy(), commanded=nom)
-    events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
-                                                np.random.default_rng(0), mode="perfect")
-    assert not [ev for ev in events if ev.sensor == sensor]
+    readings = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                  np.random.default_rng(0), mode="perfect")
+    assert not len(readings[sensor].steps)
     # a reading offered anyway is refused at the estimate, which stays put
     d = float(np.linalg.norm(point))
-    events.append(montecarlo.MeasurementEvent(step=5, t=0.1, sensor=sensor,
-                                              value=d if sensor == "uwb" else point / d))
-    res = montecarlo.run_online_ekf(truth, events, rates, noise, att)
+    readings = with_readings(readings, sensor, [5], d if sensor == "uwb" else point / d)
+    res = montecarlo.run_online_ekf(truth, readings, rates, noise, att)
     assert getattr(res, f"{sensor}_updates") == 0
     assert (5, sensor) in [s[:2] for s in res.skipped]
 
@@ -111,6 +121,22 @@ def test_singular_vector_update_is_skipped():
     res = plan_one(hover(point), planner.RateSchedule(), EAST_UNBOUNDED, env)
     assert res.lidar_updates == 0
     assert [s[1:] for s in res.skipped] == [("lidar", "innovation covariance singular")] * 4
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_vector_update_is_skipped(bad):
+    # a member whose covariance left the float range is skipped as singular,
+    # and the others update
+    P, x = random_members(np.random.default_rng(23), 3)
+    P[1, 4, 4] = bad
+    P0 = P.copy()
+    skipped = [[] for _ in range(3)]
+    Reff = np.repeat(1e-2 * np.eye(3)[None], 3, axis=0)
+    applied = planner._vector_update(P, x, slice(None), None, Reff, np.full(3, 1e-2), None,
+                                     skipped, 9, "lidar")
+    assert applied.tolist() == [0, 2]
+    assert skipped == [[], [(9, "lidar", "innovation covariance singular")], []]
+    assert np.array_equal(P[1], P0[1], equal_nan=True)
 
 
 def test_skip_log_is_in_step_and_sensor_order():
@@ -239,7 +265,7 @@ def check_vector_kernel(with_innov, identity):
 # replay of several runs in one batch against the scalar filter
 
 
-def scalar_replay(truth, events, rates, noise, att):
+def scalar_replay(truth, readings, rates, noise, att):
     """Per-step oracle.predict and oracle.*_update, pinning the commanded velocity
     at sensor ticks, this run's own turns and the last step. Returns the
     estimated positions, pec, update counts and skips."""
@@ -250,14 +276,13 @@ def scalar_replay(truth, events, rates, noise, att):
     bounds |= set((np.flatnonzero(np.any(nom.vel[1:] != nom.vel[:-1], axis=1)) + 1).tolist())
     bounds.add(n)
     by_step = {}
-    for ev in events:
-        if not ev.dropped:
-            by_step.setdefault(ev.step, []).append(ev)
+    for reading in oracle.readings_in_order(readings):
+        by_step.setdefault(reading[0], []).append(reading[1:])
     update = {
-        "alt": lambda b, ev: oracle.altimeter_update(b, ev.value, att, noise),
-        "uwb": lambda b, ev: oracle.uwb_update(b, ev.value, noise),
-        "cam": lambda b, ev: oracle.camera_update(b, ev.value, noise),
-        "lidar": lambda b, ev: oracle.lidar_update(b, ev.value, noise, ev.gamma),
+        "alt": lambda b, z, _: oracle.altimeter_update(b, z, att, noise),
+        "uwb": lambda b, z, _: oracle.uwb_update(b, z, noise),
+        "cam": lambda b, z, _: oracle.camera_update(b, z, noise),
+        "lidar": lambda b, z, gamma: oracle.lidar_update(b, z, noise, gamma),
     }
     b = ekf.BeliefState(x=np.concatenate([nom.vel[0], nom.pos[0]]), P=np.eye(6))
     est, pec = np.empty((n, 3)), np.empty(n)
@@ -267,15 +292,12 @@ def scalar_replay(truth, events, rates, noise, att):
         b = oracle.predict(b, noise)
         if k in bounds:
             b.x[:3] = nom.vel[min(k, n - 1)]
-        for sensor in ("alt", "uwb", "cam", "lidar"):
-            for ev in by_step.get(k, ()):
-                if ev.sensor != sensor:
-                    continue
-                try:
-                    b = update[sensor](b, ev)
-                    counts[sensor] += 1
-                except FilterSingularityError:
-                    skipped.append((k, sensor))
+        for sensor, z, gamma in by_step.get(k, ()):
+            try:
+                b = update[sensor](b, z, gamma)
+                counts[sensor] += 1
+            except FilterSingularityError:
+                skipped.append((k, sensor))
         est[k - 1] = b.x[3:]
         pec[k - 1] = np.linalg.eigvalsh(b.P[3:, 3:])[-1]
     return est, pec, counts, skipped
@@ -317,8 +339,8 @@ def test_batched_replay_matches_scalar_filter():
 
     horizon_skips = 0
     for rec in runs:
-        events = montecarlo._events(rec.readings, noise.ts)
-        est, pec, counts, skipped = scalar_replay(rec.truth, events, rates, noise, kin.attitude)
+        est, pec, counts, skipped = scalar_replay(rec.truth, rec.readings, rates, noise,
+                                                  kin.attitude)
         res = rec.result
         assert np.abs(res.est - est).max() < 1e-8
         assert np.abs(res.pec / pec - 1.0).max() < 1e-9
@@ -469,28 +491,30 @@ def test_planning_batch_with_guard_refusals_equals_each_member_alone():
 def test_replay_batch_with_guard_refusals_equals_each_member_alone():
     noms, rates, noise, env = guard_batch()
     att = ekf.Attitude()
-    truths, events_list = [], []
+    truths, runs = [], []
     for nom in noms:
         truth = montecarlo.TruthTrajectory(pos=nom.pos.copy(), commanded=nom)
-        events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
-                                                    np.random.default_rng(0), mode="perfect")
-        # a reading of each guarded sensor at one tick, which the guard
-        # refuses at the boundary estimates and passes at the others
+        readings = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                      np.random.default_rng(0), mode="perfect")
+        # a reading of each guarded sensor at one tick, in place of any the
+        # flight delivered there, which the guard refuses at the boundary
+        # estimates and passes at the others
         point = nom.pos[0]
         d = float(np.linalg.norm(point))
-        events = [ev for ev in events if ev.step != 5 or ev.sensor not in ("uwb", "cam")]
-        events += [montecarlo.MeasurementEvent(step=5, t=0.1, sensor="uwb", value=d),
-                   montecarlo.MeasurementEvent(step=5, t=0.1, sensor="cam", value=point / d)]
-        events.sort(key=lambda ev: (ev.step, planner.SENSOR_ORDER.index(ev.sensor)))
+        for sensor, z in (("uwb", d), ("cam", point / d)):
+            r = readings[sensor]
+            keep = r.steps != 5
+            readings[sensor] = montecarlo.SensorReadings(
+                *(None if a is None else a[keep] for a in r))
+            readings = with_readings(readings, sensor, [5], z)
         truths.append(truth)
-        events_list.append(events)
-    batch = montecarlo.replay_runs(truths, [montecarlo._arrays(events) for events in events_list],
-                                   rates, noise, att)
+        runs.append(readings)
+    batch = montecarlo.replay_runs(truths, runs, rates, noise, att)
     refused = [sorted({s[1] for s in res.skipped if s[0] == 5}) for res in batch]
     # the camera's range guard also refuses the estimate at AT_MIN_RANGE
     assert refused == [["cam", "uwb"], [], ["cam"], []]
-    for truth, events, res in zip(truths, events_list, batch):
-        assert_same_result(res, montecarlo.run_online_ekf(truth, events, rates, noise, att))
+    for truth, readings, res in zip(truths, runs, batch):
+        assert_same_result(res, montecarlo.run_online_ekf(truth, readings, rates, noise, att))
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +682,9 @@ def test_planning_predicts_the_readings_a_flight_delivers(flight):
     planned = planner.run_batch(rates, noise, att, [nom], env=env)[0]
     truth = montecarlo.simulate_truth(nom, np.random.default_rng(0), cross_track_sigma=0.0,
                                       speed_sigma=0.0)
-    events = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
-                                                np.random.default_rng(1), mode="perfect")
-    replayed = montecarlo.run_online_ekf(truth, events, rates, noise, att)
+    readings = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                  np.random.default_rng(1), mode="perfect")
+    replayed = montecarlo.run_online_ekf(truth, readings, rates, noise, att)
     assert np.array_equal(planned.cam_fired, replayed.cam_fired)
     assert np.array_equal(planned.lidar_fired, replayed.lidar_fired)
     for sensor in planner.SENSOR_ORDER:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from test_engine import assert_same_result
+from test_engine import assert_same_result, with_readings
 from tunnelplan import circuits, config, ekf, mapenv, montecarlo, planner, roadmap
 
 
@@ -128,47 +128,45 @@ class TestSimulateTruth:
 # measurement synthesis
 
 
-def straight_run_events(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
-                        sigma=0.0, rates=None, outlier_prob=0.0, outlier_scale=10.0):
+def straight_run_readings(mode="noisy", n_len=260.0, seed=10, dropout=0.0,
+                          sigma=0.0, rates=None, outlier_prob=0.0, outlier_scale=10.0):
     env = empty_env(bounds_max=(300.0, 5.0, 0.0))
     g, c = out_and_back([3.0, 1.0, -2.0], [n_len, 1.0, -2.0])
     nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
     truth = montecarlo.simulate_truth(nom, np.random.default_rng(seed),
                                       cross_track_sigma=sigma, speed_sigma=0.0)
     rates = rates or planner.RateSchedule()
-    events = montecarlo.synthesize_measurements(
+    readings = montecarlo.synthesize_measurements(
         truth, env, rates, ekf.NoiseConfig(), ekf.Attitude(),
         np.random.default_rng(seed + 1), mode=mode, dropout=dropout,
         outlier_prob=outlier_prob, outlier_scale=outlier_scale)
-    return env, truth, events
+    return env, truth, readings
+
+
+def assert_same_readings(got, want):
+    """Two runs' {sensor: SensorReadings} hold the same sensors and bits."""
+    assert list(got) == list(want)
+    for sensor in got:
+        for a, b in zip(got[sensor], want[sensor], strict=True):
+            assert (a is None and b is None) or np.array_equal(a, b), sensor
 
 
 class TestSynthesis:
     def test_uwb_noise_variance(self):
-        env, truth, events = straight_run_events(mode="noisy")
-        errors = []
-        for ev in events:
-            if ev.sensor != "uwb":
-                continue
-            d_true = float(np.linalg.norm(truth.pos[ev.step]))
-            errors.append(ev.value - d_true)
-        errors = np.array(errors)
+        env, truth, readings = straight_run_readings(mode="noisy")
+        r = readings["uwb"]
+        errors = r.z - np.linalg.norm(truth.pos[r.steps], axis=1)
         assert len(errors) >= 10_000
         assert errors.var() == pytest.approx(0.01, rel=0.05)
 
     def test_perfect_mode_matches_truth_models(self):
-        env, truth, events = straight_run_events(mode="perfect")
-        for ev in events[::37]:
-            r = truth.pos[ev.step]
-            d = float(np.linalg.norm(r))
-            if ev.sensor == "uwb":
-                assert ev.value == pytest.approx(d, abs=1e-12)
-            elif ev.sensor == "alt":
-                assert ev.value == pytest.approx(-r[2], abs=1e-12)
-            elif ev.sensor == "cam":
-                assert np.allclose(ev.value, r / d, atol=1e-12)
-            elif ev.sensor == "lidar":
-                assert np.allclose(ev.value, r, atol=1e-12)
+        env, truth, readings = straight_run_readings(mode="perfect")
+        for sensor, r in readings.items():
+            pos = truth.pos[r.steps[::37]]
+            d = np.linalg.norm(pos, axis=1)
+            want = {"alt": -pos[:, 2], "uwb": d, "cam": pos / d[:, None], "lidar": pos}[sensor]
+            assert len(pos), sensor
+            assert np.allclose(r.z[::37], want, rtol=0.0, atol=1e-12), sensor
 
     def test_perfect_mode_factors_no_covariance(self):
         # exact readings take no draws, so a singular noise covariance is
@@ -178,10 +176,11 @@ class TestSynthesis:
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(1))
         noise = ekf.NoiseConfig(r_cam=np.zeros((3, 3)), r_lidar=np.zeros((3, 3)))
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
             np.random.default_rng(2), mode="perfect")
-        assert {ev.sensor for ev in events} == {"alt", "uwb", "cam", "lidar"}
+        assert [sensor for sensor, r in readings.items() if len(r.steps)] == [
+            "alt", "uwb", "cam", "lidar"]
 
     @pytest.mark.parametrize("r_lidar, exact_axes", [
         (np.zeros((3, 3)), [0, 1, 2]),
@@ -197,10 +196,9 @@ class TestSynthesis:
         noise = ekf.NoiseConfig(r_lidar=r_lidar)
         lidar = {}
         for mode in ("perfect", "noisy"):
-            events = montecarlo.synthesize_measurements(
+            lidar[mode] = montecarlo.synthesize_measurements(
                 truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
-                np.random.default_rng(2), mode=mode)
-            lidar[mode] = np.array([ev.value for ev in events if ev.sensor == "lidar"])
+                np.random.default_rng(2), mode=mode)["lidar"].z
         assert len(lidar["noisy"]) > 10 and lidar["noisy"].shape == lidar["perfect"].shape
         residual = lidar["noisy"] - lidar["perfect"]
         assert np.abs(residual[:, exact_axes]).max() < 1e-12
@@ -215,40 +213,33 @@ class TestSynthesis:
     ])
     def test_out_of_range_arguments_rejected(self, options, message):
         with pytest.raises(ValueError, match=message):
-            straight_run_events(n_len=20.0, **options)
+            straight_run_readings(n_len=20.0, **options)
 
     def test_perfect_mode_ignores_outlier_probability(self):
-        # no outlier is drawn, so the events and their dropout draws are
+        # no outlier is drawn, so the readings and their dropout draws are
         # those of a run without outliers
-        _, _, clean = straight_run_events(mode="perfect", dropout=0.3)
-        _, _, events = straight_run_events(mode="perfect", dropout=0.3, outlier_prob=0.2)
-        assert not any(ev.outlier for ev in events)
-        assert any(ev.dropped for ev in events)
-        assert len(events) == len(clean)
-        for ev, want in zip(events, clean):
-            assert (ev.step, ev.sensor, ev.dropped) == (want.step, want.sensor, want.dropped)
-            assert np.array_equal(ev.value, want.value)
+        _, _, clean = straight_run_readings(mode="perfect", dropout=0.3)
+        _, _, readings = straight_run_readings(mode="perfect", dropout=0.3, outlier_prob=0.2)
+        assert not any(r.outlier.any() for r in readings.values())
+        assert any(r.dropped.any() for r in readings.values())
+        assert_same_readings(readings, clean)
 
     @pytest.mark.parametrize("scale", [0.5, 10.0])
     def test_outlier_scales_the_noise_draw(self, scale):
         # every reading an outlier and the same draws: the residual against
         # the exact value grows by outlier_scale, camera values stay unit
-        _, _, exact = straight_run_events(mode="perfect")
-        _, _, unit = straight_run_events(outlier_prob=1.0, outlier_scale=1.0)
-        _, _, scaled = straight_run_events(outlier_prob=1.0, outlier_scale=scale)
-        assert len(exact) == len(unit) == len(scaled)
-        seen = set()
-        for ex, u, s in zip(exact, unit, scaled):
-            assert (ex.step, ex.sensor) == (u.step, u.sensor) == (s.step, s.sensor)
-            assert u.outlier and s.outlier
-            seen.add(s.sensor)
-            if s.sensor == "cam":
-                assert np.linalg.norm(s.value) == pytest.approx(1.0, abs=1e-12)
+        _, _, exact = straight_run_readings(mode="perfect")
+        _, _, unit = straight_run_readings(outlier_prob=1.0, outlier_scale=1.0)
+        _, _, scaled = straight_run_readings(outlier_prob=1.0, outlier_scale=scale)
+        for sensor in planner.SENSOR_ORDER:
+            ex, u, s = exact[sensor], unit[sensor], scaled[sensor]
+            assert len(ex.steps), sensor
+            assert np.array_equal(ex.steps, u.steps) and np.array_equal(ex.steps, s.steps)
+            assert u.outlier.all() and s.outlier.all()
+            if sensor == "cam":
+                assert np.allclose(ekf.row_norms(s.z), 1.0, rtol=0.0, atol=1e-12)
                 continue
-            residual = np.asarray(s.value) - ex.value
-            assert np.allclose(residual, scale * (np.asarray(u.value) - ex.value),
-                               rtol=1e-9, atol=1e-12)
-        assert seen == {"alt", "uwb", "cam", "lidar"}
+            assert np.allclose(s.z - ex.z, scale * (u.z - ex.z), rtol=1e-9, atol=1e-12)
 
     def test_lidar_gating_matches_environment(self, tunnel):
         g, c = tunnel_fixture(tunnel)
@@ -256,10 +247,10 @@ class TestSynthesis:
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(11),
                                           cross_track_sigma=0.3)
         rates = planner.RateSchedule()
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, tunnel, rates, ekf.NoiseConfig(), ekf.Attitude(),
             np.random.default_rng(12))
-        lidar_steps = {ev.step for ev in events if ev.sensor == "lidar"}
+        lidar_steps = set(readings["lidar"].steps.tolist())
         fire = rates.fire_steps(rates.lidar_hz, nom.steps)
         for k in range(1, nom.steps + 1, 97):
             if not fire[k]:
@@ -270,18 +261,14 @@ class TestSynthesis:
         g, c = tunnel_fixture(tunnel)
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(13))
-        events = montecarlo.synthesize_measurements(
+        lidar = montecarlo.synthesize_measurements(
             truth, tunnel, planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude(),
-            np.random.default_rng(14))
+            np.random.default_rng(14))["lidar"]
         model = ekf.LidarGammaModel()
-        checked = 0
-        for ev in events:
-            if ev.sensor != "lidar":
-                continue
-            rng_true = float(np.linalg.norm(truth.pos[ev.step] - tunnel.rig.position))
-            assert ev.gamma == pytest.approx(model.gamma(rng_true), rel=1e-12)
-            checked += 1
-        assert checked > 10
+        assert len(lidar.steps) > 10
+        for step, gamma in zip(lidar.steps.tolist(), lidar.scale.tolist()):
+            rng_true = float(np.linalg.norm(truth.pos[step] - tunnel.rig.position))
+            assert gamma == pytest.approx(model.gamma(rng_true), rel=1e-12)
 
     @pytest.mark.parametrize("circuit_seed", [6, 9])
     @pytest.mark.parametrize("mode", ["noisy", "perfect"])
@@ -297,18 +284,13 @@ class TestSynthesis:
         got_rng, want_rng = np.random.default_rng(15), np.random.default_rng(15)
         got = montecarlo.synthesize_measurements(*args, got_rng, **options)
         want = oracle.synthesize_measurements(*args, want_rng, **options)
-        assert len(got) == len(want)
-        assert {ev.sensor for ev in got} == {"alt", "uwb", "cam", "lidar"}
-        for ev, ref in zip(got, want):
-            assert (ev.step, ev.t, ev.sensor, ev.dropped, ev.outlier) == (
-                ref.step, ref.t, ref.sensor, ref.dropped, ref.outlier)
-            assert np.array_equal(ev.value, ref.value)
-            assert ev.gamma == ref.gamma
+        assert_same_readings(got, want)
+        assert all(len(r.steps) for r in got.values())
         # both took the same draws, so both streams stand at one place
         assert got_rng.random() == want_rng.random()
-        flags = [(ev.dropped, ev.outlier) for ev in got]
-        assert any(d for d, _ in flags) == (dropout > 0.0)
-        assert any(o for _, o in flags) == (mode == "noisy" and outlier_prob > 0.0)
+        assert any(r.dropped.any() for r in got.values()) == (dropout > 0.0)
+        assert any(r.outlier.any() for r in got.values()) == (
+            mode == "noisy" and outlier_prob > 0.0)
 
     def test_lidar_noise_matches_its_covariance(self):
         # residuals over sqrt(gamma) are draws of the configured covariance,
@@ -319,48 +301,41 @@ class TestSynthesis:
         g, c = out_and_back([3.0, 1.0, -2.0], [260.0, 1.0, -2.0])
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(40))
-        events = montecarlo.synthesize_measurements(
+        lidar = montecarlo.synthesize_measurements(
             truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
-            np.random.default_rng(41))
-        lidar = [ev for ev in events if ev.sensor == "lidar"]
-        assert len(lidar) > 1000
-        res = np.array([(ev.value - truth.pos[ev.step]) / math.sqrt(ev.gamma) for ev in lidar])
-        assert np.ptp([ev.gamma for ev in lidar]) > 0.1
+            np.random.default_rng(41))["lidar"]
+        assert len(lidar.steps) > 1000
+        res = (lidar.z - truth.pos[lidar.steps]) / np.sqrt(lidar.scale)[:, None]
+        assert np.ptp(lidar.scale) > 0.1
         cov = res.T @ res / len(res)
         d = np.diag(R)
         assert np.all(np.abs(cov - R) <= 5.0 * np.sqrt((np.outer(d, d) + R * R) / len(res)))
 
     def test_flag_fractions_per_sensor(self):
         dropout, outlier_prob = 0.3, 0.2
-        _, _, events = straight_run_events(dropout=dropout, outlier_prob=outlier_prob)
-        for sensor in ("alt", "uwb", "cam", "lidar"):
-            evs = [ev for ev in events if ev.sensor == sensor]
-            n = len(evs)
+        _, _, readings = straight_run_readings(dropout=dropout, outlier_prob=outlier_prob)
+        for sensor, r in readings.items():
+            n = len(r.steps)
             assert n > 100, sensor
-            for p, frac in ((dropout, np.mean([ev.dropped for ev in evs])),
-                            (outlier_prob, np.mean([ev.outlier for ev in evs]))):
+            for p, frac in ((dropout, r.dropped.mean()), (outlier_prob, r.outlier.mean())):
                 # five standard deviations of a binomial fraction
                 assert abs(frac - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), (sensor, p, frac)
 
     def test_dropout_flags(self):
-        env, truth, events = straight_run_events(mode="noisy", dropout=1.0)
-        assert events
-        assert all(ev.dropped for ev in events)
-        env, truth, events = straight_run_events(mode="noisy", dropout=0.0)
-        assert not any(ev.dropped for ev in events)
+        _, _, readings = straight_run_readings(mode="noisy", dropout=1.0)
+        assert all(len(r.dropped) and r.dropped.all() for r in readings.values())
+        _, _, readings = straight_run_readings(mode="noisy", dropout=0.0)
+        assert not any(r.dropped.any() for r in readings.values())
 
     def test_deterministic(self):
-        _, _, a = straight_run_events(mode="noisy", seed=20)
-        _, _, b = straight_run_events(mode="noisy", seed=20)
-        assert len(a) == len(b)
-        for ea, eb in zip(a, b):
-            assert ea.sensor == eb.sensor and ea.step == eb.step
-            assert np.array_equal(np.asarray(ea.value), np.asarray(eb.value))
+        _, _, a = straight_run_readings(mode="noisy", seed=20)
+        _, _, b = straight_run_readings(mode="noisy", seed=20)
+        assert_same_readings(a, b)
 
     def test_altimeter_noise_variance(self):
-        env, truth, events = straight_run_events(mode="noisy", seed=21)
-        errs = np.array([ev.value - (-truth.pos[ev.step][2])
-                         for ev in events if ev.sensor == "alt"])
+        env, truth, readings = straight_run_readings(mode="noisy", seed=21)
+        alt = readings["alt"]
+        errs = alt.z + truth.pos[alt.steps, 2]
         assert errs.var() == pytest.approx(0.01, rel=0.10)
 
 
@@ -379,10 +354,10 @@ class TestReplay:
         nom = planner.build_nominal_trajectory(c, g, kin.cruise, noise.ts)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(30),
                                           cross_track_sigma=0.0, speed_sigma=0.0)
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, tunnel, rates, noise, kin.attitude,
             np.random.default_rng(31), mode="perfect", dropout=0.0)
-        result = montecarlo.run_online_ekf(truth, events, rates, noise, kin.attitude)
+        result = montecarlo.run_online_ekf(truth, readings, rates, noise, kin.attitude)
         assert len(result.pec) == len(plan.pec)
         assert np.abs(result.pec - plan.pec).max() < 1e-6
         assert np.abs(result.est - truth.pos[1:]).max() < 1e-6
@@ -396,33 +371,35 @@ class TestReplay:
         (5, False, "two uwb events at step 5"),
     ])
     def test_replay_refuses_off_tick_and_repeated_events(self, step, dropped, message):
-        _, truth, events = straight_run_events(mode="perfect", n_len=20.0)
-        assert any(ev.step == 5 and ev.sensor == "uwb" for ev in events)
-        events.append(montecarlo.MeasurementEvent(step=step, t=step * 0.02, sensor="uwb",
-                                                  value=1.0, dropped=dropped))
+        _, truth, readings = straight_run_readings(mode="perfect", n_len=20.0)
+        assert 5 in readings["uwb"].steps
         rates, noise = planner.RateSchedule(), ekf.NoiseConfig()
         with pytest.raises(ValueError, match=message):
-            montecarlo.run_online_ekf(truth, events, rates, noise, ekf.Attitude())
+            montecarlo.run_online_ekf(truth, with_readings(readings, "uwb", [step], [1.0],
+                                                           dropped=dropped),
+                                      rates, noise, ekf.Attitude())
         # a dropped reading may repeat an undropped one
         if step == 5:
-            events[-1].dropped = True
-            montecarlo.run_online_ekf(truth, events, rates, noise, ekf.Attitude())
+            montecarlo.run_online_ekf(truth, with_readings(readings, "uwb", [step], [1.0],
+                                                           dropped=True),
+                                      rates, noise, ekf.Attitude())
 
     def test_replay_refuses_a_lidar_event_without_gamma(self):
-        _, truth, events = straight_run_events(mode="perfect", n_len=20.0)
-        next(ev for ev in events if ev.sensor == "lidar").gamma = None
+        _, truth, readings = straight_run_readings(mode="perfect", n_len=20.0)
+        assert len(readings["lidar"].steps)
+        readings["lidar"] = readings["lidar"]._replace(scale=None)
         with pytest.raises(TypeError):
-            montecarlo.run_online_ekf(truth, events, planner.RateSchedule(), ekf.NoiseConfig(),
-                                      ekf.Attitude())
+            montecarlo.run_online_ekf(truth, readings, planner.RateSchedule(),
+                                      ekf.NoiseConfig(), ekf.Attitude())
 
     def test_flight_time_tracks_length(self, tunnel):
         g, c = tunnel_fixture(tunnel, graph_seed=9, circuit_seed=2)
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(32))
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, tunnel, planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude(),
             np.random.default_rng(33))
-        result = montecarlo.run_online_ekf(truth, events, planner.RateSchedule(),
+        result = montecarlo.run_online_ekf(truth, readings, planner.RateSchedule(),
                                            ekf.NoiseConfig(), ekf.Attitude())
         assert abs(result.t[-1] - c.length / 0.5) < 0.02
 
@@ -432,10 +409,10 @@ class TestReplay:
         nom = planner.build_nominal_trajectory(c, g, 0.5, noise.ts)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(36),
                                           cross_track_sigma=0.0, speed_sigma=0.0)
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, tunnel, planner.RateSchedule(), noise, ekf.Attitude(),
             np.random.default_rng(37), dropout=1.0)
-        result = montecarlo.run_online_ekf(truth, events, planner.RateSchedule(),
+        result = montecarlo.run_online_ekf(truth, readings, planner.RateSchedule(),
                                            noise, ekf.Attitude())
         assert result.alt_updates == 0
         assert result.lidar_updates == 0
@@ -449,10 +426,10 @@ class TestReplay:
         noise = ekf.NoiseConfig()
         nom = planner.build_nominal_trajectory(c, g, 0.5, noise.ts)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(38))
-        events = montecarlo.synthesize_measurements(
+        readings = montecarlo.synthesize_measurements(
             truth, tunnel, planner.RateSchedule(), noise, ekf.Attitude(),
             np.random.default_rng(39), mode="noisy", dropout=0.1)
-        result = montecarlo.run_online_ekf(truth, events, planner.RateSchedule(),
+        result = montecarlo.run_online_ekf(truth, readings, planner.RateSchedule(),
                                            noise, ekf.Attitude())
         err = np.linalg.norm(result.est - truth.pos[1:], axis=1)
         assert np.isfinite(err).all()
@@ -460,44 +437,33 @@ class TestReplay:
 
 
 # ---------------------------------------------------------------------------
-# statistics
-
-
-# ---------------------------------------------------------------------------
-# the reading arrays against the events
+# trial sets, and the readings on the tick axis
 
 
 class TestTrialSets:
-    def test_records_match_event_replay_without_building_events(self, tunnel, monkeypatch):
+    def test_records_match_each_run_replayed_alone(self, tunnel):
         g, first = tunnel_fixture(tunnel, circuit_seed=6)
         _, second = tunnel_fixture(tunnel, circuit_seed=9)
         kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
         sim = config.SimulateSection(runs=2, dropout=0.2, outlier_prob=0.05)
-
-        def no_event(*args, **kwargs):
-            raise AssertionError("a MeasurementEvent was built")
-
-        with monkeypatch.context() as mp:
-            mp.setattr(montecarlo, "MeasurementEvent", no_event)
-            sets = montecarlo.run_trial_sets([(first, 0), (second, 1)], g, tunnel, kin, rates,
-                                             noise, 8, sim)
+        sets = montecarlo.run_trial_sets([(first, 0), (second, 1)], g, tunnel, kin, rates,
+                                         noise, 8, sim)
         records = [rec for recs in sets for rec in recs]
         assert len(records) == 4
         for rec in records:
             _, meas_rng = montecarlo.run_seed_rngs(8, rec.truth.circuit_index,
                                                    rec.truth.run_index)
-            events = montecarlo.synthesize_measurements(
+            readings = montecarlo.synthesize_measurements(
                 rec.truth, tunnel, rates, noise, kin.attitude, meas_rng, dropout=sim.dropout,
                 outlier_prob=sim.outlier_prob, outlier_scale=sim.outlier_scale)
-            assert any(ev.dropped for ev in events) and any(ev.outlier for ev in events)
-            for sensor, r in montecarlo._arrays(events).items():
-                for got, want in zip(rec.readings[sensor], r, strict=True):
-                    assert (got is None and want is None) or np.array_equal(got, want)
-            want = montecarlo.run_online_ekf(rec.truth, events, rates, noise, kin.attitude)
+            assert any(r.dropped.any() for r in readings.values())
+            assert any(r.outlier.any() for r in readings.values())
+            assert_same_readings(rec.readings, readings)
+            want = montecarlo.run_online_ekf(rec.truth, readings, rates, noise, kin.attitude)
             assert_same_result(rec.result, want)
             assert rec.stats == dataclasses.replace(
                 montecarlo.compute_stats(rec.truth, want, mode=sim.mode),
-                dropped_events=sum(ev.dropped for ev in events))
+                dropped_events=sum(int(r.dropped.sum()) for r in readings.values()))
 
 
 def empty_layout(n, rates):
@@ -510,17 +476,16 @@ def empty_layout(n, rates):
             np.ones(shape))
 
 
-def events_layout(events, n, rates):
-    """Undropped events on the schedule's tick axis, one event at a time,
-    in empty_layout's tables."""
+def reading_layout(run, n, rates):
+    """A run's undropped readings on the schedule's tick axis, one reading
+    at a time, in empty_layout's tables."""
     col = {k: i for i, k in enumerate(planner.sensor_ticks(rates.fire_table(n)).tolist())}
     offered, value, gamma = empty_layout(n, rates)
-    for ev in events:
-        if not ev.dropped:
-            offered[ev.sensor][0, col[ev.step]] = True
-            value[ev.sensor][0, col[ev.step]] = ev.value
-            if ev.sensor == "lidar":
-                gamma[0, col[ev.step]] = ev.gamma
+    for step, sensor, z, scale in oracle.readings_in_order(run):
+        offered[sensor][0, col[step]] = True
+        value[sensor][0, col[step]] = z
+        if sensor == "lidar":
+            gamma[0, col[step]] = scale
     return offered, value, gamma
 
 
@@ -537,49 +502,40 @@ def tick_layout(run, n, rates):
     return offered, value, gamma
 
 
-def with_uwb(readings, steps):
-    """readings with undropped uwb readings of 1 m added at steps."""
-    r, k = readings["uwb"], len(steps)
-    return {**readings, "uwb": montecarlo.SensorReadings(
-        np.append(r.steps, steps), np.append(r.z, np.ones(k)), None,
-        np.append(r.dropped, np.zeros(k, dtype=bool)),
-        np.append(r.outlier, np.zeros(k, dtype=bool)))}
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(hz=st.tuples(*[st.floats(0.5, 50.0)] * 4), dropout=st.floats(0.0, 1.0),
        outlier_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_reading_arrays_lay_out_as_their_events(hz, dropout, outlier_prob, seed):
+def test_reading_arrays_lay_out_one_reading_at_a_time(hz, dropout, outlier_prob, seed):
     env = empty_env()
     g, c = out_and_back([3.0, 1.0, -2.0], [8.0, 1.0, -2.0])
     nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
     truth = montecarlo.simulate_truth(nom, np.random.default_rng(seed))
     rates = planner.RateSchedule(**dict(zip(("alt_hz", "uwb_hz", "cam_hz", "lidar_hz"), hz)))
     noise, att = ekf.NoiseConfig(), ekf.Attitude()
-    args = (truth, env, rates, noise, att)
-    options = dict(mode="noisy", dropout=dropout, outlier_prob=outlier_prob, outlier_scale=10.0)
-    readings = montecarlo._sensor_readings(*args, np.random.default_rng(seed), **options)
-    events = montecarlo.synthesize_measurements(*args, np.random.default_rng(seed), **options)
+    readings = montecarlo.synthesize_measurements(
+        truth, env, rates, noise, att, np.random.default_rng(seed), mode="noisy",
+        dropout=dropout, outlier_prob=outlier_prob, outlier_scale=10.0)
     n = nom.steps
-    want = events_layout(events, n, rates)
-    for run in (readings, montecarlo._arrays(events)):
-        offered, value, gamma = tick_layout(run, n, rates)
-        for sensor in planner.SENSOR_ORDER:
-            assert np.array_equal(offered[sensor], want[0][sensor])
-            assert np.array_equal(value[sensor], want[1][sensor])
-        assert np.array_equal(gamma, want[2])
+    want = reading_layout(readings, n, rates)
+    offered, value, gamma = tick_layout(readings, n, rates)
+    for sensor in planner.SENSOR_ORDER:
+        assert np.array_equal(offered[sensor], want[0][sensor])
+        assert np.array_equal(value[sensor], want[1][sensor])
+    assert np.array_equal(gamma, want[2])
 
     # a reading off the sensor ticks and two readings of one sensor at one
-    # tick, as arrays and as events
+    # tick
     first = int(readings["uwb"].steps[0])
     for steps, message in (([0], "not a sensor tick"), ([n + 1], "not a sensor tick"),
                            ([first, first], f"two uwb events at step {first}")):
         with pytest.raises(ValueError, match=message):
-            montecarlo.replay_runs([truth], [with_uwb(readings, steps)], rates, noise, att)
-        added = [montecarlo.MeasurementEvent(step=k, t=k * nom.ts, sensor="uwb", value=1.0)
-                 for k in steps]
-        with pytest.raises(ValueError, match=message):
-            montecarlo.run_online_ekf(truth, events + added, rates, noise, att)
+            montecarlo.replay_runs([truth], [with_readings(readings, "uwb", steps,
+                                                           np.ones(len(steps)))],
+                                   rates, noise, att)
+
+
+# ---------------------------------------------------------------------------
+# statistics
 
 
 def toy_run(err_rows, ts=0.02):
