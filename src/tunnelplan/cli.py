@@ -61,11 +61,13 @@ _EXIT_CODES = {
     MissingArtifactError: EXIT_ARTIFACT,
 }
 
-SELECTION_COLORS = {
-    "best": svgplot.BEST_COLOR,
-    "worst": svgplot.WORST_COLOR,
-    "second_best": svgplot.SECOND_BEST_COLOR,
-    "second_worst": svgplot.SECOND_WORST_COLOR,
+# each named selection's color and its legend label in candidates.svg, in the
+# order report lists them; where two coincide, candidates.svg marks the later
+SELECTIONS = {
+    "best": (svgplot.BEST_COLOR, "best (min)"),
+    "second_best": (svgplot.SECOND_BEST_COLOR, "2nd best"),
+    "second_worst": (svgplot.SECOND_WORST_COLOR, "2nd worst"),
+    "worst": (svgplot.WORST_COLOR, "worst (max)"),
 }
 
 # simulate and report artifacts of an earlier plan; plan deletes them so that
@@ -254,20 +256,12 @@ def _ranking_dict(report: planner.RankingReport, cfg, g, base_edge_count) -> dic
     }
 
 
-def _bar_highlights(report: planner.RankingReport) -> dict:
-    marks = [
-        (report.second_best, svgplot.SECOND_BEST_COLOR, "2nd best"),
-        (report.second_worst, svgplot.SECOND_WORST_COLOR, "2nd worst"),
-        (report.best, svgplot.BEST_COLOR, "best (min)"),
-        (report.worst, svgplot.WORST_COLOR, "worst (max)"),
-    ]
-    return {idx: (color, label) for idx, color, label in marks if idx is not None}
-
-
-def _selection_color(label: str, i: int) -> str:
-    return SELECTION_COLORS.get(
-        label, svgplot.SERIES_COLORS[i % len(svgplot.SERIES_COLORS)]
-    )
+def _named_selections(ranking: dict) -> list[tuple[str, int]]:
+    """(name, circuit) of the named selections that candidates.svg marks and
+    report shows: best, worst, and each second one that is neither."""
+    skip = {ranking["best"], ranking["worst"], None}
+    return [(name, ranking[name]) for name in SELECTIONS
+            if name in ("best", "worst") or ranking[name] not in skip]
 
 
 def _scene(env, paths, markers, title: str) -> str:
@@ -312,8 +306,6 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         cands, g, env, cfg.kinematic_profile(), cfg.rate_schedule(),
         cfg.noise_config(),
     )
-    for s in scores:
-        planner.check_uncertainty_threshold(s, cfg.plan.pec_threshold_m2)
     report = planner.score_and_select(scores)
 
     _delete(out, _STALE_AFTER_PLAN)
@@ -325,7 +317,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
             s.circuit_index, _f(s.length), _f(s.flight_time), _f(s.total),
             _f(s.max_pec), _f(s.mean), _f(s.median), _f(s.sigma), _f(s.rms),
             s.cam_updates, s.lidar_updates, len(s.skipped), _b(s.duplicate),
-            _b(s.threshold_ok),
+            _b(s.max_pec < cfg.plan.pec_threshold_m2),
             _b(s.flight_time < cfg.plan.max_flight_time_s),
         ]
         for s in scores
@@ -341,7 +333,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
             title=f"accumulated position-error covariance per candidate "
                   f"(seed {cfg.seed})",
             ylabel="pec total [m^2]",
-            highlights=_bar_highlights(report),
+            highlights={idx: SELECTIONS[name] for name, idx in _named_selections(ranking)},
         )
     )
 
@@ -358,9 +350,9 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         (out / f"route_{label}.svg").write_text(
             _route_svg(env, g, cands[idx], label)
         )
-        series.append(
-            (f"{label} (circuit {idx})", s.t, s.pec, _selection_color(label, i))
-        )
+        color = (SELECTIONS[label][0] if label in SELECTIONS
+                 else svgplot.SERIES_COLORS[i % len(svgplot.SERIES_COLORS)])
+        series.append((f"{label} (circuit {idx})", s.t, s.pec, color))
     (out / "pec_series.svg").write_text(
         svgplot.line_chart(
             series, title="planned position-error covariance along the flight",
@@ -488,16 +480,6 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
 
 # ---------------------------------------------------------------------------
 # report stage
-
-
-def _named_selections(ranking: dict) -> list[tuple[str, int]]:
-    out = []
-    for name in ("best", "second_best", "second_worst", "worst"):
-        idx = ranking.get(name)
-        if idx is not None and (name in ("best", "worst") or idx not in
-                                {ranking.get("best"), ranking.get("worst")}):
-            out.append((name, int(idx)))
-    return out
 
 
 def cmd_report(cfg: config.RunConfig, out: Path):

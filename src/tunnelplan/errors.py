@@ -26,7 +26,7 @@ class InvalidCircuitError(TunnelPlanError):
 
 
 class CovarianceOverflowError(TunnelPlanError):
-    """A planned covariance left the floating-point range; its pec is not finite."""
+    """A planned or replayed covariance overflowed; its pec is not finite."""
 
 
 class FilterSingularityError(TunnelPlanError):

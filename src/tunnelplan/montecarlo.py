@@ -249,7 +249,9 @@ class RunStats:
 def compute_stats(truth: TruthTrajectory, result, readings=None,
                   mode: str = "") -> RunStats:
     """Reduce one replay to scalar error statistics against the truth;
-    readings, the run's {sensor: SensorReadings}, gives the dropped count."""
+    readings, the run's {sensor: SensorReadings}, gives the dropped count. A
+    pec total that is not finite raises CovarianceOverflowError naming the
+    circuit and run."""
     est = result.est
     if est is None:
         raise ValueError("result carries no state estimates; run in replay mode")
@@ -266,7 +268,8 @@ def compute_stats(truth: TruthTrajectory, result, readings=None,
     else:
         rms_axis = np.zeros(3)
         rms_3d = err_mean = err_median = err_sigma = mpe = 0.0
-    series = result.pec
+    pec_total, pec_max = planner.pec_summary(
+        result.pec, f"circuit {truth.circuit_index} run {truth.run_index}: replayed")[:2]
     return RunStats(
         circuit_index=truth.circuit_index,
         run_index=truth.run_index,
@@ -280,8 +283,8 @@ def compute_stats(truth: TruthTrajectory, result, readings=None,
         err_median=err_median,
         err_sigma=err_sigma,
         mpe=mpe,
-        pec_total=float(series.sum()) if len(series) else 0.0,
-        pec_max=float(series.max()) if len(series) else 0.0,
+        pec_total=pec_total,
+        pec_max=pec_max,
         alt_updates=result.alt_updates,
         uwb_updates=result.uwb_updates,
         cam_updates=result.cam_updates,

@@ -835,27 +835,35 @@ class PathScore(EngineResult):
     flight_time: float
     length: float
     duplicate: bool = False
-    threshold_ok: bool | None = None
+
+
+def pec_summary(series, what: str) -> tuple:
+    """A pec series' total, max, mean, median, standard deviation and rms,
+    zeros for an empty series; a total that is not finite raises
+    CovarianceOverflowError, the series named by what."""
+    if not len(series):
+        return (0.0,) * 6
+    total = float(series.sum())
+    if not math.isfinite(total):
+        raise CovarianceOverflowError(f"{what} pec total {total} is not finite; its "
+                                      "covariance left the floating-point range")
+    return (total, float(series.max()), float(series.mean()), float(np.median(series)),
+            float(series.std()), float(np.sqrt(np.mean(series * series))))
 
 
 def _summarize(circuit, line, result) -> PathScore:
-    series = result.pec
-    if len(series):
-        stats = (float(series.sum()), float(series.max()), float(series.mean()),
-                 float(np.median(series)), float(series.std()),
-                 float(np.sqrt(np.mean(series * series))))
-    else:
-        stats = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    total, max_pec, mean, median, sigma, rms = pec_summary(
+        result.pec, f"candidate {circuit.run}: planned")
     # vars, not asdict, which would deep-copy the per-step arrays
     return PathScore(
         **vars(result),
         circuit_index=circuit.run,
-        total=stats[0],
-        max_pec=stats[1],
-        mean=stats[2],
-        median=stats[3],
-        sigma=stats[4],
-        rms=stats[5],
+        total=total,
+        max_pec=max_pec,
+        mean=mean,
+        median=median,
+        sigma=sigma,
+        rms=rms,
         flight_time=line.flight_time,
         length=line.length,
         duplicate=circuit.duplicate,
@@ -864,7 +872,7 @@ def _summarize(circuit, line, result) -> PathScore:
 
 def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
     """Score every candidate circuit in one run_batch call; a candidate whose
-    pec total is not finite raises CovarianceOverflowError.
+    pec total is not finite raises CovarianceOverflowError (pec_summary).
 
     The engine gets the candidates' Polylines, which it samples at sensor
     ticks only, a block of ticks at a time: memory holds no per-step or
@@ -875,20 +883,7 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
         _validate_circuit(circuit, graph)
         lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
     results = run_batch(rates, noise, kin.attitude, lines, env=env)
-    scores = [_summarize(*args) for args in zip(circuit_list, lines, results)]
-    for s in scores:
-        if not math.isfinite(s.total):
-            raise CovarianceOverflowError(f"candidate {s.circuit_index}: planned pec total "
-                                          f"{s.total} is not finite; its covariance left "
-                                          "the floating-point range")
-    return scores
-
-
-def check_uncertainty_threshold(score: PathScore, limit: float) -> bool:
-    """True when every pec sample stays below the limit; records the verdict."""
-    ok = bool(np.all(score.pec < limit)) if len(score.pec) else True
-    score.threshold_ok = ok
-    return ok
+    return [_summarize(*args) for args in zip(circuit_list, lines, results)]
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,29 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
         assert "pec total nan is not finite" in capsys.readouterr().err
 
+    def test_replay_overflow_exits_4_before_any_artifact(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--seed", "6", "--set", "plan.candidates=2", "--set", "simulate.runs=1",
+                "--out", str(out)]
+
+        def overflow():
+            with np.errstate(all="ignore"):
+                rc = cli.main(["simulate", *args, "--set", "noise.q_pos=1e200"])
+            assert rc == 4
+            assert "run 0: replayed pec total nan is not finite" in capsys.readouterr().err
+
+        def snapshot():
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        assert cli.main(["plan", *args]) == 0
+        overflow()
+        assert not [p for p in out.iterdir()
+                    if p.name.startswith(("run_", "summary_", "aggregate_"))]
+        assert cli.main(["simulate", *args]) == 0
+        before = snapshot()
+        overflow()
+        assert snapshot() == before
+
     def test_simulate_without_plan_exits_6(self, reduced_cfg, tmp_path, capsys):
         rc = cli.main(
             ["simulate", "--config", str(reduced_cfg), "--out", str(tmp_path / "o")]

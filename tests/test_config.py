@@ -1,12 +1,14 @@
 """Tests for run-configuration loading, overrides, and seed streams."""
 
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from tunnelplan import cli, config, mapenv
+from tunnelplan import circuits, cli, config, ekf, mapenv, montecarlo, planner, roadmap
 from tunnelplan.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -44,6 +46,24 @@ class TestDefaults:
     def test_shipped_default_file_matches_builtin(self):
         path = REPO_ROOT / "configs" / "default.yaml"
         assert config.load_config(path) == config.load_config()
+
+    def test_library_defaults_equal_the_shipped_config(self):
+        # tests that build components from library defaults stand in for the
+        # shipped config; the library's dropout of 0.0 differs on purpose
+        cfg = config.load_config(REPO_ROOT / "configs" / "default.yaml")
+        noise, shipped = ekf.NoiseConfig(), cfg.noise_config()
+        for f in dataclasses.fields(ekf.NoiseConfig):
+            assert np.array_equal(getattr(noise, f.name), getattr(shipped, f.name)), f.name
+        assert planner.KinematicProfile() == cfg.kinematic_profile()
+        assert roadmap.DEFAULT_FORWARD_BIAS == cfg.plan.forward_bias
+        assert circuits.DEFAULT_CRUISE == cfg.kinematics.cruise_mps
+        truth = inspect.signature(montecarlo.simulate_truth).parameters
+        sim = config.SimulateSection()
+        assert truth["cross_track_sigma"].default == sim.cross_track_sigma_m
+        assert truth["cross_track_tau"].default == sim.cross_track_tau_s
+        assert truth["speed_sigma"].default == sim.speed_sigma_mps
+        synth = inspect.signature(montecarlo.synthesize_measurements).parameters
+        assert synth["outlier_scale"].default == sim.outlier_scale
 
     def test_builtin_map_resolves_to_shipped_file(self):
         cfg = config.load_config()

@@ -690,3 +690,27 @@ def test_planning_predicts_the_readings_a_flight_delivers(flight):
     for sensor in planner.SENSOR_ORDER:
         assert getattr(planned, f"{sensor}_updates") == getattr(replayed, f"{sensor}_updates")
     assert np.abs(planned.pec - replayed.pec).max() <= 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(flight=random_flights())
+def test_replay_matches_scalar_filter_on_random_maps(flight):
+    """Two jittered noisy runs with dropouts and outliers, replayed in one
+    batch, each equal to the scalar filter."""
+    env, nom = flight
+    rates, noise, att = planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude()
+    truths, readings = [], []
+    for run in range(2):
+        truth = montecarlo.simulate_truth(nom, np.random.default_rng(10 + run), run_index=run)
+        truths.append(truth)
+        readings.append(montecarlo.synthesize_measurements(
+            truth, env, rates, noise, att, np.random.default_rng(20 + run), dropout=0.2,
+            outlier_prob=0.05))
+    results = montecarlo.replay_runs(truths, readings, rates, noise, att)
+    for truth, run, res in zip(truths, readings, results, strict=True):
+        est, pec, counts, skipped = scalar_replay(truth, run, rates, noise, att)
+        assert np.abs(res.est - est).max() < 1e-8
+        assert np.abs(res.pec / pec - 1.0).max() < 1e-9
+        assert (res.alt_updates, res.uwb_updates, res.cam_updates, res.lidar_updates) == (
+            counts["alt"], counts["uwb"], counts["cam"], counts["lidar"])
+        assert [s[:2] for s in res.skipped] == skipped

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracle
 from test_engine import assert_same_result, with_readings
 from tunnelplan import circuits, config, ekf, mapenv, montecarlo, planner, roadmap
+from tunnelplan.errors import CovarianceOverflowError
 
 
 def empty_env(bounds_max=(20.0, 5.0, 0.0), rig=None):
@@ -582,6 +583,14 @@ class TestStats:
         stats = montecarlo.compute_stats(truth, result, mode="perfect")
         assert stats.rms_3d == 0.0
         assert stats.mpe == 0.0
+
+    def test_non_finite_pec_names_circuit_and_run(self):
+        truth, result = toy_run([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        truth.circuit_index, truth.run_index = 7, 3
+        result.pec[1] = np.nan
+        with pytest.raises(CovarianceOverflowError,
+                           match="circuit 7 run 3: replayed pec total nan is not finite"):
+            montecarlo.compute_stats(truth, result, mode="noisy")
 
     def test_aggregate_fields(self):
         truth, r1 = toy_run([[1.0, 0.0, 0.0]])

@@ -1,5 +1,6 @@
 """Tests for nominal trajectories, belief propagation along circuits, and ranking."""
 
+import csv
 import math
 import tracemalloc
 
@@ -421,17 +422,43 @@ class TestRanking:
                 cli._resolve_selection(ranking, bad)
 
 
-class TestThreshold:
-    def test_generous_threshold_passes(self):
-        env, g, c = boresight_fixture()
-        score = propagate_path(c, g, env, planner.KinematicProfile(),
-                               planner.RateSchedule(), ekf.NoiseConfig())
-        assert planner.check_uncertainty_threshold(score, 1e9) is True
-        assert score.threshold_ok is True
+def plan_rows(out, threshold):
+    """path_scores.csv rows of a small plan with the given pec threshold."""
+    rc = cli.main(["plan", "--seed", "3", "--out", str(out), "--set", "plan.nodes=10",
+                   "--set", "plan.knn=4", "--set", "plan.candidates=12",
+                   "--set", f"plan.pec_threshold_m2={threshold!r}"])
+    assert rc == 0
+    with (out / "path_scores.csv").open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
-    def test_tight_threshold_fails(self):
-        env, g, c = boresight_fixture()
-        score = propagate_path(c, g, env, planner.KinematicProfile(),
-                               planner.RateSchedule(), ekf.NoiseConfig())
-        assert planner.check_uncertainty_threshold(score, 0.5) is False
-        assert score.threshold_ok is False
+
+def assert_threshold_rule(rows, threshold):
+    """threshold_ok is pec_max_m2 < threshold in every row."""
+    for row in rows:
+        assert row["threshold_ok"] == ("true" if float(row["pec_max_m2"]) < threshold
+                                       else "false")
+
+
+class TestThreshold:
+    """plan writes threshold_ok as pec_max < plan.pec_threshold_m2, which is
+    every pec sample below it."""
+
+    @pytest.fixture(scope="class")
+    def generous(self, tmp_path_factory):
+        return plan_rows(tmp_path_factory.mktemp("generous"), 1e9)
+
+    def test_generous_threshold_passes(self, generous):
+        assert_threshold_rule(generous, 1e9)
+        assert {row["threshold_ok"] for row in generous} == {"true"}
+
+    def test_tight_threshold_fails(self, generous, tmp_path):
+        # halfway between two candidates' pec maxima, far from either's
+        # nine-digit rounding, so both verdicts occur
+        maxima = sorted({float(row["pec_max_m2"]) for row in generous})
+        assert len(maxima) >= 2
+        k = len(maxima) // 2
+        threshold = 0.5 * (maxima[k - 1] + maxima[k])
+        rows = plan_rows(tmp_path, threshold)
+        assert [row["pec_max_m2"] for row in rows] == [row["pec_max_m2"] for row in generous]
+        assert_threshold_rule(rows, threshold)
+        assert {row["threshold_ok"] for row in rows} == {"true", "false"}
