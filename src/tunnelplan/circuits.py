@@ -7,13 +7,11 @@ is what the belief propagation stage ranks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingArtifactError, NotEulerianError
+from .errors import NotEulerianError
 from .roadmap import RoadmapGraph
 
 DEFAULT_CRUISE = 0.5
@@ -138,6 +136,7 @@ def circuits_to_list(cands: list[Circuit]) -> list[dict]:
 
 
 def circuits_from_list(data: list[dict]) -> list[Circuit]:
+    """The circuits of circuits_to_list's data; malformed data raises ValueError."""
     try:
         return [
             Circuit(
@@ -151,16 +150,5 @@ def circuits_from_list(data: list[dict]) -> list[Circuit]:
             for d in data
         ]
     except (KeyError, TypeError, ValueError) as exc:
-        raise MissingArtifactError(f"malformed circuit list: {exc}") from exc
+        raise ValueError(f"malformed circuit list: {exc}") from exc
 
-
-def save_circuits(cands: list[Circuit], path):
-    Path(path).write_text(json.dumps(circuits_to_list(cands), indent=1, sort_keys=True))
-
-
-def load_circuits(path) -> list[Circuit]:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MissingArtifactError(f"cannot read circuits file {path}: {exc}") from exc
-    return circuits_from_list(data)

@@ -129,15 +129,15 @@ def _write_table(path: Path, header: str, fmt, columns):
 
 
 def _load_artifact(path: Path, loader):
-    """An earlier stage's artifact, read by loader; a missing, unreadable or
-    malformed file raises MissingArtifactError naming it."""
+    """An earlier stage's artifact, read by loader from its JSON data or CSV path;
+    a missing, unreadable or malformed file raises MissingArtifactError naming it."""
     if not path.exists():
         raise MissingArtifactError(
             f"missing artifact {path.name}: run the plan stage first"
         )
     try:
-        return loader(path)
-    except (TunnelPlanError, OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
+        return loader(json.loads(path.read_text()) if path.suffix == ".json" else path)
+    except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         raise MissingArtifactError(f"corrupt artifact {path.name}: {exc}") from exc
 
 
@@ -158,9 +158,8 @@ _PATH_SCORE_FLOATS = ("length_m", "flight_time_s", "pec_total_m2", "pec_max_m2",
 _PATH_SCORE_FLAGS = ("threshold_ok", "within_flight_limit")
 
 
-def _read_ranking(path: Path) -> dict:
-    """ranking.json, checked for every key and index the later stages read."""
-    ranking = json.loads(path.read_text())
+def _read_ranking(ranking) -> dict:
+    """ranking.json's data, checked for every key and index the later stages read."""
     if not isinstance(ranking, dict) or not isinstance(ranking.get("graph"), dict):
         raise ValueError("not a ranking object with a graph object")
     missing = [k for k in _RANKING_KEYS if k not in ranking]
@@ -302,15 +301,21 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         g, cfg.plan.candidates, cfg.rng(config.STREAM_CANDIDATES),
         cfg.kinematics.cruise_mps,
     )
-    scores = planner.propagate_paths(
-        cands, g, env, cfg.kinematic_profile(), cfg.rate_schedule(),
-        cfg.noise_config(),
-    )
+    # numpy stays quiet: pec_summary reports a covariance that left the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = planner.propagate_paths(
+            cands, g, env, cfg.kinematic_profile(), cfg.rate_schedule(),
+            cfg.noise_config(),
+        )
     report = planner.score_and_select(scores)
+    ranking = _ranking_dict(report, cfg, g, base_edges)
+    # every selection resolved before the first artifact is deleted or written
+    selected = [(str(sel), _resolve_selection(ranking, sel))
+                for sel in cfg.simulate.selections]
 
     _delete(out, _STALE_AFTER_PLAN)
-    roadmap.save_graph(g, out / "graph.json")
-    circuits.save_circuits(cands, out / "circuits.json")
+    _write_json(out / "graph.json", roadmap.graph_to_dict(g))
+    _write_json(out / "circuits.json", circuits.circuits_to_list(cands))
 
     rows = [
         [
@@ -323,8 +328,6 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         for s in scores
     ]
     _write_csv(out / "path_scores.csv", _PATH_SCORE_HEADER, rows)
-
-    ranking = _ranking_dict(report, cfg, g, base_edges)
     _write_json(out / "ranking.json", ranking)
 
     (out / "candidates.svg").write_text(
@@ -338,9 +341,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
     )
 
     series = []
-    for i, sel in enumerate(cfg.simulate.selections):
-        idx = _resolve_selection(ranking, sel)
-        label = str(sel)
+    for i, (label, idx) in enumerate(selected):
         s = scores[idx]
         _write_table(
             out / f"pec_series_{label}.csv", "step,t_s,pec_m2,cam_fired,lidar_fired",
@@ -406,8 +407,8 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
             f"ranking.json was produced with seed {ranking.get('seed')}, current "
             f"run uses seed {cfg.seed}; regenerate the plan or pass that seed"
         )
-    g = _load_artifact(out / "graph.json", roadmap.load_graph)
-    cands = _load_artifact(out / "circuits.json", circuits.load_circuits)
+    g = _load_artifact(out / "graph.json", roadmap.graph_from_dict)
+    cands = _load_artifact(out / "circuits.json", circuits.circuits_from_list)
     if len(cands) != len(ranking["totals"]):
         raise MissingArtifactError(
             f"corrupt artifact circuits.json: {len(cands)} circuits, but ranking.json "
@@ -430,8 +431,10 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
                 f"corrupt artifact circuits.json: circuit {idx} does not fit "
                 f"graph.json: {exc}"
             ) from exc
-    trial_sets = montecarlo.run_trial_sets(
-        [(cands[idx], idx) for _, idx in selected], g, env, kin, rates, noise, cfg.seed, sim)
+    # as in plan: pec_summary, not numpy's warnings, reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        trial_sets = montecarlo.run_trial_sets([(cands[idx], idx) for _, idx in selected],
+                                               g, env, kin, rates, noise, cfg.seed, sim)
     _delete(out, [pattern.format(mode=mode) for pattern in _STALE_AFTER_SIMULATE])
     agg_rows = []
     for (label, idx), records in zip(selected, trial_sets):

@@ -7,14 +7,12 @@ source every coverage circuit starts and ends at.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, MapFormatError, SamplingExhaustedError
+from .errors import DisconnectedGraphError, SamplingExhaustedError
 from .mapenv import EnvironmentMap
 
 DEFAULT_FORWARD_BIAS = 3.0
@@ -155,7 +153,9 @@ def connect_knn(nodes: np.ndarray, k: int, env: EnvironmentMap) -> RoadmapGraph:
 
 
 def _bridge_components(graph: RoadmapGraph, dist: np.ndarray, env: EnvironmentMap):
-    """Union components by repeatedly adding the closest free cross edge."""
+    """Union components with free cross edges, shortest first (ties by node
+    pair), in one pass over the sorted pairs: a pair that still joins two
+    components when its turn comes is tested once and added if free."""
     n = len(graph.nodes)
     parent = list(range(n))
 
@@ -168,26 +168,21 @@ def _bridge_components(graph: RoadmapGraph, dist: np.ndarray, env: EnvironmentMa
     for e in graph.edges:
         parent[find(e.i)] = find(e.j)
 
-    while True:
-        roots = {find(i) for i in range(n)}
-        if len(roots) <= 1:
+    components = len({find(i) for i in range(n)})
+    first, second = np.triu_indices(n, 1)
+    # pairs come in (i, j) order, so a stable sort breaks ties by node pair
+    for k in np.argsort(dist[first, second], kind="stable"):
+        if components <= 1:
             return
-        cross = [
-            (dist[i, j], i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if find(i) != find(j)
-        ]
-        cross.sort()
-        for d, i, j in cross:
-            if env.segment_is_free(graph.nodes[i], graph.nodes[j]):
-                graph.edges.append(Edge(i, j, float(d)))
-                parent[find(i)] = find(j)
-                break
-        else:
-            raise DisconnectedGraphError(
-                f"{len(roots)} roadmap components cannot be bridged collision-free"
-            )
+        i, j = int(first[k]), int(second[k])
+        if find(i) != find(j) and env.segment_is_free(graph.nodes[i], graph.nodes[j]):
+            graph.edges.append(Edge(i, j, float(dist[i, j])))
+            parent[find(i)] = find(j)
+            components -= 1
+    if components > 1:
+        raise DisconnectedGraphError(
+            f"{components} roadmap components cannot be bridged collision-free"
+        )
 
 
 def _shortest_path(graph: RoadmapGraph, a: int, b: int) -> tuple[float, list[int]]:
@@ -254,7 +249,7 @@ def eulerize(graph: RoadmapGraph, env: EnvironmentMap) -> RoadmapGraph:
             (plans[(a, b)][0], a, b)
             for a in remaining
             for b in remaining
-            if a < b and (a, b) in plans
+            if a < b
         )
         path = plans[(a, b)][1]
         if path is None:
@@ -280,6 +275,7 @@ def graph_to_dict(graph: RoadmapGraph) -> dict:
 
 
 def graph_from_dict(data: dict) -> RoadmapGraph:
+    """The graph of graph_to_dict's data; malformed data raises ValueError."""
     try:
         nodes = np.asarray(data["nodes"], dtype=float).reshape(-1, 3)
         edges = [
@@ -288,27 +284,16 @@ def graph_from_dict(data: dict) -> RoadmapGraph:
         ]
         source = int(data.get("source", 0))
     except (KeyError, TypeError, ValueError) as exc:
-        raise MapFormatError(f"malformed graph data: {exc}") from exc
+        raise ValueError(f"malformed graph data: {exc}") from exc
     if not np.isfinite(nodes).all():
-        raise MapFormatError("malformed graph data: a node coordinate is not finite")
+        raise ValueError("malformed graph data: a node coordinate is not finite")
     for e in edges:
         if not (0 <= e.i < len(nodes) and 0 <= e.j < len(nodes)):
-            raise MapFormatError(
+            raise ValueError(
                 f"malformed graph data: edge ({e.i}, {e.j}) joins a node outside "
                 f"the {len(nodes)} listed")
         if np.array_equal(nodes[e.i], nodes[e.j]):
-            raise MapFormatError(
+            raise ValueError(
                 f"malformed graph data: edge ({e.i}, {e.j}) joins two nodes at one place")
     return RoadmapGraph(nodes=nodes, edges=edges, source=source)
 
-
-def save_graph(graph: RoadmapGraph, path):
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=1, sort_keys=True))
-
-
-def load_graph(path) -> RoadmapGraph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MapFormatError(f"cannot read graph file {path}: {exc}") from exc
-    return graph_from_dict(data)

@@ -54,8 +54,8 @@ def default_pipeline(tmp_path_factory):
 @pytest.fixture(scope="module")
 def default_artifacts(default_pipeline):
     out = default_pipeline["out"]
-    g = roadmap.load_graph(out / "graph.json")
-    cands = circuits.load_circuits(out / "circuits.json")
+    g = roadmap.graph_from_dict(json.loads((out / "graph.json").read_text()))
+    cands = circuits.circuits_from_list(json.loads((out / "circuits.json").read_text()))
     ranking = json.loads((out / "ranking.json").read_text())
     env = mapenv.load_map(mapenv.default_map_path())
     return g, cands, ranking, env

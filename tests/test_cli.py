@@ -465,6 +465,41 @@ class TestExitCodes:
         overflow()
         assert snapshot() == before
 
+    def test_overflow_exits_4_with_one_line(self, tmp_path, capsys):
+        # no errstate here: the test config turns a RuntimeWarning into an
+        # error, so numpy must not warn on the way to either overflow
+        args = ["--seed", "6", "--set", "plan.candidates=2", "--out", str(tmp_path / "o")]
+        overflow = ["--set", "noise.q_pos=1e200"]
+        assert cli.main(["plan", *args, *overflow]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: candidate 0: planned pec")
+        assert cli.main(["plan", *args]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", *args, "--set", "simulate.runs=1", *overflow]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: circuit 1 run 0: replayed pec")
+
+    @pytest.mark.parametrize("candidates, selections, message", [
+        (1, ["best", "second_best"], "selection 'second_best' undefined"),
+        (12, ["best", "12"], "selection index 12 out of range"),
+    ], ids=["undefined_name", "index_out_of_range"])
+    def test_unresolvable_selection_leaves_out_as_it_was(
+        self, reduced_cfg, pipeline_out, tmp_path, capsys, candidates, selections, message
+    ):
+        work = tmp_path / "work"
+        shutil.copytree(pipeline_out, work)
+
+        def snapshot():
+            return {p.name: p.read_bytes() for p in work.iterdir()}
+
+        before = snapshot()
+        rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(work),
+                       "--set", f"plan.candidates={candidates}",
+                       *(arg for sel in selections for arg in ("--select", sel))])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert snapshot() == before
+
     def test_simulate_without_plan_exits_6(self, reduced_cfg, tmp_path, capsys):
         rc = cli.main(
             ["simulate", "--config", str(reduced_cfg), "--out", str(tmp_path / "o")]

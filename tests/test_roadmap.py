@@ -2,10 +2,11 @@
 
 import heapq
 import itertools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tunnelplan import mapenv, roadmap
@@ -208,6 +209,82 @@ class TestConnectKnn:
         assert set1 == set2
 
 
+def connected_by_repeated_search(nodes, k, env):
+    """connect_knn's rule written out plainly: each node wired to its k
+    nearest where the segment is free; then, while two or more components
+    remain, every pair across two components searched again, shortest first
+    (ties by node pair), and the first free one added.  Returns the edges as
+    (i, j, length), or raises connect_knn's DisconnectedGraphError."""
+    n = len(nodes)
+    dist = np.linalg.norm(nodes[:, None, :] - nodes[None, :, :], axis=2)
+    pairs = set()
+    for i in range(n):
+        near = [int(j) for j in np.argsort(dist[i]) if j != i][:k]
+        pairs |= {(min(i, j), max(i, j)) for j in near}
+    edges = [(i, j) for i, j in sorted(pairs) if env.segment_is_free(nodes[i], nodes[j])]
+    while True:
+        label = list(range(n))
+        changed = True
+        while changed:
+            changed = False
+            for i, j in edges:
+                low = min(label[i], label[j])
+                if label[i] != low or label[j] != low:
+                    label[i] = label[j] = low
+                    changed = True
+        if len(set(label)) <= 1:
+            return [(i, j, float(dist[i, j])) for i, j in edges]
+        cross = sorted((dist[i, j], i, j) for i in range(n) for j in range(i + 1, n)
+                       if label[i] != label[j])
+        bridge = next(((i, j) for _, i, j in cross
+                       if env.segment_is_free(nodes[i], nodes[j])), None)
+        if bridge is None:
+            raise DisconnectedGraphError(
+                f"{len(set(label))} roadmap components cannot be bridged collision-free")
+        edges.append(bridge)
+
+
+@st.composite
+def box_maps(draw):
+    """A 20 x 8 x 6 m map with up to four boxes, each a random box or a wall
+    across the tunnel that may leave a gap below its ceiling, 2-12 free nodes
+    in it and a k of 1-4."""
+    corner = st.tuples(st.floats(-12.0, 10.0), st.floats(-6.0, 4.0), st.floats(-6.0, -0.5))
+    size = st.tuples(st.floats(0.2, 4.0), st.floats(0.2, 6.0), st.floats(0.2, 4.0))
+    box = st.builds(lambda lo, extent: (lo, np.add(lo, extent)), corner, size)
+    wall = st.builds(lambda n, width, top: ((n, -5.0, -7.0), (n + width, 5.0, top)),
+                     st.floats(-9.0, 8.0), st.floats(0.2, 2.0), st.floats(-4.0, 1.0))
+    boxes = [mapenv.BoxObstacle(lo, hi) for lo, hi in draw(st.lists(box | wall, max_size=4))]
+    env = mapenv.EnvironmentMap(bounds_min=[-10.0, -4.0, -6.0], bounds_max=[10.0, 4.0, 0.0],
+                                obstacles=boxes)
+    point = st.tuples(st.floats(-10.0, 10.0), st.floats(-4.0, 4.0), st.floats(-6.0, 0.0))
+    nodes = [p for p in draw(st.lists(point, min_size=2, max_size=12)) if env.is_free(p)]
+    assume(len(nodes) >= 2)
+    return env, np.array(nodes), draw(st.integers(1, 4))
+
+
+def outcome(connect):
+    """connect()'s edges, or the message of its DisconnectedGraphError."""
+    try:
+        return connect()
+    except DisconnectedGraphError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=box_maps())
+def test_connect_knn_follows_the_repeated_search(case):
+    """Bridging in one pass over the sorted pairs adds the edges, in order,
+    that searching every cross pair again after each bridge adds, and gives
+    up with the same count of components."""
+    env, nodes, k = case
+
+    def knn():
+        return [(e.i, e.j, e.length) for e in roadmap.connect_knn(nodes, k, env).edges]
+
+    assert outcome(knn) == outcome(lambda: connected_by_repeated_search(nodes, k, env))
+
+
 # ---------------------------------------------------------------------------
 # Eulerization
 
@@ -346,12 +423,11 @@ class TestGraphBasics:
         assert g.total_length() == pytest.approx(6.0)
         assert g.edge_instance_count() == 2
 
-    def test_roundtrip_json(self, tunnel, tmp_path):
+    def test_roundtrip_json(self, tunnel):
         nodes = roadmap.sample_nodes(tunnel, 8, np.random.default_rng(61))
         g = roadmap.eulerize(roadmap.connect_knn(nodes, 4, tunnel), tunnel)
-        path = tmp_path / "graph.json"
-        roadmap.save_graph(g, path)
-        back = roadmap.load_graph(path)
+        text = json.dumps(roadmap.graph_to_dict(g))
+        back = roadmap.graph_from_dict(json.loads(text))
         assert np.array_equal(back.nodes, g.nodes)
         assert back.source == g.source
         assert [(e.i, e.j, e.length, e.multiplicity) for e in back.edges] == [
