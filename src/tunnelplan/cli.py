@@ -11,8 +11,10 @@ Artifact layout (all inside --out):
             estimate_<sel>_<mode>.svg
   report    report.json, report.txt
 
-plan deletes the simulate and report artifacts of an earlier plan in --out,
-and simulate those of an earlier simulate in its mode, with the report.
+plan makes --out only once it has planned and resolved every selection. It
+deletes an earlier plan's pec_series_<sel>.csv and route_<sel>.svg and the
+simulate and report artifacts in --out, and simulate those of an earlier
+simulate in its mode, with the report.
 Every artifact is byte-deterministic for a fixed config and seed.
 """
 
@@ -70,10 +72,11 @@ SELECTIONS = {
     "worst": (svgplot.WORST_COLOR, "worst (max)"),
 }
 
-# simulate and report artifacts of an earlier plan; plan deletes them so that
-# they are never read beside a new plan
-_STALE_AFTER_PLAN = ("run_*_*.csv", "summary_*.csv", "aggregate_*.csv", "truths_*.svg",
-                     "estimate_*.svg", "report.json", "report.txt")
+# an earlier plan's per-selection files and the simulate and report artifacts
+# read from it; plan deletes them so that they are never read beside a new plan
+_STALE_AFTER_PLAN = ("pec_series_*.csv", "route_*.svg", "run_*_*.csv", "summary_*.csv",
+                     "aggregate_*.csv", "truths_*.svg", "estimate_*.svg", "report.json",
+                     "report.txt")
 # an earlier simulate's artifacts of one mode and the report read from them;
 # simulate deletes them so that selections it no longer makes leave none
 _STALE_AFTER_SIMULATE = ("run_*_{mode}_*.csv", "summary_*_{mode}.csv",
@@ -285,12 +288,7 @@ def _route_svg(env, g, cand, label: str) -> str:
 
 
 def cmd_plan(cfg: config.RunConfig, out: Path):
-    # the map first, so that a bad one leaves no artifact directory behind
     env = mapenv.load_map(cfg.resolve_map_path())
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make the artifact directory {out}: {exc}") from exc
     pts = roadmap.sample_nodes(
         env, cfg.plan.nodes, cfg.rng(config.STREAM_SAMPLING), cfg.plan.forward_bias
     )
@@ -309,9 +307,14 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
         )
     report = planner.score_and_select(scores)
     ranking = _ranking_dict(report, cfg, g, base_edges)
-    # every selection resolved before the first artifact is deleted or written
+    # every selection resolved before --out is made or changed, so that a plan
+    # that fails leaves no artifact directory behind
     selected = [(str(sel), _resolve_selection(ranking, sel))
                 for sel in cfg.simulate.selections]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the artifact directory {out}: {exc}") from exc
 
     _delete(out, _STALE_AFTER_PLAN)
     _write_json(out / "graph.json", roadmap.graph_to_dict(g))
@@ -652,9 +655,12 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         out = Path(args.out) if args.out is not None else Path(cfg.out_dir)
-        # else simulate and report would blame a missing plan
-        if out.exists() and not out.is_dir():
-            raise ConfigError(f"the artifact directory {out} is not a directory")
+        # else simulate and report would blame a missing plan, and plan would
+        # learn that it cannot make out only once it has planned
+        taken = next(p for p in (out, *out.parents) if p.exists())
+        if not taken.is_dir():
+            raise ConfigError(f"the artifact directory {out} cannot be made: "
+                              f"{taken} is not a directory")
         if args.command in ("plan", "all"):
             cmd_plan(cfg, out)
         if args.command in ("simulate", "all"):

@@ -64,19 +64,6 @@ class KinematicsSection(_Section):
 
 
 @dataclass
-class NoiseSection(_Section):
-    q_vel: float = mapenv.bounded(0.01, minimum=0.0)
-    q_pos: float = mapenv.bounded(1.0, minimum=0.0)
-    r_alt: float = mapenv.bounded(0.01, minimum=0.0)
-    r_uwb: float = mapenv.bounded(0.01, minimum=0.0)
-    # a vector reading's noise keeps its innovation covariance invertible
-    r_cam: float = mapenv.bounded(1e-4, above=0.0)
-    r_lidar: float = mapenv.bounded(0.0225, above=0.0)
-    lidar_ref_range_m: float = mapenv.bounded(5.0, above=0.0)
-    lidar_gamma_max: float = mapenv.bounded(100.0, minimum=1.0)
-
-
-@dataclass
 class SimulateSection(_Section):
     runs: int = mapenv.bounded(10, integer=True, minimum=1)
     mode: str = "noisy"
@@ -97,7 +84,7 @@ class RunConfig:
     plan: PlanSection = field(default_factory=PlanSection)
     kinematics: KinematicsSection = field(default_factory=KinematicsSection)
     rates: planner.RateSchedule = field(default_factory=planner.RateSchedule)
-    noise: NoiseSection = field(default_factory=NoiseSection)
+    noise: ekf.NoiseSettings = field(default_factory=ekf.NoiseSettings)
     simulate: SimulateSection = field(default_factory=SimulateSection)
 
     def __post_init__(self):
@@ -130,18 +117,7 @@ class RunConfig:
         return self.rates
 
     def noise_config(self) -> ekf.NoiseConfig:
-        n = self.noise
-        return ekf.NoiseConfig(
-            q_diag=np.array([n.q_vel] * 3 + [n.q_pos] * 3),
-            ts=1.0 / self.rates.predict_hz,
-            r_alt=n.r_alt,
-            r_uwb=n.r_uwb,
-            r_cam=n.r_cam * np.eye(3),
-            r_lidar=n.r_lidar * np.eye(3),
-            lidar_gamma=ekf.LidarGammaModel(
-                ref_range=n.lidar_ref_range_m, max_gamma=n.lidar_gamma_max
-            ),
-        )
+        return ekf.NoiseConfig(**asdict(self.noise), ts=1.0 / self.rates.predict_hz)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -157,7 +133,7 @@ _SECTIONS = {
     "plan": PlanSection,
     "kinematics": KinematicsSection,
     "rates": planner.RateSchedule,
-    "noise": NoiseSection,
+    "noise": ekf.NoiseSettings,
     "simulate": SimulateSection,
 }
 
@@ -239,13 +215,6 @@ def _validate(cfg: RunConfig):
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ConfigError(f"simulate.selections: repeated entries {repeated}")
-
-    # the components check their own parameters too
-    try:
-        cfg.noise_config()
-        cfg.kinematic_profile()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path=None, overrides=(), seed=None) -> RunConfig:

@@ -11,11 +11,12 @@ function, so central finite differences reproduce them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import mapenv
 from .errors import SingularInnovationError
 
 CONDITION_LIMIT = 1e12
@@ -65,62 +66,52 @@ class Attitude:
 
 
 @dataclass
-class LidarGammaModel:
-    """Noise inflation for lidar point-cloud position fixes.
+class NoiseSettings:
+    """The filter's noise, one scalar per setting; the config's noise
+    section is this class.
 
-    The returned point count falls off with the inverse square of range, so
-    the effective noise scale is (range / ref_range)^2 clamped to
-    [1, max_gamma].
+    q_vel and q_pos are the per-step process noise of each velocity and
+    position axis. A vector sensor's noise covariance is its variance times
+    the identity (R), and the engine scales it per reading: the camera's by
+    up to 1 / MIN_SIN_ELEVATION, the lidar's by gamma, whose point count
+    falls off with the inverse square of range.
     """
 
-    ref_range: float = 5.0
-    max_gamma: float = 100.0
-
-    def gamma(self, rng):
-        """Noise scale for a scalar range or an array of ranges."""
-        out = np.clip((rng / self.ref_range) ** 2, 1.0, self.max_gamma)
-        return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass
-class NoiseConfig:
-    """Process and measurement noise plus the prediction step size."""
-
-    q_diag: np.ndarray = field(
-        default_factory=lambda: np.array([0.01, 0.01, 0.01, 1.0, 1.0, 1.0])
-    )
-    ts: float = 0.02
-    r_alt: float = 0.01
-    r_uwb: float = 0.01
-    r_cam: np.ndarray = field(default_factory=lambda: 1e-4 * np.eye(3))
-    r_lidar: np.ndarray = field(default_factory=lambda: 0.0225 * np.eye(3))
-    lidar_gamma: LidarGammaModel = field(default_factory=LidarGammaModel)
+    q_vel: float = mapenv.bounded(0.01, minimum=0.0)
+    q_pos: float = mapenv.bounded(1.0, minimum=0.0)
+    r_alt: float = mapenv.bounded(0.01, minimum=0.0)
+    r_uwb: float = mapenv.bounded(0.01, minimum=0.0)
+    # a vector reading's noise keeps its innovation covariance invertible
+    r_cam: float = mapenv.bounded(1e-4, above=0.0)
+    r_lidar: float = mapenv.bounded(0.0225, above=0.0)
+    lidar_ref_range_m: float = mapenv.bounded(5.0, above=0.0)
+    lidar_gamma_max: float = mapenv.bounded(100.0, minimum=1.0)
 
     def __post_init__(self):
-        self.q_diag = np.asarray(self.q_diag, dtype=float).reshape(6)
-        self.r_cam = np.asarray(self.r_cam, dtype=float).reshape(3, 3)
-        self.r_lidar = np.asarray(self.r_lidar, dtype=float).reshape(3, 3)
-        if self.ts <= 0.0:
-            raise ValueError("prediction step must be positive")
-        if np.any(self.q_diag < 0.0) or self.r_alt < 0.0 or self.r_uwb < 0.0:
-            raise ValueError("noise variances must be non-negative")
-        # covariances (zero for an exact sensor); the engine reads their lmin
-        # and scales them by up to the sensor's largest noise scale
-        for name, top in (("r_cam", 1.0 / MIN_SIN_ELEVATION),
-                          ("r_lidar", self.lidar_gamma.max_gamma)):
-            R = getattr(self, name)
-            if not (np.isfinite(R).all() and np.array_equal(R, R.T)
-                    and np.linalg.eigvalsh(R)[0] >= 0.0):
-                raise ValueError(f"{name} must be symmetric positive semi-definite")
-            with np.errstate(over="ignore"):
-                if not np.isfinite(top * R).all():
-                    raise ValueError(f"{name} overflows when scaled by its largest noise "
-                                     f"scale, {top:.6g}")
+        mapenv.check_fields(self)
+        for name, top in (("r_cam", 1.0 / MIN_SIN_ELEVATION), ("r_lidar", self.lidar_gamma_max)):
+            if not math.isfinite(top * float(getattr(self, name))):
+                raise ValueError(f"{name} overflows when scaled by its largest noise "
+                                 f"scale, {top:.6g}")
+
+    def gamma(self, rng):
+        """The lidar's noise scale at a scalar range or an array of ranges:
+        (range / lidar_ref_range_m)^2 clamped to [1, lidar_gamma_max]."""
+        out = np.clip((rng / self.lidar_ref_range_m) ** 2, 1.0, self.lidar_gamma_max)
+        return float(out) if np.ndim(out) == 0 else out
 
     @property
     def R(self) -> dict:
         """Each sensor's noise covariance by name, a variance for alt and uwb."""
-        return {"alt": self.r_alt, "uwb": self.r_uwb, "cam": self.r_cam, "lidar": self.r_lidar}
+        return {"alt": self.r_alt, "uwb": self.r_uwb,
+                "cam": self.r_cam * _I3, "lidar": self.r_lidar * _I3}
+
+
+@dataclass
+class NoiseConfig(NoiseSettings):
+    """The noise settings plus the prediction step size."""
+
+    ts: float = mapenv.bounded(0.02, above=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +121,17 @@ class NoiseConfig:
 def span_transition(cfg: NoiseConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Transition A_n = phi^n and accumulated noise Q_n of n prediction steps,
     where one step's phi adds ts times the velocity to the position and its
-    noise is Q = diag(q_diag).
+    noise Q is q_vel on each velocity axis and q_pos on each position axis.
 
     n steps map P to A_n P A_n' + Q_n. Closed form, valid because phi is
     block-unipotent and Q is diagonal.
     """
     tau = cfg.ts
-    qv = cfg.q_diag[:3]
     A = np.eye(6)
     A[3:, :3] = n * tau * np.eye(3)
     Q = np.zeros((6, 6))
-    Q[:3, :3] = np.diag(n * qv)
-    Q[:3, 3:] = Q[3:, :3] = np.diag(tau * (n * (n - 1) / 2.0) * qv)
+    Q[:3, :3] = np.diag([n * cfg.q_vel] * 3)
+    Q[:3, 3:] = Q[3:, :3] = np.diag([tau * (n * (n - 1) / 2.0) * cfg.q_vel] * 3)
     # the position block n steps after a zero covariance is Q_n's own
     Q[3:, 3:] = np.diag(position_blocks(np.zeros((3, 6)), n, cfg)[_UPPER_DIAG])
     return A, Q
@@ -170,9 +160,9 @@ def position_blocks(tri: np.ndarray, k: np.ndarray, cfg: NoiseConfig) -> np.ndar
     kt = np.repeat(ks * tau, 6, axis=-1)
     up = tri[0] + kt * tri[1] + kt * kt * tri[2]
     s2 = (ks - 1.0) * ks * (2.0 * ks - 1.0) / 6.0
-    diag = ks * cfg.q_diag[3:] + (tau * tau) * s2 * cfg.q_diag[:3]
-    for axis, entry in enumerate(_UPPER_DIAG):
-        up[..., entry] += diag[..., axis]
+    diag = ks[..., 0] * cfg.q_pos + (tau * tau) * s2[..., 0] * cfg.q_vel
+    for entry in _UPPER_DIAG:
+        up[..., entry] += diag
     return up
 
 
@@ -398,16 +388,16 @@ def camera(r: np.ndarray) -> Prediction:
 
 
 def lidar(r: np.ndarray, rig: np.ndarray | None = None,
-          gamma: LidarGammaModel | None = None) -> Prediction:
+          noise: NoiseSettings | None = None) -> Prediction:
     """Direct position fix from the cloud-registration pipeline; z is r
-    itself. The noise scale is gamma at the range to the rig, or None
+    itself. The noise scale is noise.gamma at the range to the rig, or None
     without a rig."""
-    scale = None if rig is None else gamma.gamma(row_norms(r - rig))
+    scale = None if rig is None else noise.gamma(row_norms(r - rig))
     return Prediction(r, None, scale, {})
 
 
 def sensor_models(att: Attitude, rig: np.ndarray | None = None,
-                  gamma: LidarGammaModel | None = None) -> dict:
+                  noise: NoiseSettings | None = None) -> dict:
     """Each sensor's model over positions, by name in update order."""
     return {"alt": lambda r: altimeter(r, att), "uwb": uwb, "cam": camera,
-            "lidar": lambda r: lidar(r, rig, gamma)}
+            "lidar": lambda r: lidar(r, rig, noise)}

@@ -116,17 +116,6 @@ class SensorReadings(NamedTuple):
     outlier: np.ndarray
 
 
-def _covariance_root(R: np.ndarray) -> np.ndarray:
-    """A matrix L with L @ L.T == R: R's Cholesky factor where R is positive
-    definite, else the square root of its eigendecomposition, which an exact
-    or partly exact sensor's semi-definite R also has."""
-    try:
-        return np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(R)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, mode: str,
                      dropout: float, outlier_prob: float,
                      outlier_scale: float) -> dict[str, SensorReadings]:
@@ -165,14 +154,12 @@ def _sensor_readings(truth: TruthTrajectory, env, rates, noise, attitude, rng, m
         z, n = m.z, len(steps)
         outlier = np.zeros(n, dtype=bool)
         if mode == "noisy":
-            # a scalar reading's standard deviation, a factor on a square
-            # root of a vector one's covariance
-            R = noise.R[sensor]
+            # each axis of a vector reading draws with the sensor's variance
+            r = getattr(noise, f"r_{sensor}")
             if z.ndim == 2:
-                draws = rng.standard_normal((n, 3))
-                w = np.sqrt(m.scale)[:, None] * (_covariance_root(R) @ draws[:, :, None])[:, :, 0]
+                w = np.sqrt(m.scale)[:, None] * (math.sqrt(r) * rng.standard_normal((n, 3)))
             else:
-                w = np.sqrt(m.scale * R) * rng.standard_normal(n)
+                w = np.sqrt(m.scale * r) * rng.standard_normal(n)
             z = z + w
             if outlier_prob > 0.0:
                 outlier = rng.random(n) < outlier_prob

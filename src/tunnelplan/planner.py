@@ -404,7 +404,7 @@ def reading_sites(env, attitude, noise):
     logs the refusals; synthesis asks at the truth and drops them.
     """
     gates = {"cam": env.camera_sees_many, "lidar": env.lidar_sees_many}
-    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+    models = ekf.sensor_models(attitude, env.rig.position, noise)
 
     def sites(sensor: str, pos: np.ndarray) -> tuple:
         rows = np.flatnonzero(gates[sensor](pos)) if sensor in gates else slice(None)
@@ -573,8 +573,7 @@ def _sweep_group(rates, noise, attitude, n: int, paths, env, runs) -> list:
         fire = {sensor: table[sensor][ticks] for sensor in SENSOR_ORDER}
         sites = reading_sites(env, attitude, noise)
     R = noise.R
-    rmin = {"cam": float(np.linalg.eigvalsh(noise.r_cam)[0]),
-            "lidar": float(np.linalg.eigvalsh(noise.r_lidar)[0])}
+    rmin = {"cam": noise.r_cam, "lidar": noise.r_lidar}
 
     k = _process_count(B)
     # outputs each process fills for its own members: in shared memory once

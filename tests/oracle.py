@@ -26,7 +26,7 @@ def predict(b: ekf.BeliefState, cfg: ekf.NoiseConfig) -> ekf.BeliefState:
     x[3:] += cfg.ts * x[:3]
     phi = np.eye(6)
     phi[3:, :3] = cfg.ts * np.eye(3)
-    P = phi @ b.P @ phi.T + np.diag(cfg.q_diag)
+    P = phi @ b.P @ phi.T + np.diag([cfg.q_vel] * 3 + [cfg.q_pos] * 3)
     return ekf.BeliefState(x=x, P=P, t=b.t + cfg.ts)
 
 
@@ -54,13 +54,13 @@ def uwb_update(b, z: float, cfg: ekf.NoiseConfig):
 
 
 def camera_update(b, z, cfg: ekf.NoiseConfig):
-    return _update(b, ekf.camera(b.x[None, 3:]), z, cfg.r_cam)
+    return _update(b, ekf.camera(b.x[None, 3:]), z, cfg.R["cam"])
 
 
 def lidar_update(b, z, cfg: ekf.NoiseConfig, gamma: float = 1.0):
     if gamma < 1.0:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
-    return _update(b, ekf.lidar(b.x[None, 3:])._replace(scale=gamma), z, cfg.r_lidar)
+    return _update(b, ekf.lidar(b.x[None, 3:])._replace(scale=gamma), z, cfg.R["lidar"])
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
     n = truth.commanded.steps
     table = rates.fire_table(n)
     noisy = mode == "noisy"
-    models = ekf.sensor_models(attitude, env.rig.position, noise.lidar_gamma)
+    models = ekf.sensor_models(attitude, env.rig.position, noise)
     R = noise.R
 
     fires = {sensor: steps.copy() for sensor, steps in table.items()}

@@ -145,7 +145,7 @@ def test_03_measurement_jacobians_match_finite_differences(check):
 
     # the models the belief engine runs, lidar noise scale included
     rig = mapenv.UgvRig().position
-    models = ekf.sensor_models(att, rig, ekf.LidarGammaModel()).values()
+    models = ekf.sensor_models(att, rig, ekf.NoiseSettings()).values()
     for _ in range(100):
         # keep clear of the range/elevation guards so models stay smooth
         x = np.concatenate([
@@ -220,7 +220,7 @@ def test_05_lidar_only_matches_independent_kalman_filter(check):
     x, P = x0.copy(), P0.copy()
     phi = np.eye(6)
     phi[3:, :3] = cfg.ts * np.eye(3)
-    Q = np.diag(cfg.q_diag)
+    Q = np.diag([cfg.q_vel] * 3 + [cfg.q_pos] * 3)
     H = np.zeros((3, 6))
     H[:, 3:] = np.eye(3)
     worst_x = worst_p = 0.0
@@ -229,9 +229,9 @@ def test_05_lidar_only_matches_independent_kalman_filter(check):
         x = phi @ x
         P = phi @ P @ phi.T + Q
         z = np.array([5.0 + 0.01 * k, 1.0, -3.0]) + 0.15 * rng.standard_normal(3)
-        gamma = cfg.lidar_gamma.gamma(float(np.linalg.norm(z)))
+        gamma = cfg.gamma(float(np.linalg.norm(z)))
         b = oracle.lidar_update(b, z, cfg, gamma=gamma)
-        R = gamma * cfg.r_lidar
+        R = gamma * cfg.R["lidar"]
         S = H @ P @ H.T + R
         K = np.linalg.solve(S, H @ P).T
         x = x + K @ (z - H @ x)

@@ -212,6 +212,20 @@ class TestStageChaining:
         assert rep["seed"] == 5
         assert rep["simulation"]["available"] is False
 
+    def test_replan_removes_older_per_selection_files(self, tmp_path, capsys):
+        # a selection the new plan does not make leaves no pec series or
+        # route of the older plan beside it
+        out = tmp_path / "o"
+        args = ["--set", "plan.candidates=4", "--select", "best", "--out", str(out)]
+        assert cli.main(["plan", "--seed", "3", *args, "--select", "2"]) == 0
+        assert (out / "pec_series_2.csv").exists() and (out / "route_2.svg").exists()
+        assert cli.main(["plan", "--seed", "4", *args]) == 0
+        fresh = tmp_path / "fresh"
+        assert cli.main(["plan", "--seed", "4", *args[:-1], str(fresh)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        assert not (out / "pec_series_2.csv").exists() and not (out / "route_2.svg").exists()
+
     def test_select_flag_limits_outputs(self, reduced_cfg, plan_out, tmp_path):
         work = copy_plan(plan_out, tmp_path)
         rc = cli.main(
@@ -327,7 +341,7 @@ class TestExitCodes:
             args = ["plan", "--seed", "6", "--set", "plan.candidates=2", "--out", str(out)]
             assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == 2
             assert not out.exists()
-            assert f"error: {name} overflows" in capsys.readouterr().err
+            assert f"error: noise.{name} overflows" in capsys.readouterr().err
 
     def test_unknown_selection_exits_2(self, reduced_cfg, plan_out, tmp_path):
         work = copy_plan(plan_out, tmp_path)
@@ -344,6 +358,15 @@ class TestExitCodes:
         assert rc == 2
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
+
+    def test_out_under_a_file_exits_2_before_planning(self, reduced_cfg, tmp_path, capsys,
+                                                      monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        monkeypatch.setattr(cli.mapenv, "load_map", pytest.fail)
+        rc = cli.main(["plan", "--config", str(reduced_cfg), "--out", str(taken / "sub")])
+        assert rc == 2
+        assert f"{taken} is not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["simulate", "report"])
     def test_later_stage_with_out_that_is_a_file_exits_2(self, reduced_cfg, tmp_path, capsys,
@@ -439,7 +462,7 @@ class TestExitCodes:
             rc = cli.main(["plan", "--seed", "6", "--set", "plan.candidates=2",
                            "--set", f"noise.q_pos={q_pos}", "--out", str(out)])
         assert rc == 4
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert "pec total nan is not finite" in capsys.readouterr().err
 
     def test_replay_overflow_exits_4_before_any_artifact(self, tmp_path, capsys):
@@ -499,6 +522,17 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert snapshot() == before
+
+    @pytest.mark.parametrize("args, code", [
+        (["--set", "plan.candidates=1", "--select", "best", "--select", "second_best"], 2),
+        (["--set", "plan.candidates=2", "--set", "noise.q_pos=1e200"], 4),
+    ], ids=["unresolvable_selection", "covariance_overflow"])
+    def test_failed_plan_makes_no_out_directory(self, tmp_path, capsys, args, code):
+        out = tmp_path / "new" / "o"
+        with np.errstate(all="ignore"):
+            assert cli.main(["plan", "--seed", "6", *args, "--out", str(out)]) == code
+        assert not (tmp_path / "new").exists()
+        capsys.readouterr()
 
     def test_simulate_without_plan_exits_6(self, reduced_cfg, tmp_path, capsys):
         rc = cli.main(

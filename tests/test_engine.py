@@ -104,12 +104,11 @@ def test_synthesis_and_replay_reject_the_boundary(point, sensor):
     assert (5, sensor) in [s[:2] for s in res.skipped]
 
 
-# an exact lidar and process noise on the east position alone, 1e15 m^2 per
-# step: at every lidar tick S is worse conditioned than ekf.CONDITION_LIMIT.
-# alt reads d only, and uwb at these points n and d only, so neither bounds
-# the east variance.
-EAST_UNBOUNDED = ekf.NoiseConfig(q_diag=[0.0, 0.0, 0.0, 0.0, 1e15, 0.0],
-                                 r_lidar=np.zeros((3, 3)))
+# process noise of 1e15 m^2 per step on each position axis: alt reads d
+# only, and uwb at these points n and d only, so neither bounds the east
+# variance, and at every lidar tick S is worse conditioned than
+# ekf.CONDITION_LIMIT.
+EAST_UNBOUNDED = ekf.NoiseConfig(q_pos=1e15)
 
 
 def test_singular_vector_update_is_skipped():
@@ -141,8 +140,9 @@ def test_non_finite_vector_update_is_skipped(bad):
 
 def test_skip_log_is_in_step_and_sensor_order():
     # uwb's guard refuses every reading when its block is listed and the
-    # lidar's kernel skips each one later, tick by tick
-    env, rates = open_env(), planner.RateSchedule()
+    # lidar's kernel skips each one later, tick by tick; alt, at the lidar's
+    # rate, reads d first, so nothing but d is bounded when the lidar reads
+    env, rates = open_env(), planner.RateSchedule(alt_hz=10.0)
     assert env.lidar_sees_many([AT_MIN_RANGE])[0]
     res = plan_one(hover(AT_MIN_RANGE), rates, EAST_UNBOUNDED, env)
     fires = np.flatnonzero(rates.fire_table(20)["lidar"]).tolist()
@@ -714,3 +714,63 @@ def test_replay_matches_scalar_filter_on_random_maps(flight):
         assert (res.alt_updates, res.uwb_updates, res.cam_updates, res.lidar_updates) == (
             counts["alt"], counts["uwb"], counts["cam"], counts["lidar"])
         assert [s[:2] for s in res.skipped] == skipped
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: symmetries the planned covariance must keep
+
+
+@st.composite
+def out_and_back_flights(draw):
+    """A 20 x 8 x 6 m map with up to four random boxes, the rig at the origin
+    on its floor, and an out-and-back flight from a random point within the
+    camera's reach of the rig's n to one at most 4 m away on each axis."""
+    corner = st.tuples(st.floats(-8.0, 6.0), st.floats(-4.0, 3.0), st.floats(-6.0, -0.5))
+    size = st.tuples(*[st.floats(0.2, 3.0)] * 3)
+    boxes = [mapenv.BoxObstacle(lo, np.add(lo, extent))
+             for lo, extent in draw(st.lists(st.tuples(corner, size), max_size=4))]
+    env = mapenv.EnvironmentMap(bounds_min=[-10.0, -4.0, -6.0], bounds_max=[10.0, 4.0, 0.0],
+                                obstacles=boxes)
+    start = np.array(draw(st.tuples(st.floats(-6.0, 6.0), st.floats(-4.0, 4.0),
+                                    st.floats(-6.0, -0.3))))
+    turn = start + np.array(draw(st.tuples(*[st.floats(-4.0, 4.0)] * 3)))
+    assume(np.linalg.norm(turn - start) > 0.5)
+    return env, np.stack([start, turn])
+
+
+def planned(env, nodes):
+    """run_batch's planning result for the out-and-back flight over nodes."""
+    circuit = SimpleNamespace(nodes=[0, 1, 0])
+    nom = planner.build_nominal_trajectory(circuit, SimpleNamespace(nodes=nodes), 2.0, 0.02)
+    return plan_one(nom, planner.RateSchedule(), ekf.NoiseConfig(), env)
+
+
+def mirrored(env, nodes, axis):
+    """The map and nodes mirrored in one horizontal axis through the rig."""
+    flip = np.ones(3)
+    flip[axis] = -1.0
+
+    def box(lo, hi):
+        return np.minimum(lo * flip, hi * flip), np.maximum(lo * flip, hi * flip)
+
+    boxes = [mapenv.BoxObstacle(*box(b.lo, b.hi)) for b in env.obstacles]
+    return mapenv.EnvironmentMap(*box(env.bounds_min, env.bounds_max), obstacles=boxes,
+                                 rig=env.rig), nodes * flip
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(flight=out_and_back_flights())
+def test_planned_pec_keeps_the_maps_symmetries(flight):
+    """The rig sees alike in every azimuth and the noise is the same on every
+    axis, so mirroring map and flight in n or in e changes no bit of the
+    planned pec, and neither does the order of the obstacles."""
+    env, nodes = flight
+    want = planned(env, nodes)
+    reversed_boxes = mapenv.EnvironmentMap(env.bounds_min, env.bounds_max,
+                                           obstacles=env.obstacles[::-1], rig=env.rig)
+    for case, got in (("e mirror", planned(*mirrored(env, nodes, 1))),
+                      ("n mirror", planned(*mirrored(env, nodes, 0))),
+                      ("reversed obstacles", planned(reversed_boxes, nodes))):
+        assert np.array_equal(got.pec, want.pec), case
+        assert np.array_equal(got.cam_fired, want.cam_fired), case
+        assert np.array_equal(got.lidar_fired, want.lidar_fired), case

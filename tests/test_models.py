@@ -77,7 +77,7 @@ def test_models_guard_warn_nowhere_and_differentiate(r, roll, pitch):
     tipped = np.full(len(r), math.cos(pitch) * math.cos(roll) <= ekf.MIN_TILT_COS)
     want = {"alt": [tipped], "uwb": [near], "cam": [near, low], "lidar": []}
 
-    models = ekf.sensor_models(att, np.array([0.0, 0.0, -0.5]), ekf.LidarGammaModel())
+    models = ekf.sensor_models(att, np.array([0.0, 0.0, -0.5]), ekf.NoiseSettings())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sensor, model in models.items():

@@ -169,42 +169,6 @@ class TestSynthesis:
             assert len(pos), sensor
             assert np.allclose(r.z[::37], want, rtol=0.0, atol=1e-12), sensor
 
-    def test_perfect_mode_factors_no_covariance(self):
-        # exact readings take no draws, so a singular noise covariance is
-        # never factored
-        env = empty_env()
-        g, c = out_and_back([3.0, 1.0, -2.0], [12.0, 1.0, -2.0])
-        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
-        truth = montecarlo.simulate_truth(nom, np.random.default_rng(1))
-        noise = ekf.NoiseConfig(r_cam=np.zeros((3, 3)), r_lidar=np.zeros((3, 3)))
-        readings = montecarlo.synthesize_measurements(
-            truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
-            np.random.default_rng(2), mode="perfect")
-        assert [sensor for sensor, r in readings.items() if len(r.steps)] == [
-            "alt", "uwb", "cam", "lidar"]
-
-    @pytest.mark.parametrize("r_lidar, exact_axes", [
-        (np.zeros((3, 3)), [0, 1, 2]),
-        (np.diag([0.0225, 0.0225, 0.0]), [2]),
-    ], ids=["exact", "exact_down"])
-    def test_noisy_mode_reads_exact_axes_exactly(self, r_lidar, exact_axes):
-        # a semi-definite covariance has a square root if not a Cholesky
-        # factor; noise draws leave the axes it does not span at the truth
-        env = empty_env()
-        g, c = out_and_back([3.0, 1.0, -2.0], [12.0, 1.0, -2.0])
-        nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
-        truth = montecarlo.simulate_truth(nom, np.random.default_rng(1))
-        noise = ekf.NoiseConfig(r_lidar=r_lidar)
-        lidar = {}
-        for mode in ("perfect", "noisy"):
-            lidar[mode] = montecarlo.synthesize_measurements(
-                truth, env, planner.RateSchedule(), noise, ekf.Attitude(),
-                np.random.default_rng(2), mode=mode)["lidar"].z
-        assert len(lidar["noisy"]) > 10 and lidar["noisy"].shape == lidar["perfect"].shape
-        residual = lidar["noisy"] - lidar["perfect"]
-        assert np.abs(residual[:, exact_axes]).max() < 1e-12
-        assert np.all(np.delete(residual, exact_axes, axis=1) != 0.0)
-
     @pytest.mark.parametrize("options, message", [
         (dict(outlier_prob=1.5), "outlier_prob"),
         (dict(outlier_prob=-0.1), "outlier_prob"),
@@ -265,7 +229,7 @@ class TestSynthesis:
         lidar = montecarlo.synthesize_measurements(
             truth, tunnel, planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude(),
             np.random.default_rng(14))["lidar"]
-        model = ekf.LidarGammaModel()
+        model = ekf.NoiseSettings()
         assert len(lidar.steps) > 10
         for step, gamma in zip(lidar.steps.tolist(), lidar.scale.tolist()):
             rng_true = float(np.linalg.norm(truth.pos[step] - tunnel.rig.position))
@@ -295,9 +259,10 @@ class TestSynthesis:
 
     def test_lidar_noise_matches_its_covariance(self):
         # residuals over sqrt(gamma) are draws of the configured covariance,
-        # off-diagonal terms included; bounds are five standard errors
-        R = np.array([[0.0225, 0.009, 0.0], [0.009, 0.04, -0.006], [0.0, -0.006, 0.01]])
-        noise = ekf.NoiseConfig(r_lidar=R)
+        # the variance on each axis and no correlation between axes; bounds
+        # are five standard errors
+        noise = ekf.NoiseConfig(r_lidar=0.04)
+        R = noise.R["lidar"]
         env = empty_env(bounds_max=(300.0, 5.0, 0.0))
         g, c = out_and_back([3.0, 1.0, -2.0], [260.0, 1.0, -2.0])
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
