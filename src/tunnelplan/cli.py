@@ -212,23 +212,18 @@ def _read_aggregate(path: Path) -> dict:
 
 
 def _resolve_selection(ranking: dict, sel) -> int:
-    """Map a selection name or candidate index onto a circuit index."""
+    """Map a selection, as the config checked it, onto a circuit index: a
+    name the ranking defines or an index below its candidate count."""
     n = len(ranking["totals"])
-    if isinstance(sel, bool):
-        raise ConfigError(f"bad selection {sel!r}")
-    if isinstance(sel, int) or config.is_candidate_index(sel):
-        idx = int(sel)
-        if not 0 <= idx < n:
-            raise ConfigError(
-                f"selection index {idx} out of range (have {n} candidates)"
-            )
-        return idx
     if sel in config.SELECTION_NAMES:
         idx = ranking.get(sel)
         if idx is None:
             raise ConfigError(f"selection {sel!r} undefined for {n} candidate(s)")
         return int(idx)
-    raise ConfigError(f"unknown selection {sel!r}")
+    idx = int(sel)
+    if idx >= n:
+        raise ConfigError(f"selection index {idx} out of range (have {n} candidates)")
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def _ranking_dict(report: planner.RankingReport, cfg, g, base_edge_count) -> dic
             "edge_instances": g.edge_instance_count(),
             "total_length_m": float(g.total_length()),
         },
-        "config": config.config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),
     }
 
 
@@ -302,7 +297,7 @@ def cmd_plan(cfg: config.RunConfig, out: Path):
     # numpy stays quiet: pec_summary reports a covariance that left the float range
     with np.errstate(over="ignore", invalid="ignore"):
         scores = planner.propagate_paths(
-            cands, g, env, cfg.kinematic_profile(), cfg.rate_schedule(),
+            cands, g, env, cfg.kinematics, cfg.rate_schedule(),
             cfg.noise_config(),
         )
     report = planner.score_and_select(scores)
@@ -419,7 +414,7 @@ def cmd_simulate(cfg: config.RunConfig, out: Path):
         )
 
     env = mapenv.load_map(cfg.resolve_map_path())
-    kin = cfg.kinematic_profile()
+    kin = cfg.kinematics
     rates = cfg.rate_schedule()
     noise = cfg.noise_config()
     sim = cfg.simulate

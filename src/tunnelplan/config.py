@@ -1,5 +1,5 @@
 """Run configuration: built-in defaults, YAML loading, dotted-key overrides,
-validation, and derived random streams.
+and derived random streams. Each section is checked as it is built.
 
 One config object drives every pipeline stage, so a single file plus a seed
 fully determines all artifacts.
@@ -7,8 +7,7 @@ fully determines all artifacts.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,13 @@ def is_candidate_index(label) -> bool:
             and (label == "0" or not label.startswith("0")))
 
 
+def _require_str(value, path, error, choices=None):
+    if not isinstance(value, str) or not value:
+        raise error(f"{path}: expected a non-empty string, got {value!r}")
+    if choices is not None and value not in choices:
+        raise error(f"{path}: must be one of {sorted(choices)}, got {value!r}")
+
+
 class _Section:
     """A config section. Each numeric field declares the values it accepts
     beside its default (mapenv.bounded), and the section checks them as it
@@ -57,13 +63,6 @@ class PlanSection(_Section):
 
 
 @dataclass
-class KinematicsSection(_Section):
-    cruise_mps: float = mapenv.bounded(0.5, above=0.0)
-    roll_deg: float = mapenv.bounded(0.0)
-    pitch_deg: float = mapenv.bounded(0.0)
-
-
-@dataclass
 class SimulateSection(_Section):
     runs: int = mapenv.bounded(10, integer=True, minimum=1)
     mode: str = "noisy"
@@ -75,6 +74,26 @@ class SimulateSection(_Section):
     outlier_prob: float = mapenv.bounded(0.0, minimum=0.0, maximum=1.0)
     outlier_scale: float = mapenv.bounded(10.0, minimum=0.0)
 
+    def __post_init__(self):
+        super().__post_init__()
+        _require_str(self.mode, "mode", ValueError, choices=("noisy", "perfect"))
+        if not isinstance(self.selections, list) or not self.selections:
+            raise ValueError("selections: expected a non-empty list")
+        for sel in self.selections:
+            if isinstance(sel, bool):
+                raise ValueError(f"selections: bad entry {sel!r}")
+            if isinstance(sel, int):
+                if sel < 0:
+                    raise ValueError(f"selections: index must be >= 0, got {sel}")
+            elif not (sel in SELECTION_NAMES or is_candidate_index(sel)):
+                raise ValueError(f"selections: bad entry {sel!r}; use one of "
+                                 f"{list(SELECTION_NAMES)} or a candidate index")
+        # a selection's label names its output files and aggregate row
+        labels = [str(sel) for sel in self.selections]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"selections: repeated entries {repeated}")
+
 
 @dataclass
 class RunConfig:
@@ -82,13 +101,15 @@ class RunConfig:
     seed: int = mapenv.bounded(6, integer=True, minimum=0)
     out_dir: str = "out"
     plan: PlanSection = field(default_factory=PlanSection)
-    kinematics: KinematicsSection = field(default_factory=KinematicsSection)
+    kinematics: planner.KinematicProfile = field(default_factory=planner.KinematicProfile)
     rates: planner.RateSchedule = field(default_factory=planner.RateSchedule)
     noise: ekf.NoiseSettings = field(default_factory=ekf.NoiseSettings)
     simulate: SimulateSection = field(default_factory=SimulateSection)
 
     def __post_init__(self):
         mapenv.check_fields(self, ConfigError)
+        _require_str(self.map, "map", ConfigError)
+        _require_str(self.out_dir, "out_dir", ConfigError)
 
     def resolve_map_path(self) -> Path:
         """Map file location; `builtin:NAME` points into the shipped data dir."""
@@ -106,13 +127,6 @@ class RunConfig:
         seq = np.random.SeedSequence(self.seed, spawn_key=(int(stream),))
         return np.random.default_rng(seq)
 
-    def kinematic_profile(self) -> planner.KinematicProfile:
-        k = self.kinematics
-        att = ekf.Attitude(
-            roll=math.radians(k.roll_deg), pitch=math.radians(k.pitch_deg)
-        )
-        return planner.KinematicProfile(cruise=k.cruise_mps, attitude=att)
-
     def rate_schedule(self) -> planner.RateSchedule:
         return self.rates
 
@@ -120,22 +134,12 @@ class RunConfig:
         return ekf.NoiseConfig(**asdict(self.noise), ts=1.0 / self.rates.predict_hz)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Plain nested dict in the YAML schema, for echoing into artifacts."""
-    return asdict(cfg)
-
-
 # ---------------------------------------------------------------------------
 # loading
 
 
-_SECTIONS = {
-    "plan": PlanSection,
-    "kinematics": KinematicsSection,
-    "rates": planner.RateSchedule,
-    "noise": ekf.NoiseSettings,
-    "simulate": SimulateSection,
-}
+# each top-level key and the section class it holds, MISSING for a plain value
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _section_from_dict(cls, data, prefix):
@@ -154,12 +158,10 @@ def _section_from_dict(cls, data, prefix):
 def _from_dict(data: dict) -> RunConfig:
     kwargs = {}
     for key, value in data.items():
-        if key in ("map", "seed", "out_dir"):
-            kwargs[key] = value
-        elif key in _SECTIONS:
-            kwargs[key] = _section_from_dict(_SECTIONS[key], value, key)
-        else:
+        if key not in _SECTIONS:
             raise ConfigError(f"unknown config key {key}")
+        cls = _SECTIONS[key]
+        kwargs[key] = value if cls is MISSING else _section_from_dict(cls, value, key)
     return RunConfig(**kwargs)
 
 
@@ -181,44 +183,8 @@ def _apply_override(data: dict, expr: str):
     node[parts[-1]] = value
 
 
-def _require_str(value, path, choices=None):
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}: must be one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _validate(cfg: RunConfig):
-    _require_str(cfg.map, "map")
-    _require_str(cfg.out_dir, "out_dir")
-
-    s = cfg.simulate
-    _require_str(s.mode, "simulate.mode", choices=("noisy", "perfect"))
-    if not isinstance(s.selections, list) or not s.selections:
-        raise ConfigError("simulate.selections: expected a non-empty list")
-    for sel in s.selections:
-        if isinstance(sel, bool):
-            raise ConfigError(f"simulate.selections: bad entry {sel!r}")
-        if isinstance(sel, int):
-            if sel < 0:
-                raise ConfigError(
-                    f"simulate.selections: index must be >= 0, got {sel}"
-                )
-        elif not (sel in SELECTION_NAMES or is_candidate_index(sel)):
-            raise ConfigError(
-                f"simulate.selections: bad entry {sel!r}; use one of "
-                f"{list(SELECTION_NAMES)} or a candidate index"
-            )
-    # a selection's label names its output files and aggregate row
-    labels = [str(sel) for sel in s.selections]
-    repeated = sorted({label for label in labels if labels.count(label) > 1})
-    if repeated:
-        raise ConfigError(f"simulate.selections: repeated entries {repeated}")
-
-
 def load_config(path=None, overrides=(), seed=None) -> RunConfig:
-    """Build a validated RunConfig.
+    """Build a RunConfig.
 
     `path` of None means built-in defaults.  `overrides` are dotted
     KEY=VALUE strings applied on top of the file; an explicit `seed`
@@ -245,8 +211,6 @@ def load_config(path=None, overrides=(), seed=None) -> RunConfig:
     if seed is not None:
         data["seed"] = seed
     try:
-        cfg = _from_dict(data)
+        return _from_dict(data)
     except TypeError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    _validate(cfg)
-    return cfg

@@ -70,11 +70,11 @@ class NoiseSettings:
     """The filter's noise, one scalar per setting; the config's noise
     section is this class.
 
-    q_vel and q_pos are the per-step process noise of each velocity and
-    position axis. A vector sensor's noise covariance is its variance times
-    the identity (R), and the engine scales it per reading: the camera's by
-    up to 1 / MIN_SIN_ELEVATION, the lidar's by gamma, whose point count
-    falls off with the inverse square of range.
+    q_vel and q_pos are the per-step process noise variances of each
+    velocity and position axis. A vector sensor's noise covariance is its
+    variance times the identity, and the engine scales the variance per
+    reading: the camera's by up to 1 / MIN_SIN_ELEVATION, the lidar's by
+    gamma, whose point count falls off with the inverse square of range.
     """
 
     q_vel: float = mapenv.bounded(0.01, minimum=0.0)
@@ -99,12 +99,6 @@ class NoiseSettings:
         (range / lidar_ref_range_m)^2 clamped to [1, lidar_gamma_max]."""
         out = np.clip((rng / self.lidar_ref_range_m) ** 2, 1.0, self.lidar_gamma_max)
         return float(out) if np.ndim(out) == 0 else out
-
-    @property
-    def R(self) -> dict:
-        """Each sensor's noise covariance by name, a variance for alt and uwb."""
-        return {"alt": self.r_alt, "uwb": self.r_uwb,
-                "cam": self.r_cam * _I3, "lidar": self.r_lidar * _I3}
 
 
 @dataclass

@@ -334,7 +334,7 @@ def run_trial_sets(selected, graph, env, kin, rates, noise, master_seed: int,
     dropout = sim.dropout if sim.mode == "noisy" else 0.0
     truths, readings = [], []
     for circuit, circuit_index in selected:
-        nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise, noise.ts)
+        nominal = planner.build_nominal_trajectory(circuit, graph, kin.cruise_mps, noise.ts)
         for run_index in range(sim.runs):
             truth_rng, meas_rng = run_seed_rngs(master_seed, circuit_index, run_index)
             truth = simulate_truth(nominal, truth_rng,

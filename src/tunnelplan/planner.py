@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,19 @@ SENSOR_ORDER = ("alt", "uwb", "cam", "lidar")
 
 @dataclass
 class KinematicProfile:
-    """Constant-speed flight profile with a fixed hover attitude."""
+    """Constant-speed flight profile with a fixed hover attitude in degrees;
+    the config's kinematics section is this class."""
 
-    cruise: float = 0.5
-    attitude: ekf.Attitude = field(default_factory=ekf.Attitude)
+    cruise_mps: float = mapenv.bounded(0.5, above=0.0)
+    roll_deg: float = mapenv.bounded(0.0)
+    pitch_deg: float = mapenv.bounded(0.0)
 
     def __post_init__(self):
-        if not self.cruise > 0.0:
-            raise ValueError("cruise speed must be positive")
+        mapenv.check_fields(self)
+
+    @property
+    def attitude(self) -> ekf.Attitude:
+        return ekf.Attitude(roll=math.radians(self.roll_deg), pitch=math.radians(self.pitch_deg))
 
 
 @dataclass
@@ -226,9 +231,9 @@ _FLUSH_BYTES = 2 << 20
 # from 12 members every count's pooled pairs favoured the split
 _SPLIT_MEMBERS = 12
 # sensor ticks whose update lists are built at once. A list's arrays take
-# about 330 B per member and tick (a camera pair's Jacobian, noise and bound
-# alone 152 B), so a block holds about 42 kB per member, a fifth of the
-# member's pec row on the shipped flight. Blocks of 8,192 member-ticks, 4,096
+# about 190 B per member and tick (a camera pair's Jacobian and noise alone
+# 80 B), so a block holds about 24 kB per member, a ninth of the member's
+# pec row on the shipped flight. Blocks of 8,192 member-ticks, 4,096
 # ticks of a two-run replay chunk, raised replay_deep's peak memory by 1.6 MB
 # that the allocator kept after the lists were freed
 _LIST_TICKS = 128
@@ -293,26 +298,26 @@ def _scalar_update(P, x, idx, H, r, innov, skipped, step, sensor):
     return idx
 
 
-def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
+def _vector_update(P, x, idx, Hr, r, innov, skipped, step, sensor):
     """Joseph-form update of members idx (as in _scalar_update) by 3-vector
-    readings.
+    readings whose noise covariances are r (n,) times the identity.
 
     The Jacobians are zero in the velocity columns and Hr (n, 3, 3), their
     position block, is symmetric, so with HP = H P, G = inv(S) HP and K = G'
-    the Joseph form is M - (M H' - K Reff) G with M = P - K HP, and no
+    the Joseph form is M - (M H' - r K) G with M = P - K HP, and no
     product needs a transposed operand. Hr None stands for the identity,
-    whose products are the position rows and columns themselves. rmin
-    bounds the smallest eigenvalue of each Reff from below. Members whose
-    innovation covariance is not finite, singular or worse conditioned than
-    ekf.CONDITION_LIMIT are logged and left as they are; returns the members
-    updated.
+    whose products are the position rows and columns themselves. Members
+    whose innovation covariance is not finite, singular or worse conditioned
+    than ekf.CONDITION_LIMIT are logged and left as they are; returns the
+    members updated.
     """
     Psub = P[idx]
     HP = Psub[:, 3:, :] if Hr is None else Hr @ Psub[:, 3:, :]
-    S = HP[:, :, 3:] + Reff if Hr is None else HP[:, :, 3:] @ Hr + Reff
-    # for PSD P, lmin(S) >= lmin(Reff) and lmax(S) <= trace(S), so this
-    # certifies the condition test; only the other members need eigenvalues
-    ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * rmin
+    S = HP[:, :, 3:].copy() if Hr is None else HP[:, :, 3:] @ Hr
+    S.reshape(-1, 9)[:, ::4] += r[:, None]  # S = H P H' + r I
+    # for PSD P, lmin(S) >= r and lmax(S) <= trace(S), so this certifies
+    # the condition test; only the other members need eigenvalues
+    ok = np.trace(S, axis1=1, axis2=2) < ekf.CONDITION_LIMIT * r
     if not ok.all():
         check = np.flatnonzero(~ok)
         check = check[np.isfinite(S[check]).all(axis=(1, 2))]
@@ -324,14 +329,14 @@ def _vector_update(P, x, idx, Hr, Reff, rmin, innov, skipped, step, sensor):
         if not ok.all():
             idx = np.arange(len(P))[idx]
             _log_skips(skipped, idx[~ok], step, sensor, "innovation covariance singular")
-            idx, Psub, HP, S, Reff = idx[ok], Psub[ok], HP[ok], S[ok], Reff[ok]
+            idx, Psub, HP, S, r = idx[ok], Psub[ok], HP[ok], S[ok], r[ok]
             Hr = None if Hr is None else Hr[ok]
             innov = None if innov is None else innov[ok]
     G = np.linalg.solve(S, HP)
     K = G.transpose(0, 2, 1).copy()
     M = Psub - K @ HP
     MH = M[:, :, 3:] if Hr is None else M[:, :, 3:] @ Hr
-    out = M - (MH - K @ Reff) @ G
+    out = M - (MH - r[:, None, None] * K) @ G
     P[idx] = 0.5 * (out + out.transpose(0, 2, 1))
     if innov is not None:
         x[idx] += (K @ innov[:, :, None])[:, :, 0]
@@ -342,15 +347,17 @@ _KERNELS = {"alt": _scalar_update, "uwb": _scalar_update,
             "cam": _vector_update, "lidar": _vector_update}
 
 
-def _terms(sensor, Hr, scale, R, rmin) -> tuple:
+def _terms(sensor, Hr, scale, noise) -> tuple:
     """A sensor's kernel arguments after idx for updates whose Jacobians
-    have position blocks Hr and whose noise scales are scale: (H, r) for a
-    scalar sensor, (Hr, R_eff, scale * rmin) for a vector one."""
+    have position blocks Hr and whose noise scales are scale: the Jacobian,
+    (n, 6) rows for a scalar sensor and Hr for a vector one, and the noise
+    variance, scale times the sensor's r_<sensor> in noise."""
+    r = scale * getattr(noise, f"r_{sensor}")
     if _KERNELS[sensor] is _vector_update:
-        return Hr, scale[:, None, None] * R[sensor], scale * rmin[sensor]
+        return Hr, r
     H = np.zeros((len(Hr), 6))
     H[:, 3:] = Hr
-    return H, scale * R[sensor]
+    return H, r
 
 
 def _take(a, rows):
@@ -413,7 +420,7 @@ def reading_sites(env, attitude, noise):
     return sites
 
 
-def _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped) -> dict:
+def _planned_updates(t0, t1, block_pos, fire, sites, noise, ticks, skipped) -> dict:
     """Update lists of ticks t0..t1-1 in planning, by sensor.
 
     block_pos (nb, t1 - t0, 3) holds the members' nominal positions at
@@ -437,7 +444,7 @@ def _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped) ->
             keep = m.ok
             tick, member, m = tick[keep], member[keep], m.take(keep)
         lists[sensor] = _Updates(_offsets(tick, t1 - t0), member,
-                                 _terms(sensor, m.Hr, m.scale, R, rmin))
+                                 _terms(sensor, m.Hr, m.scale, noise))
     return lists
 
 
@@ -481,7 +488,7 @@ def _tick_rows(runs, n: int, ticks: np.ndarray) -> dict:
     return laid
 
 
-def _replayed_updates(t0, t1, block_pos, laid, models, R, rmin) -> dict:
+def _replayed_updates(t0, t1, block_pos, laid, models, noise) -> dict:
     """Update lists of ticks t0..t1-1 in replay, by sensor: the pairs with
     an undropped reading, a slice of laid (_tick_rows). block_pos
     (nb, t1 - t0, 3) holds the members' commanded positions at those ticks.
@@ -496,7 +503,7 @@ def _replayed_updates(t0, t1, block_pos, laid, models, R, rmin) -> dict:
         if sensor in _FIXED_AT_ESTIMATE:
             m = models[sensor](pos)
             terms = _terms(sensor, m.Hr, scale[lo:hi] if m.scale is None else m.scale,
-                           R, rmin)
+                           noise)
         lists[sensor] = _Updates(_offsets(tick, t1 - t0), member, terms, pos, z[lo:hi])
     return lists
 
@@ -572,8 +579,6 @@ def _sweep_group(rates, noise, attitude, n: int, paths, env, runs) -> list:
     else:
         fire = {sensor: table[sensor][ticks] for sensor in SENSOR_ORDER}
         sites = reading_sites(env, attitude, noise)
-    R = noise.R
-    rmin = {"cam": noise.r_cam, "lidar": noise.r_lidar}
 
     k = _process_count(B)
     # outputs each process fills for its own members: in shared memory once
@@ -608,8 +613,8 @@ def _sweep_group(rates, noise, attitude, n: int, paths, env, runs) -> list:
         def updates(t0: int, t1: int) -> dict:
             block_pos = _positions(paths, ticks[t0:t1])
             if replay:
-                return _replayed_updates(t0, t1, block_pos, laid, models, R, rmin)
-            return _planned_updates(t0, t1, block_pos, fire, sites, R, rmin, ticks, skipped)
+                return _replayed_updates(t0, t1, block_pos, laid, models, noise)
+            return _planned_updates(t0, t1, block_pos, fire, sites, noise, ticks, skipped)
 
         # The covariance (and mean) after each bound goes to a buffer of a few
         # MB; each flush predicts every step since the previous flush from the
@@ -674,7 +679,7 @@ def _sweep_group(rates, noise, attitude, n: int, paths, env, runs) -> list:
                             continue
                         idx, m, rows = idx[keep], m.take(keep), a + keep
                     innov = u.value[rows] - m.z
-                terms = (_terms(sensor, m.Hr, m.scale, R, rmin) if u.terms is None
+                terms = (_terms(sensor, m.Hr, m.scale, noise) if u.terms is None
                          else [_take(term, rows) for term in u.terms])
                 applied = _KERNELS[sensor](P, x, idx, *terms, innov, skipped, e, sensor)
                 if sensor in fired:
@@ -880,7 +885,7 @@ def propagate_paths(circuit_list, graph, env, kin, rates, noise) -> list:
     lines = []
     for circuit in circuit_list:
         _validate_circuit(circuit, graph)
-        lines.append(Polyline.of(circuit, graph, kin.cruise, noise.ts))
+        lines.append(Polyline.of(circuit, graph, kin.cruise_mps, noise.ts))
     results = run_batch(rates, noise, kin.attitude, lines, env=env)
     return [_summarize(*args) for args in zip(circuit_list, lines, results)]
 

@@ -287,7 +287,13 @@ def graph_from_dict(data: dict) -> RoadmapGraph:
         raise ValueError(f"malformed graph data: {exc}") from exc
     if not np.isfinite(nodes).all():
         raise ValueError("malformed graph data: a node coordinate is not finite")
+    if not 0 <= source < len(nodes):
+        raise ValueError(f"malformed graph data: source {source} is not one of the "
+                         f"{len(nodes)} nodes listed")
     for e in edges:
+        if e.multiplicity < 1:
+            raise ValueError(f"malformed graph data: edge ({e.i}, {e.j}) has multiplicity "
+                             f"{e.multiplicity}")
         if not (0 <= e.i < len(nodes) and 0 <= e.j < len(nodes)):
             raise ValueError(
                 f"malformed graph data: edge ({e.i}, {e.j}) joins a node outside "

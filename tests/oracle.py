@@ -54,13 +54,14 @@ def uwb_update(b, z: float, cfg: ekf.NoiseConfig):
 
 
 def camera_update(b, z, cfg: ekf.NoiseConfig):
-    return _update(b, ekf.camera(b.x[None, 3:]), z, cfg.R["cam"])
+    return _update(b, ekf.camera(b.x[None, 3:]), z, cfg.r_cam * np.eye(3))
 
 
 def lidar_update(b, z, cfg: ekf.NoiseConfig, gamma: float = 1.0):
     if gamma < 1.0:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
-    return _update(b, ekf.lidar(b.x[None, 3:])._replace(scale=gamma), z, cfg.R["lidar"])
+    return _update(b, ekf.lidar(b.x[None, 3:])._replace(scale=gamma), z,
+                   cfg.r_lidar * np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,8 @@ def synthesize_measurements(truth, env, rates, noise, attitude, rng, mode="noisy
     table = rates.fire_table(n)
     noisy = mode == "noisy"
     models = ekf.sensor_models(attitude, env.rig.position, noise)
-    R = noise.R
+    R = {"alt": noise.r_alt, "uwb": noise.r_uwb,
+         "cam": noise.r_cam * np.eye(3), "lidar": noise.r_lidar * np.eye(3)}
 
     fires = {sensor: steps.copy() for sensor, steps in table.items()}
     for sensor, gate in (("cam", env.camera_sees_many), ("lidar", env.lidar_sees_many)):

@@ -231,7 +231,7 @@ def test_05_lidar_only_matches_independent_kalman_filter(check):
         z = np.array([5.0 + 0.01 * k, 1.0, -3.0]) + 0.15 * rng.standard_normal(3)
         gamma = cfg.gamma(float(np.linalg.norm(z)))
         b = oracle.lidar_update(b, z, cfg, gamma=gamma)
-        R = gamma * cfg.R["lidar"]
+        R = gamma * cfg.r_lidar * np.eye(3)
         S = H @ P @ H.T + R
         K = np.linalg.solve(S, H @ P).T
         x = x + K @ (z - H @ x)

@@ -564,8 +564,13 @@ class TestExitCodes:
         ("graph.json", lambda g: {**g, "nodes": [[math.nan, *g["nodes"][0][1:]],
                                                  *g["nodes"][1:]]}, "graph.json"),
         ("graph.json", merge_first_edge, "graph.json"),
+        ("graph.json", lambda g: {**g, "source": 99}, "graph.json"),
+        ("graph.json", lambda g: {**g, "source": -1}, "graph.json"),
+        ("graph.json", lambda g: {**g, "edges": [[*g["edges"][0][:3], 0], *g["edges"][1:]]},
+         "graph.json"),
     ], ids=["truncated_circuits", "graph_edges_past_its_nodes", "circuit_off_its_graph",
-            "graph_node_not_finite", "graph_edge_of_length_zero"])
+            "graph_node_not_finite", "graph_edge_of_length_zero", "graph_source_past_its_nodes",
+            "graph_source_negative", "graph_edge_flown_zero_times"])
     def test_stale_plan_artifact_exits_6_naming_file(
         self, reduced_cfg, plan_out, tmp_path, capsys, name, spoil, named
     ):

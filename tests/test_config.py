@@ -2,13 +2,14 @@
 
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from tunnelplan import circuits, cli, config, mapenv, montecarlo, planner, roadmap
+from tunnelplan import circuits, cli, config, ekf, mapenv, montecarlo, planner, roadmap
 from tunnelplan.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -34,13 +35,12 @@ class TestDefaults:
         assert noise.ts == 0.02
         assert dataclasses.asdict(noise) == {**dataclasses.asdict(cfg.noise), "ts": 0.02}
         assert (noise.q_vel, noise.q_pos, noise.r_cam, noise.r_lidar) == (0.01, 1.0, 1e-4, 0.0225)
-        assert np.array_equal(noise.R["lidar"], 0.0225 * np.eye(3))
         assert noise.lidar_ref_range_m == 5.0
         rates = cfg.rate_schedule()
         assert rates.predict_hz == 50.0
         assert rates.alt_hz == 5.0
-        kin = cfg.kinematic_profile()
-        assert kin.cruise == 0.5
+        kin = cfg.kinematics
+        assert kin.cruise_mps == 0.5
         assert kin.attitude.roll == 0.0
 
     def test_shipped_default_file_matches_builtin(self):
@@ -51,7 +51,7 @@ class TestDefaults:
         # tests that build components from library defaults stand in for the
         # shipped config; the library's dropout of 0.0 differs on purpose
         cfg = config.load_config(REPO_ROOT / "configs" / "default.yaml")
-        assert planner.KinematicProfile() == cfg.kinematic_profile()
+        assert planner.KinematicProfile() == cfg.kinematics
         assert roadmap.DEFAULT_FORWARD_BIAS == cfg.plan.forward_bias
         assert circuits.DEFAULT_CRUISE == cfg.kinematics.cruise_mps
         truth = inspect.signature(montecarlo.simulate_truth).parameters
@@ -165,7 +165,7 @@ class TestOverrides:
         cfg = config.load_config(overrides=["noise.r_cam=1e-4", "kinematics.cruise_mps=+5E-1",
                                             "plan.max_flight_time_s=.9e3"])
         assert cfg.noise.r_cam == 1e-4
-        assert np.array_equal(cfg.noise_config().R["cam"], 1e-4 * np.eye(3))
+        assert cfg.noise_config().r_cam == 1e-4
         assert cfg.kinematics.cruise_mps == 0.5
         assert cfg.plan.max_flight_time_s == 900.0
 
@@ -322,11 +322,41 @@ class TestValidation:
         assert "unknown config key plan.pec_norm" in capsys.readouterr().err
 
 
+class TestChecksAtConstruction:
+    """Sections built in code refuse what load_config refuses."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "bogus"}, r"mode: must be one of \['noisy', 'perfect'\], got 'bogus'"),
+        ({"selections": []}, "selections: expected a non-empty list"),
+        ({"selections": ["best", 2, "2"]}, r"selections: repeated entries \['2'\]"),
+        ({"selections": ["best", True]}, "selections: bad entry True"),
+    ], ids=["bad_mode", "empty_selections", "repeated_selections", "boolean_selection"])
+    def test_simulate_section(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            config.SimulateSection(**kwargs)
+
+    @pytest.mark.parametrize("key", ["map", "out_dir"])
+    def test_run_config_needs_a_map_and_an_out_dir(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: expected a non-empty string, got ''$"):
+            config.RunConfig(**{key: ""})
+
+    def test_kinematic_profile_refuses_a_nan_pitch(self):
+        # a NaN pitch would make the altimeter skip every update
+        with pytest.raises(ValueError, match="pitch_deg: expected a finite number"):
+            planner.KinematicProfile(pitch_deg=math.nan)
+
+    def test_kinematic_profile_attitude_is_in_radians(self):
+        kin = planner.KinematicProfile(roll_deg=-10.0, pitch_deg=30.0)
+        assert kin.attitude == ekf.Attitude(roll=math.radians(-10.0), pitch=math.radians(30.0))
+
+
 class TestRoundTrip:
     def test_to_dict_then_reload_is_identity(self, tmp_path):
         cfg = config.load_config(overrides=["plan.nodes=9", "noise.q_vel=0.02"])
-        d = config.config_to_dict(cfg)
+        d = dataclasses.asdict(cfg)
         assert d["plan"]["nodes"] == 9
+        # the attitude is derived, so the echo keeps the config's keys
+        assert d["kinematics"] == {"cruise_mps": 0.5, "roll_deg": 0.0, "pitch_deg": 0.0}
         p = tmp_path / "echo.yaml"
         p.write_text(yaml.safe_dump(d))
         assert config.load_config(p) == cfg

@@ -130,8 +130,7 @@ def test_non_finite_vector_update_is_skipped(bad):
     P[1, 4, 4] = bad
     P0 = P.copy()
     skipped = [[] for _ in range(3)]
-    Reff = np.repeat(1e-2 * np.eye(3)[None], 3, axis=0)
-    applied = planner._vector_update(P, x, slice(None), None, Reff, np.full(3, 1e-2), None,
+    applied = planner._vector_update(P, x, slice(None), None, np.full(3, 1e-2), None,
                                      skipped, 9, "lidar")
     assert applied.tolist() == [0, 2]
     assert skipped == [[], [(9, "lidar", "innovation covariance singular")], []]
@@ -219,9 +218,9 @@ def test_vector_kernel_with_identity_jacobian_matches_dense_joseph(with_innov):
 def check_vector_kernel(with_innov, identity):
     rng = np.random.default_rng(22)
     P, x = random_members(rng, 8)
-    if identity:
-        # with H = I, member 4 needs no position variance for S = Reff
-        P[4, 3:, :] = P[4, :, 3:] = 0.0
+    # member 4 has position variance on n and e only
+    P[4, 3:, :] = P[4, :, 3:] = 0.0
+    P[4, 3, 3] = P[4, 4, 4] = 1.0
     P0, x0 = P.copy(), x.copy()
     idx = np.array([0, 1, 3, 4, 6, 7])
     # camera-like (I - z z') / d and lidar-like I position blocks, or the
@@ -232,24 +231,20 @@ def check_vector_kernel(with_innov, identity):
     Hr[::2] = np.eye(3)
     if identity:
         Hr[:] = np.eye(3)
-    scale = rng.uniform(1.0, 5.0, len(idx))
-    R = 1e-2 * np.eye(3)
-    Reff = scale[:, None, None] * R
-    rmin = scale * 1e-2
-    # member 0 with no position variance and no noise has S == 0; member 4
-    # gets noise so anisotropic that S is worse conditioned than the limit
-    Reff[0] = 0.0
-    rmin[0] = 0.0
-    if not identity:
-        Hr[3] = 0.0
-    Reff[3] = np.diag([1.0, 1.0, 1e-13])
-    rmin[3] = 1e-13
+    r = rng.uniform(1.0, 5.0, len(idx)) * 1e-2
+    # member 0 with no position variance and no noise has S == 0; member 4,
+    # read through H = I with noise 1e-13, has S worse conditioned than the
+    # limit
+    r[0] = 0.0
+    Hr[3] = np.eye(3)
+    r[3] = 1e-13
     innov = rng.normal(size=(len(idx), 3)) if with_innov else None
     skipped = [[] for _ in range(8)]
-    applied = planner._vector_update(P, x, idx, None if identity else Hr, Reff, rmin,
+    applied = planner._vector_update(P, x, idx, None if identity else Hr, r,
                                      innov, skipped, 9, "cam")
     H = np.zeros((len(idx), 3, 6))
     H[:, :, 3:] = Hr
+    Reff = r[:, None, None] * np.eye(3)
     want_skips = []
     for i, b in enumerate(idx.tolist()):
         eig = np.linalg.eigvalsh(H[i] @ P0[b] @ H[i].T + Reff[i])
@@ -383,7 +378,7 @@ def tunnel_candidates(tunnel):
     g = roadmap.eulerize(roadmap.connect_knn(pts, 4, tunnel), tunnel)
     cands = circuits.generate_candidates(g, 6, np.random.default_rng(6), 0.5)
     kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
-    lines = [planner.Polyline.of(c, g, kin.cruise, noise.ts) for c in cands]
+    lines = [planner.Polyline.of(c, g, kin.cruise_mps, noise.ts) for c in cands]
     n = lines[0].steps
     assert all(line.steps == n for line in lines)
     ticks = planner.sensor_ticks(rates.fire_table(n))
@@ -441,7 +436,7 @@ def mixed_length_circuits():
 def test_mixed_length_batch_equals_each_member_alone():
     g, cands, env = mixed_length_circuits()
     kin, rates, noise = planner.KinematicProfile(), planner.RateSchedule(), ekf.NoiseConfig()
-    lines = [planner.Polyline.of(c, g, kin.cruise, noise.ts) for c in cands]
+    lines = [planner.Polyline.of(c, g, kin.cruise_mps, noise.ts) for c in cands]
     steps = [line.steps for line in lines]
     # three step counts, not in ascending order
     assert len(set(steps)) == 3 and steps != sorted(steps)
@@ -774,3 +769,30 @@ def test_planned_pec_keeps_the_maps_symmetries(flight):
         assert np.array_equal(got.pec, want.pec), case
         assert np.array_equal(got.cam_fired, want.cam_fired), case
         assert np.array_equal(got.lidar_fired, want.lidar_fired), case
+
+
+def replayed(env, nodes):
+    """Zero-jitter perfect-mode replay of the out-and-back flight over nodes."""
+    circuit = SimpleNamespace(nodes=[0, 1, 0])
+    nom = planner.build_nominal_trajectory(circuit, SimpleNamespace(nodes=nodes), 2.0, 0.02)
+    rates, noise, att = planner.RateSchedule(), ekf.NoiseConfig(), ekf.Attitude()
+    truth = montecarlo.simulate_truth(nom, np.random.default_rng(0), cross_track_sigma=0.0,
+                                      speed_sigma=0.0)
+    readings = montecarlo.synthesize_measurements(truth, env, rates, noise, att,
+                                                  np.random.default_rng(1), mode="perfect")
+    return montecarlo.run_online_ekf(truth, readings, rates, noise, att)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(flight=out_and_back_flights())
+def test_replayed_estimate_keeps_the_maps_symmetries(flight):
+    """As in planning, mirroring map and flight in n or in e changes no bit
+    of the replayed pec, and it mirrors the estimate bit for bit."""
+    env, nodes = flight
+    want = replayed(env, nodes)
+    for case, axis in (("e mirror", 1), ("n mirror", 0)):
+        flip = np.ones(3)
+        flip[axis] = -1.0
+        got = replayed(*mirrored(env, nodes, axis))
+        assert np.array_equal(got.est, want.est * flip), case
+        assert np.array_equal(got.pec, want.pec), case

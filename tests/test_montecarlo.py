@@ -262,7 +262,7 @@ class TestSynthesis:
         # the variance on each axis and no correlation between axes; bounds
         # are five standard errors
         noise = ekf.NoiseConfig(r_lidar=0.04)
-        R = noise.R["lidar"]
+        R = noise.r_lidar * np.eye(3)
         env = empty_env(bounds_max=(300.0, 5.0, 0.0))
         g, c = out_and_back([3.0, 1.0, -2.0], [260.0, 1.0, -2.0])
         nom = planner.build_nominal_trajectory(c, g, 0.5, 0.02)
@@ -317,7 +317,7 @@ class TestReplay:
         noise = ekf.NoiseConfig()
         plan = planner.propagate_paths([c], g, tunnel, kin, rates, noise)[0]
 
-        nom = planner.build_nominal_trajectory(c, g, kin.cruise, noise.ts)
+        nom = planner.build_nominal_trajectory(c, g, kin.cruise_mps, noise.ts)
         truth = montecarlo.simulate_truth(nom, np.random.default_rng(30),
                                           cross_track_sigma=0.0, speed_sigma=0.0)
         readings = montecarlo.synthesize_measurements(

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tunnelplan import circuits, cli, ekf, mapenv, planner, roadmap
+from tunnelplan import circuits, cli, config, ekf, mapenv, planner, roadmap
 from tunnelplan.errors import ConfigError, InvalidCircuitError
 
 
@@ -255,7 +255,7 @@ class TestPropagatePath:
 
     def test_gimbal_attitude_skips_altimeter(self):
         env, g, c = boresight_fixture()
-        kin = planner.KinematicProfile(attitude=ekf.Attitude(pitch=math.radians(89.9)))
+        kin = planner.KinematicProfile(pitch_deg=89.9)
         score = propagate_path(c, g, env, kin, planner.RateSchedule(), ekf.NoiseConfig())
         assert score.skipped
         assert all(s[1] == "alt" for s in score.skipped)
@@ -303,7 +303,7 @@ class TestBatchedPropagation:
 
     def test_gimbal_skip_parity(self):
         env, g, c = boresight_fixture()
-        kin = planner.KinematicProfile(attitude=ekf.Attitude(pitch=math.radians(89.9)))
+        kin = planner.KinematicProfile(pitch_deg=89.9)
         rates = planner.RateSchedule()
         noise = ekf.NoiseConfig()
         got = planner.propagate_paths([c], g, env, kin, rates, noise)[0]
@@ -322,7 +322,7 @@ class TestPlanningMemory:
         kin, noise = planner.KinematicProfile(), ekf.NoiseConfig()
         rates = planner.RateSchedule(alt_hz=1.0, uwb_hz=1.0, cam_hz=1.0, lidar_hz=1.0)
         cands = [c] * 32
-        steps = planner.Polyline.of(c, g, kin.cruise, noise.ts).steps
+        steps = planner.Polyline.of(c, g, kin.cruise_mps, noise.ts).steps
         # nominal pos (steps + 1, 3) and vel (steps, 3) of every candidate
         full_rate_bytes = len(cands) * (2 * steps + 1) * 3 * 8
         tracemalloc.start()
@@ -344,7 +344,7 @@ class TestPlanningMemory:
         g, c = out_and_back_graph([3.0, 1.0, -2.0], [13.0, 1.0, -2.0])
         kin, noise = planner.KinematicProfile(), ekf.NoiseConfig()
         rates = planner.RateSchedule(alt_hz=50.0, uwb_hz=50.0, cam_hz=50.0, lidar_hz=50.0)
-        steps = planner.Polyline.of(c, g, kin.cruise, noise.ts).steps
+        steps = planner.Polyline.of(c, g, kin.cruise_mps, noise.ts).steps
         # lazy imports and caches of a first pass are not per candidate
         planner.propagate_paths([c], g, env, kin, planner.RateSchedule(), noise)
         peaks = {}
@@ -417,9 +417,12 @@ class TestRanking:
         assert cli._resolve_selection(ranking, "second_worst") == 3
         assert cli._resolve_selection(ranking, "2") == 2
         assert cli._resolve_selection(ranking, 3) == 3
-        for bad in ("tenth", "4", 4):
+        for bad in ("4", 4):
             with pytest.raises(ConfigError):
                 cli._resolve_selection(ranking, bad)
+        # a name the ranking cannot define is refused by the config
+        with pytest.raises(ValueError, match="bad entry 'tenth'"):
+            config.SimulateSection(selections=["tenth"])
 
 
 def plan_rows(out, threshold):
